@@ -1,9 +1,9 @@
 """Automorphism groups of complete shapes and their character tables.
 
 Aut(S) is computed from canonical subtree codes (sibling swaps plus the
-center flip), the table by the class-algebra method in 60-digit
-arithmetic.  All groups arising from complete shapes at desk scale have
-exact integer tables.
+center flip), the table by the class-algebra method: a float64
+eigen-solve whose rounded rows are proved exact in integer arithmetic.
+All groups arising from complete shapes have integer tables.
 """
 
 from arbocoh import character_table, shape_automorphism_group

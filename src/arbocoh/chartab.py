@@ -1,13 +1,30 @@
-"""Complex character tables and explicit unitary irreducible models.
+"""Character tables and explicit unitary irreducible models.
 
-Tables are computed by the class-algebra method: the structure constants
-of the class sums give commuting integer matrices whose simultaneous
-eigenvectors are the central characters; degrees follow from the second
-orthogonality relation.  A random linear combination separates the
-eigenspaces; the eigenproblem runs in 60-digit arithmetic and entries are
-snapped to nearby Gaussian integers when that is exact (it is for every
-tree-automorphism group that arises here).  Row/column orthogonality is
-validated on the final table and a failed separation retries with a fresh
+Tables are computed by the class-algebra method of Dixon (Numer. Math. 10,
+1967) and Schneider (J. Symb. Comput. 9, 1990).  The structure constants
+a_ijl of the class sums give commuting integer matrices B_i, with
+B_i[j, l] = a_ijl, whose common eigenvectors are the central characters
+w_l = n_l chi(C_l) / chi(1) (n_l the class sizes).  One random
+positive-integer combination M = sum_i c_i B_i separates the eigenspaces,
+and float64 numpy.linalg.eig solves it; each eigenvector, scaled to 1 at
+the identity class, gives a row whose degree follows from the second
+orthogonality relation.
+
+Aut(S) of a finite tree is an iterated wreath product of symmetric groups,
+so its characters are integers.  The rows are rounded to integers and the
+rounded table is proved in exact integer arithmetic:
+
+* chi(1) is the degree of each row and sum chi(1)^2 = |G|;
+* sum_l n_l chi_a(l) chi_b(l) = |G| delta_ab;
+* every row satisfies the class-algebra identity
+  (n_i chi(C_i)) (n_j chi(C_j)) = chi(1) sum_l a_ijl n_l chi(C_l).
+
+The identity makes each row a multiple of an irreducible character, the
+orthogonality makes that multiple 1 and the k rows distinct, so a table
+that passes is exactly the character table; its `characters` are int64.
+Groups whose characters are not all integers (a cyclic C_n built with
+closure, say) keep the float64 table, validated by row and column
+orthogonality.  A failed separation or check retries with a fresh
 combination before raising NumericalDegeneracy.
 
 realize_irrep builds actual unitary matrices: project the regular
@@ -21,15 +38,15 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-import mpmath
 import numpy as np
 
 from .errors import NonIntegralDimension, NumericalDegeneracy
 from .perm import PermGroup, Permutation, check_subgroup, conjugacy_classes
 
-_DPS = 60
-_SNAP_TOL = 1e-20
 _ORTHO_TOL = 1e-9
+_SEP_TOL = 1e-10  # eigenvalue gaps below this times the largest |eigenvalue| retry
+_INT_TOL = 1e-6  # degrees and entries this close to integers are rounded
+_INT64_ORDER_LIMIT = 2**21  # |G| < 2^21 keeps |G|^3 < 2^63
 
 
 @dataclass(frozen=True)
@@ -38,12 +55,18 @@ class CharacterTable:
 
     group: PermGroup
     classes: tuple  # tuple of tuples of Permutation
-    characters: np.ndarray = field(compare=False)  # complex, rows x classes
+    # rows x classes: int64 when every character is integral, else complex
+    characters: np.ndarray = field(compare=False)
     degrees: tuple = ()
 
     @property
     def n_rows(self) -> int:
         return len(self.degrees)
+
+    @property
+    def integral(self) -> bool:
+        """True when the table was proved exact in integer arithmetic."""
+        return self.characters.dtype.kind == "i"
 
     def class_sizes(self) -> tuple:
         return tuple(len(c) for c in self.classes)
@@ -107,95 +130,102 @@ def _class_constants(G: PermGroup, classes):
 
 @functools.lru_cache(maxsize=None)
 def character_table(G: PermGroup, retries: int = 8, seed: int = 12345) -> CharacterTable:
-    """Full character table of G; see the module docstring."""
+    """Full character table of G; see the module docstring.  Rows are
+    sorted by degree, then by their values in class order."""
     classes = tuple(conjugacy_classes(G))
     k = len(classes)
-    sizes = [len(c) for c in classes]
-    order = G.order
     if k == 1:
-        return CharacterTable(G, classes, np.array([[1.0 + 0j]]), (1,))
+        return CharacterTable(G, classes, np.ones((1, 1), dtype=np.int64), (1,))
 
-    cc = _class_constants(G, classes)
+    sizes = np.array([len(c) for c in classes], dtype=float)
+    A = np.array(_class_constants(G, classes), dtype=np.int64)  # A[i, j, l] = a_ijl
     rng = np.random.default_rng(seed)
-
-    with mpmath.workdps(_DPS):
-        B = [mpmath.matrix(k, k) for _ in range(k)]
-        for i in range(k):
-            for j in range(k):
-                for ell in range(k):
-                    B[i][j, ell] = cc[i][j][ell]
-
-        last_err = None
-        for _ in range(retries):
-            coeffs = rng.integers(1, 10**6, size=k)
-            M = mpmath.matrix(k, k)
-            for i in range(k):
-                M += int(coeffs[i]) * B[i]
-            try:
-                E, ER = mpmath.eig(M, left=False, right=True)
-            except Exception as exc:  # singular iterations are a retry case
-                last_err = str(exc)
-                continue
-            sep = min(
-                abs(E[a] - E[b]) for a in range(k) for b in range(a + 1, k)
-            )
-            scale = max(abs(e) for e in E) + 1
-            if sep < scale * mpmath.mpf(10) ** (-_DPS // 2):
-                last_err = f"eigenvalue separation {sep}"
-                continue
-            try:
-                rows = _rows_from_eigenvectors(E, ER, B, sizes, order, k)
-            except NumericalDegeneracy as exc:
-                last_err = str(exc)
-                continue
-            table = CharacterTable(G, classes, rows[0], rows[1])
-            if (
-                table.row_orthogonality_residual() < _ORTHO_TOL
-                and table.column_orthogonality_residual() < _ORTHO_TOL
-                and sum(d * d for d in table.degrees) == order
-            ):
+    last_err = None
+    for _ in range(retries):
+        M = np.tensordot(rng.integers(1, 10**6, size=k), A, axes=1).astype(float)
+        E, V = np.linalg.eig(M)
+        gaps = np.abs(E[:, None] - E[None, :]) + np.diag(np.full(k, np.inf))
+        if gaps.min() < _SEP_TOL * (np.abs(E).max() + 1):
+            last_err = f"eigenvalue separation {gaps.min():.3g}"
+            continue
+        if np.abs(V[0]).min() < 1e-12:
+            last_err = "eigenvector vanishes at the identity class"
+            continue
+        W = (V / V[0]).T  # row a: central character w_a, w_a(identity) = 1
+        deg_f = np.sqrt(G.order / (np.abs(W) ** 2 / sizes).sum(axis=1))
+        deg = np.rint(deg_f)
+        if np.abs(deg_f - deg).max() > _INT_TOL or deg.min() < 1:
+            last_err = f"non-integral degrees {deg_f}"
+            continue
+        chi = W * deg[:, None] / sizes
+        X = np.rint(chi.real)
+        if np.abs(chi - X).max() < _INT_TOL:
+            table = _integral_table(G, classes, X, A)
+            if table is not None:
                 return table
-            last_err = "orthogonality validation failed"
-        raise NumericalDegeneracy(f"character table failed after {retries} tries: {last_err}")
+            last_err = "rounded table failed the exact checks"
+            continue
+        table = _float_table(G, classes, chi, deg)
+        if (
+            table.row_orthogonality_residual() < _ORTHO_TOL
+            and table.column_orthogonality_residual() < _ORTHO_TOL
+            and sum(d * d for d in table.degrees) == G.order
+        ):
+            return table
+        last_err = "orthogonality validation failed"
+    raise NumericalDegeneracy(f"character table failed after {retries} tries: {last_err}")
 
 
-def _rows_from_eigenvectors(E, ER, B, sizes, order, k):
-    rows = []
-    for col in range(k):
-        v = [ER[r, col] for r in range(k)]
-        if abs(v[0]) < mpmath.mpf(10) ** (-_DPS // 2):
-            raise NumericalDegeneracy("eigenvector vanishes at the identity class")
-        w = [v[r] / v[0] for r in range(k)]
-        s = sum(abs(w[r]) ** 2 / sizes[r] for r in range(k))
-        deg_f = mpmath.sqrt(order / s)
-        deg = int(mpmath.nint(deg_f.real))
-        if abs(deg_f - deg) > 1e-10 or deg < 1:
-            raise NumericalDegeneracy(f"non-integral degree {deg_f}")
-        chi = [w[r] * deg / sizes[r] for r in range(k)]
-        chi = [_snap(x) for x in chi]
-        rows.append((deg, chi))
-    rows.sort(key=lambda t: (t[0], [(float(x.real), float(x.imag)) for x in t[1]]))
-    mat = np.array([[complex(x) for x in chi] for _, chi in rows])
-    degrees = tuple(d for d, _ in rows)
-    return mat, degrees
+def _integral_table(G: PermGroup, classes, X, A):
+    """The table with rounded rows X (float, class 0 the identity) when the
+    exact checks of the module docstring prove it, else None."""
+    order = G.order
+    deg = X[:, 0]
+    # |chi(g)| <= chi(1) and sum chi(1)^2 = |G| bound every integer below by
+    # |G|^3, so int64 cannot overflow for small groups; else Python ints.
+    if deg.min() < 1 or np.any(np.abs(X) > deg[:, None]):
+        return None
+    if sum(int(d) ** 2 for d in deg) != order:
+        return None
+    dt = np.int64 if order < _INT64_ORDER_LIMIT else object
+    rows = sorted(X.astype(np.int64).tolist())  # degree first: column 0
+    X = np.array(rows, dtype=dt)
+    d = X[:, [0]]
+    W = X * np.array([len(c) for c in classes], dtype=dt)  # W[a, l] = n_l chi_a(l)
+    if not np.array_equal(W @ X.T, np.diag([order] * len(rows))):
+        return None
+    A = A.astype(dt)
+    for i in range(len(classes)):
+        # row a, column j: chi_a(1) sum_l a_ijl W[a, l] == W[a, i] W[a, j]
+        if not np.array_equal(d * (W @ A[i].T), W[:, [i]] * W):
+            return None
+    return CharacterTable(G, classes, X.astype(np.int64), tuple(r[0] for r in rows))
 
 
-def _snap(x):
-    """Round to the nearest Gaussian integer when that is exact to working
-    precision; otherwise keep the high-precision value."""
-    re, im = mpmath.nint(x.real), mpmath.nint(x.imag)
-    if abs(x.real - re) < _SNAP_TOL and abs(x.imag - im) < _SNAP_TOL:
-        return mpmath.mpc(re, im)
-    return x
+def _float_table(G: PermGroup, classes, chi, deg):
+    """The table with float rows, sorted like the integral one; values are
+    compared to 9 decimals so that rounding noise cannot swap rows."""
+    key = [
+        (int(d), [(round(z.real, 9), round(z.imag, 9)) for z in row])
+        for d, row in zip(deg, chi.tolist())
+    ]
+    perm = sorted(range(len(key)), key=key.__getitem__)
+    return CharacterTable(G, classes, chi[perm].astype(complex), tuple(key[a][0] for a in perm))
 
 
 def invariant_dim(t: CharacterTable, row: int, H: PermGroup) -> int:
     """dim of the H-fixed subspace of the row's irreducible:
-    (1/|H|) sum over H of the character."""
+    (1/|H|) sum over H of the character.  Exact division on an integral
+    table."""
     check_subgroup(t.group, H)
-    total = 0.0 + 0.0j
-    for h in H.elements:
-        total += t.characters[row, t.class_index(h)]
+    values = t.characters[row].tolist()
+    class_of = t._class_of()
+    total = sum(values[class_of[h]] for h in H.elements)
+    if t.integral:
+        dim, rem = divmod(total, H.order)
+        if rem:
+            raise NonIntegralDimension(f"character sum {total} is not a multiple of |H| = {H.order}")
+        return dim
     val = total / H.order
     if abs(val.imag) > 1e-6 or abs(val.real - round(val.real)) > 1e-6:
         raise NonIntegralDimension(f"invariant dimension {val} is not an integer")

@@ -29,7 +29,7 @@ from .chartab import character_table
 from .config import Config, load_config
 from .errors import ArbocohError, InvalidDescriptor, UnknownSuite
 from .flip import find_flip, check_flip_witness
-from .perm import shape_automorphism_group
+from .perm import DEFAULT_ORDER_BOUND, shape_automorphism_group
 from .reptheory import RepDescriptor, classify_bounded_cohomology, enumerate_nondegenerate
 from .shapes import Shape, classify_shape
 from .spherical import eigen_residual, gram_psd_check, is_admissible, mu_of_z, phi_values
@@ -72,7 +72,9 @@ def format_complex(z: complex) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}i"
 
 
-def descriptor_from_json(data: dict) -> RepDescriptor:
+def descriptor_from_json(data: dict, bound: int = DEFAULT_ORDER_BOUND) -> RepDescriptor:
+    """Parse a descriptor; bound caps |Aut(shape)| when a fingerprint
+    names the row."""
     tag = data.get("tag")
     if tag == "spherical":
         return RepDescriptor.spherical(int(data.get("q", 2)), parse_complex(data["z"]))
@@ -81,16 +83,16 @@ def descriptor_from_json(data: dict) -> RepDescriptor:
         return RepDescriptor.special(int(data.get("q", 2)), sign)
     if tag == "cuspidal":
         shape = Shape.from_json(data["shape"])
-        return RepDescriptor.cuspidal(shape, _resolve_row(shape, data["irrep"]))
+        return RepDescriptor.cuspidal(shape, _resolve_row(shape, data["irrep"], bound))
     raise InvalidDescriptor(f"unknown descriptor tag {tag!r}")
 
 
-def _resolve_row(shape: Shape, irrep) -> int:
+def _resolve_row(shape: Shape, irrep, bound: int) -> int:
     """Row index from either an integer or a character fingerprint as
     printed by the spectrum command."""
     if isinstance(irrep, int) or (isinstance(irrep, str) and irrep.lstrip("-").isdigit()):
         return int(irrep)
-    table = character_table(shape_automorphism_group(shape))
+    table = character_table(shape_automorphism_group(shape, bound))
     for row in range(table.n_rows):
         if _fingerprint(table.degrees[row], table.characters[row]) == irrep:
             return row
@@ -115,8 +117,8 @@ def _fingerprint(degree: int, values) -> str:
 def cmd_classify(args, cfg: Config) -> int:
     data = json.loads(args.descriptor)
     try:
-        desc = descriptor_from_json(data)
-        dim = classify_bounded_cohomology(desc, args.n)
+        desc = descriptor_from_json(data, cfg.group_order_bound)
+        dim = classify_bounded_cohomology(desc, args.n, cfg.group_order_bound)
     except InvalidDescriptor as exc:
         emit({"error": "InvalidDescriptor", "message": str(exc)}, "json")
         return 2
@@ -128,7 +130,7 @@ def cmd_spectrum(args, cfg: Config) -> int:
     shape = _shape_arg(args.shape)
     table = character_table(shape_automorphism_group(shape, cfg.group_order_bound))
     rows = []
-    for row, degree, h2 in enumerate_nondegenerate(shape):
+    for row, degree, h2 in enumerate_nondegenerate(shape, cfg.group_order_bound):
         rows.append(
             {
                 "row": row,

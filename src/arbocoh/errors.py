@@ -70,7 +70,8 @@ class NumericalDegeneracy(ArbocohError):
 
 
 class NonIntegralDimension(ArbocohError):
-    """An invariant-subspace dimension came out non-integral (broken table)."""
+    """An invariant-subspace dimension came out non-integral or negative
+    (broken table)."""
 
 
 class DegenerateIrrep(ArbocohError):

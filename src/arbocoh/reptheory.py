@@ -25,10 +25,16 @@ from .errors import (
     BadVertexChoice,
     DegenerateIrrep,
     InvalidDescriptor,
+    NonIntegralDimension,
     NotACentipede,
     TooSmall,
 )
-from .perm import pointwise_stabilizer, setwise_stabilizer, shape_automorphism_group
+from .perm import (
+    DEFAULT_ORDER_BOUND,
+    pointwise_stabilizer,
+    setwise_stabilizer,
+    shape_automorphism_group,
+)
 from .shapes import Shape, classify_shape, maximal_proper_complete_subtrees, validate_complete
 from .spherical import is_admissible
 
@@ -113,7 +119,10 @@ def h2_dimension(s: Shape, t: CharacterTable, row: int, x, y) -> int:
     q_point = pointwise_stabilizer(t.group, pts)
     q_set = setwise_stabilizer(t.group, pts)
     dim = invariant_dim(t, row, q_point) - invariant_dim(t, row, q_set)
-    assert dim >= 0, "setwise invariants exceed pointwise invariants"
+    if dim < 0:
+        raise NonIntegralDimension(
+            f"setwise invariants exceed pointwise invariants by {-dim}"
+        )
     return dim
 
 
@@ -124,9 +133,12 @@ def canonical_vertex_pair(s: Shape):
     return min(pairs)
 
 
-def classify_bounded_cohomology(d: RepDescriptor, n: int) -> int:
+def classify_bounded_cohomology(
+    d: RepDescriptor, n: int, bound: int = DEFAULT_ORDER_BOUND
+) -> int:
     """Dimension of the degree-n continuous bounded cohomology with
-    coefficients in the descriptor's representation class."""
+    coefficients in the descriptor's representation class; bound caps
+    the order of Aut(shape)."""
     if n < 1:
         raise ValueError("degree must be >= 1")
     if d.tag == "spherical":
@@ -143,7 +155,7 @@ def classify_bounded_cohomology(d: RepDescriptor, n: int) -> int:
         s = d.shape
         if s is None or not validate_complete(s) or s.diameter() < 2:
             raise InvalidDescriptor("cuspidal descriptor needs a complete shape of diameter >= 2")
-        t = character_table(shape_automorphism_group(s))
+        t = character_table(shape_automorphism_group(s, bound))
         if not 0 <= d.irrep < t.n_rows:
             raise InvalidDescriptor(f"row index {d.irrep} out of range")
         if not is_nondegenerate(s, t, d.irrep):
@@ -157,12 +169,12 @@ def classify_bounded_cohomology(d: RepDescriptor, n: int) -> int:
     raise InvalidDescriptor(f"unknown descriptor tag {d.tag!r}")
 
 
-def enumerate_nondegenerate(s: Shape):
+def enumerate_nondegenerate(s: Shape, bound: int = DEFAULT_ORDER_BOUND):
     """All non-degenerate rows of Aut(s) with their degree and degree-2
-    dimension: list of (row, degree, h2_dim)."""
+    dimension: list of (row, degree, h2_dim); bound caps |Aut(s)|."""
     if len(s.vertices) <= 2 or s.diameter() < 2:
         raise TooSmall("enumeration needs diameter >= 2")
-    t = character_table(shape_automorphism_group(s))
+    t = character_table(shape_automorphism_group(s, bound))
     is_centipede = classify_shape(s).tag == "centipede"
     out = []
     for row in range(t.n_rows):

@@ -15,6 +15,7 @@ from .config import Config
 from .errors import UnknownSuite
 from .flip import check_flip_witness, find_flip
 from .perm import (
+    DEFAULT_ORDER_BOUND,
     Permutation,
     all_subgroups,
     pointwise_stabilizer,
@@ -314,9 +315,10 @@ def groups_suite(cfg: Config) -> dict:
         edge_shape(2),
         Shape(2, ["v"], []),
     ]
+    bound = cfg.group_order_bound
     bad = []
     for s in small:
-        got = set(shape_automorphism_group(s).elements)
+        got = set(shape_automorphism_group(s, bound).elements)
         want = brute_force_automorphisms(s)
         if got != want:
             bad.append(f"{len(s.vertices)}-vertex shape: {len(got)} vs {len(want)}")
@@ -324,9 +326,9 @@ def groups_suite(cfg: Config) -> dict:
 
     lagrange_bad = 0
     zoo = [
-        shape_automorphism_group(star_shape(2)),
-        shape_automorphism_group(star_shape(3)),
-        shape_automorphism_group(centipede_shape(2, 4)),
+        shape_automorphism_group(star_shape(2), bound),
+        shape_automorphism_group(star_shape(3), bound),
+        shape_automorphism_group(centipede_shape(2, 4), bound),
     ]
     for G in zoo:
         for H in all_subgroups(G):
@@ -336,7 +338,7 @@ def groups_suite(cfg: Config) -> dict:
 
     aj_bad = []
     for s in [star_shape(2), centipede_shape(2, 3), centipede_shape(2, 4), y_shape(2)]:
-        G = shape_automorphism_group(s)
+        G = shape_automorphism_group(s, bound)
         index = {v: i for i, v in enumerate(s.vertices)}
         for sub in maximal_proper_complete_subtrees(s):
             a_j = pointwise_stabilizer(G, [index[v] for v in sub])
@@ -361,13 +363,14 @@ def groups_suite(cfg: Config) -> dict:
 
 def reps_suite(cfg: Config) -> dict:
     rng = np.random.default_rng(cfg.seed)
+    bound = cfg.group_order_bound
     checks = []
 
     worst_row = worst_col = 0.0
     deg_ok = True
     shapes = enumerate_complete_shapes(2, 5) + enumerate_complete_shapes(3, 3)
     for s in shapes:
-        t = character_table(shape_automorphism_group(s, cfg.group_order_bound))
+        t = character_table(shape_automorphism_group(s, bound))
         worst_row = max(worst_row, t.row_orthogonality_residual())
         worst_col = max(worst_col, t.column_orthogonality_residual())
         if sum(d * d for d in t.degrees) != t.group.order:
@@ -385,7 +388,7 @@ def reps_suite(cfg: Config) -> dict:
 
     proj_bad = 0
     for host in [star_shape(2), star_shape(3), centipede_shape(2, 4)]:
-        G = shape_automorphism_group(host)
+        G = shape_automorphism_group(host, bound)
         t = character_table(G)
         models = [realize_irrep(t, r) for r in range(t.n_rows)]
         for H in all_subgroups(G):
@@ -400,7 +403,7 @@ def reps_suite(cfg: Config) -> dict:
     for q in (2, 3):
         for k in (2, 3, 4):
             s = centipede_shape(q, k)
-            t = character_table(shape_automorphism_group(s))
+            t = character_table(shape_automorphism_group(s, bound))
             for row in range(t.n_rows):
                 if not is_nondegenerate(s, t, row):
                     continue
@@ -421,32 +424,32 @@ def reps_suite(cfg: Config) -> dict:
             if classify_bounded_cohomology(RepDescriptor.special(2, sign), n) != 0:
                 grid_bad.append(f"special {sign} n={n}")
     ys = y_shape(2)
-    for row, _deg, _h2 in enumerate_nondegenerate(ys):
+    for row, _deg, _h2 in enumerate_nondegenerate(ys, bound):
         for n in range(1, 7):
-            if classify_bounded_cohomology(RepDescriptor.cuspidal(ys, row), n) != 0:
+            if classify_bounded_cohomology(RepDescriptor.cuspidal(ys, row), n, bound) != 0:
                 grid_bad.append(f"y-shape row={row} n={n}")
     cent = centipede_shape(2, 4)
-    for row, _deg, _h2 in enumerate_nondegenerate(cent):
+    for row, _deg, _h2 in enumerate_nondegenerate(cent, bound):
         for n in (1, 3, 4, 5, 6):
-            if classify_bounded_cohomology(RepDescriptor.cuspidal(cent, row), n) != 0:
+            if classify_bounded_cohomology(RepDescriptor.cuspidal(cent, row), n, bound) != 0:
                 grid_bad.append(f"4-centipede row={row} n={n}")
     checks.append(_check("vanishing_grid", not grid_bad, mismatches=grid_bad))
 
-    checks.append(_witness_check(rng, n_instances=100, n_triples=3))
+    checks.append(_witness_check(rng, bound, n_instances=100, n_triples=3))
     return _report("reps", cfg.seed, checks)
 
 
-def kernel_st_row(s: Shape):
+def kernel_st_row(s: Shape, bound: int = DEFAULT_ORDER_BOUND):
     """The degree-1 non-degenerate row with nonzero degree-2 dimension on a
     4-centipede (the sign character killing the rotation)."""
-    rows = enumerate_nondegenerate(s)
+    rows = enumerate_nondegenerate(s, bound)
     return next(r for r, deg, h2 in rows if deg == 1 and h2 == 1)
 
 
-def _witness_check(rng, n_instances=100, n_triples=3, depth=10):
+def _witness_check(rng, bound, n_instances=100, n_triples=3, depth=10):
     s = centipede_shape(2, 4)
-    t = character_table(shape_automorphism_group(s))
-    row = kernel_st_row(s)
+    t = character_table(shape_automorphism_group(s, bound))
+    row = kernel_st_row(s, bound)
     model = realize_irrep(t, row)
     ref = reference_configuration(s, depth)
     v = np.array([1.0 + 0j])

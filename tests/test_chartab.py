@@ -1,11 +1,19 @@
-"""Character tables: textbook comparisons, orthogonality, invariant
-dimensions vs explicit projector ranks, and unitary irreducible models."""
+"""Character tables: textbook comparisons, exact integer checks,
+orthogonality, invariant dimensions vs explicit projector ranks, and
+unitary irreducible models."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from arbocoh.chartab import character_table, invariant_dim, realize_irrep
-from arbocoh.errors import NotASubgroup
+import arbocoh
+from arbocoh import chartab
+from arbocoh.catalog import enumerate_complete_shapes
+from arbocoh.chartab import CharacterTable, character_table, invariant_dim, realize_irrep
+from arbocoh.errors import NonIntegralDimension, NotASubgroup
 from arbocoh.perm import (
     Permutation,
     all_subgroups,
@@ -161,3 +169,134 @@ def test_monotonicity_pointwise_vs_setwise():
     q_set = setwise_stabilizer(G, pts)
     for r in range(t.n_rows):
         assert invariant_dim(t, r, q_set) <= invariant_dim(t, r, q_point)
+
+
+def _textbook(sizes, rows):
+    """The _rows_as_multiset form of a table given by rows in class order."""
+    out = []
+    for row in rows:
+        vals = [complex(v) for v, n in zip(row, sizes) for _ in range(n)]
+        out.append((row[0], tuple(sorted(vals, key=lambda z: (z.real, z.imag)))))
+    return sorted(out, key=str)
+
+
+def test_sym4_table_matches_textbook():
+    t = character_table(shape_automorphism_group(star_shape(3)))
+    assert t.integral and t.degrees == (1, 1, 2, 3, 3)
+    # classes: e, (12), (12)(34), (123), (1234)
+    sizes = (1, 6, 3, 8, 6)
+    rows = [
+        (1, 1, 1, 1, 1),
+        (1, -1, 1, 1, -1),
+        (2, 0, 2, -1, 0),
+        (3, 1, -1, 0, -1),
+        (3, -1, -1, 0, 1),
+    ]
+    assert _rows_as_multiset(t) == _textbook(sizes, rows)
+
+
+def test_sym5_table_matches_textbook():
+    t = character_table(shape_automorphism_group(star_shape(4)))
+    assert t.integral and t.degrees == (1, 1, 4, 4, 5, 5, 6)
+    # classes: e, (12), (12)(34), (123), (123)(45), (1234), (12345)
+    sizes = (1, 10, 15, 20, 20, 30, 24)
+    rows = [
+        (1, 1, 1, 1, 1, 1, 1),
+        (1, -1, 1, 1, -1, -1, 1),
+        (4, 2, 0, 1, -1, 0, -1),
+        (4, -2, 0, 1, 1, 0, -1),
+        (5, 1, 1, -1, 1, -1, 0),
+        (5, -1, 1, -1, -1, 1, 0),
+        (6, 0, -2, 0, 0, 0, 1),
+    ]
+    assert _rows_as_multiset(t) == _textbook(sizes, rows)
+
+
+@pytest.mark.parametrize("shape", enumerate_complete_shapes(2, 5))
+def test_catalog_tables_are_exact_integers(shape):
+    """Every q=2, D<=5 catalog table is int64 and passes the class-algebra
+    and orthogonality relations in Python ints, with structure constants
+    counted here from the group elements."""
+    G = shape_automorphism_group(shape)
+    t = character_table(G)
+    assert t.integral and t.characters.dtype == np.int64
+    k, order, sizes = len(t.classes), G.order, t.class_sizes()
+    class_of = {p: i for i, c in enumerate(t.classes) for p in c}
+    # a[i][j][l] = #{x in C_i : x^-1 z_l in C_j}, z_l the class representative
+    a = [[[0] * k for _ in range(k)] for _ in range(k)]
+    for ell, c in enumerate(t.classes):
+        for x in G.elements:
+            a[class_of[x]][class_of[x.inverse() * c[0]]][ell] += 1
+    X = t.characters.tolist()
+    assert X == sorted(X)  # by degree (the identity column), then values
+    assert [row[0] for row in X] == list(t.degrees)
+    assert sum(d * d for d in t.degrees) == order
+    for ra, chi_a in enumerate(X):
+        for rb, chi_b in enumerate(X):
+            gram = sum(n * u * v for n, u, v in zip(sizes, chi_a, chi_b))
+            assert gram == (order if ra == rb else 0)
+    for chi in X:
+        w = [n * v for n, v in zip(sizes, chi)]
+        for i in range(k):
+            for j in range(k):
+                assert w[i] * w[j] == chi[0] * sum(a[i][j][ell] * w[ell] for ell in range(k))
+
+
+def test_exact_check_rejects_an_orthonormal_impostor():
+    """Swapping the columns of two S_5 classes of size 20 keeps the rows
+    orthonormal with the right degrees, but breaks the class algebra."""
+    G = shape_automorphism_group(star_shape(4))
+    t = character_table(G)
+    A = np.array(chartab._class_constants(G, t.classes))
+    X = t.characters.astype(float)
+    proved = chartab._integral_table(G, t.classes, X, A)
+    assert proved is not None and np.array_equal(proved.characters, t.characters)
+    i, j = [c for c, n in enumerate(t.class_sizes()) if n == 20]
+    swapped = X.copy()
+    swapped[:, [i, j]] = X[:, [j, i]]
+    n = np.array(t.class_sizes())
+    assert np.array_equal((swapped * n) @ swapped.T, G.order * np.eye(t.n_rows))
+    assert chartab._integral_table(G, t.classes, swapped, A) is None
+
+
+def test_python_int_proof_matches_int64(monkeypatch):
+    """Groups too large for an overflow-free int64 proof use Python ints;
+    forcing that path on a small group gives the same table."""
+    G = shape_automorphism_group(centipede_shape(2, 4))
+    fast = character_table(G)
+    monkeypatch.setattr(chartab, "_INT64_ORDER_LIMIT", 1)
+    slow = character_table.__wrapped__(G)
+    assert slow.integral and slow.degrees == fast.degrees
+    assert np.array_equal(slow.characters, fast.characters)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_cyclic_groups_take_the_float_fallback(n):
+    G = closure([Permutation(tuple((i + 1) % n for i in range(n)))])
+    t = character_table(G)
+    assert not t.integral and t.degrees == (1,) * n
+    assert t.row_orthogonality_residual() < 1e-9
+    assert t.column_orthogonality_residual() < 1e-9
+    # only the trivial character has a G-fixed vector
+    assert sorted(invariant_dim(t, r, G) for r in range(n)) == [0] * (n - 1) + [1]
+
+
+def test_invariant_dim_is_exact_division():
+    G = shape_automorphism_group(star_shape(3))
+    t = character_table(G)
+    H = pointwise_stabilizer(G, [0])
+    dims = [invariant_dim(t, r, H) for r in range(t.n_rows)]
+    assert all(type(d) is int for d in dims)
+    broken = t.characters.copy()
+    broken[1, 1] += 1  # the sum over G now misses a multiple of |G| by |C_1|
+    bad = CharacterTable(G, t.classes, broken, t.degrees)
+    with pytest.raises(NonIntegralDimension):
+        invariant_dim(bad, 1, G)
+
+
+def test_import_leaves_mpmath_out():
+    src = os.path.dirname(os.path.dirname(arbocoh.__file__))
+    code = "import sys, arbocoh; print('mpmath' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
