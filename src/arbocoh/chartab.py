@@ -41,12 +41,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonIntegralDimension, NumericalDegeneracy
-from .perm import PermGroup, Permutation, check_subgroup, conjugacy_classes
+from .perm import PermGroup, Permutation, check_subgroup, class_ids, conjugacy_classes
 
 _ORTHO_TOL = 1e-9
 _SEP_TOL = 1e-10  # eigenvalue gaps below this times the largest |eigenvalue| retry
 _INT_TOL = 1e-6  # degrees and entries this close to integers are rounded
 _INT64_ORDER_LIMIT = 2**21  # |G| < 2^21 keeps |G|^3 < 2^63
+_TABLE_CACHE_SIZE = 128
+_IRREP_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -68,19 +70,27 @@ class CharacterTable:
         """True when the table was proved exact in integer arithmetic."""
         return self.characters.dtype.kind == "i"
 
+    def __hash__(self):
+        return hash((self.group, self.degrees))
+
     def class_sizes(self) -> tuple:
         return tuple(len(c) for c in self.classes)
+
+    def element_class_ids(self) -> np.ndarray:
+        """Class position of each element of the group, in element order."""
+        if not hasattr(self, "_ids"):
+            ids = class_ids(self.group, self.classes)
+            ids.flags.writeable = False
+            object.__setattr__(self, "_ids", ids)
+        return self._ids
 
     def class_index(self, p: Permutation) -> int:
         return self._class_of()[p]
 
     def _class_of(self) -> dict:
         if not hasattr(self, "_class_map"):
-            object.__setattr__(
-                self,
-                "_class_map",
-                {p: i for i, c in enumerate(self.classes) for p in c},
-            )
+            ids = self.element_class_ids().tolist()
+            object.__setattr__(self, "_class_map", dict(zip(self.group.elements, ids)))
         return self._class_map
 
     def value(self, row: int, p: Permutation) -> complex:
@@ -113,22 +123,24 @@ class CharacterTable:
         }
 
 
-def _class_constants(G: PermGroup, classes):
-    """c[i][j][l] = #{x in C_i : x^{-1} z_l in C_j} for class reps z_l."""
+def _class_constants(G: PermGroup, classes) -> np.ndarray:
+    """c[i, j, l] = #{x in C_i : x^{-1} z_l in C_j} for class reps z_l.
+
+    One gather per representative: column z_l of the inverse-element
+    array holds every product x^{-1} z_l at once, the row index of G
+    turns those into element indices, and a bincount of the (class of x,
+    class of product) pairs fills the slice c[:, :, l]."""
     k = len(classes)
-    class_of = {p: i for i, c in enumerate(classes) for p in c}
-    reps = [c[0] for c in classes]
-    c = [[[0] * k for _ in range(k)] for _ in range(k)]
-    for i in range(k):
-        for x in classes[i]:
-            xi = x.inverse()
-            for ell in range(k):
-                j = class_of[xi * reps[ell]]
-                c[i][j][ell] += 1
+    ids = class_ids(G, classes)
+    inv = np.argsort(G.array, axis=1).astype(G.array.dtype)  # row x: x^{-1}
+    c = np.empty((k, k, k), dtype=np.int64)
+    for ell, cls in enumerate(classes):
+        prod = ids[G.indices(inv[:, list(cls[0].mapping)])]
+        c[:, :, ell] = np.bincount(ids * k + prod, minlength=k * k).reshape(k, k)
     return c
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def character_table(G: PermGroup, retries: int = 8, seed: int = 12345) -> CharacterTable:
     """Full character table of G; see the module docstring.  Rows are
     sorted by degree, then by their values in class order."""
@@ -138,7 +150,7 @@ def character_table(G: PermGroup, retries: int = 8, seed: int = 12345) -> Charac
         return CharacterTable(G, classes, np.ones((1, 1), dtype=np.int64), (1,))
 
     sizes = np.array([len(c) for c in classes], dtype=float)
-    A = np.array(_class_constants(G, classes), dtype=np.int64)  # A[i, j, l] = a_ijl
+    A = _class_constants(G, classes)  # A[i, j, l] = a_ijl
     rng = np.random.default_rng(seed)
     last_err = None
     for _ in range(retries):
@@ -213,23 +225,35 @@ def _float_table(G: PermGroup, classes, chi, deg):
     return CharacterTable(G, classes, chi[perm].astype(complex), tuple(key[a][0] for a in perm))
 
 
-def invariant_dim(t: CharacterTable, row: int, H: PermGroup) -> int:
-    """dim of the H-fixed subspace of the row's irreducible:
-    (1/|H|) sum over H of the character.  Exact division on an integral
-    table."""
+def class_counts(t: CharacterTable, H: PermGroup) -> np.ndarray:
+    """The class-count vector of a subgroup H of t.group: entry l is the
+    number of elements of H in class l."""
     check_subgroup(t.group, H)
-    values = t.characters[row].tolist()
-    class_of = t._class_of()
-    total = sum(values[class_of[h]] for h in H.elements)
+    ids = t.element_class_ids()[t.group.indices(H.array)]
+    return np.bincount(ids, minlength=len(t.classes))
+
+
+def dim_from_counts(t: CharacterTable, row: int, counts, order: int) -> int:
+    """dim of the fixed subspace of the row's irreducible under a subgroup
+    of the given order and class counts: (1/|H|) sum_l counts_l chi(C_l).
+    Exact division on an integral table: |chi| <= chi(1) <= |G|^(1/2) and
+    sum_l counts_l = |H| keep the int64 dot product below |G|^(3/2)."""
     if t.integral:
-        dim, rem = divmod(total, H.order)
+        total = int(t.characters[row] @ counts)
+        dim, rem = divmod(total, order)
         if rem:
-            raise NonIntegralDimension(f"character sum {total} is not a multiple of |H| = {H.order}")
+            raise NonIntegralDimension(f"character sum {total} is not a multiple of |H| = {order}")
         return dim
-    val = total / H.order
+    val = complex(t.characters[row] @ counts) / order
     if abs(val.imag) > 1e-6 or abs(val.real - round(val.real)) > 1e-6:
         raise NonIntegralDimension(f"invariant dimension {val} is not an integer")
     return int(round(val.real))
+
+
+def invariant_dim(t: CharacterTable, row: int, H: PermGroup) -> int:
+    """dim of the H-fixed subspace of the row's irreducible, from the
+    class counts of H."""
+    return dim_from_counts(t, row, class_counts(t, H), H.order)
 
 
 @dataclass(frozen=True)
@@ -256,7 +280,7 @@ class IrrepModel:
         return P / H.order
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_IRREP_CACHE_SIZE)
 def realize_irrep(t: CharacterTable, row: int, seed: int = 7, tol: float = 1e-10) -> IrrepModel:
     """Explicit unitary matrices realizing one character row."""
     G = t.group

@@ -29,6 +29,11 @@ class OutOfDomain(ArbocohError):
     """A point is outside the domain of a finite isometry."""
 
 
+class TooManyRays(ArbocohError):
+    """More pairwise divergent rays were requested than the branching
+    parameter and the prefix depth admit."""
+
+
 # -- shapes ----------------------------------------------------------------
 
 class NotATree(ArbocohError):

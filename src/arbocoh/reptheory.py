@@ -14,13 +14,21 @@ centipede shapes, where the dimension is
 for any admissible vertex pair (x, y) taken from complements of two
 distinct maximal proper complete subtrees; the difference is independent
 of the pair, and the classifier uses the lexicographically smallest one.
+
+Every subgroup involved (each A_j, Q and Qtilde) is enumerated once per
+(shape, table) and reduced to its class-count vector: entry l is the
+number of its elements in class l of Aut(S).  The fixed-space dimension
+of any row under that subgroup is then chi . counts divided exactly by
+its order, so testing all rows of a table, or classifying one row after
+another, never scans the group again.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-from .chartab import CharacterTable, character_table, invariant_dim
+from .chartab import CharacterTable, character_table, class_counts, dim_from_counts
 from .errors import (
     BadVertexChoice,
     DegenerateIrrep,
@@ -69,17 +77,60 @@ class RepDescriptor:
         return RepDescriptor("cuspidal", shape=shape, irrep=irrep, q=shape.q)
 
 
+_HEADS_CACHE_SIZE = 64
+_PAIRS_CACHE_SIZE = 256  # every admissible pair of a 16-vertex shape
+
+
+def _reduced(t: CharacterTable, H) -> tuple:
+    """(class counts, order) of a subgroup of t.group; the counts are
+    read-only because the caches below hand them to every caller."""
+    counts = class_counts(t, H)
+    counts.flags.writeable = False
+    return counts, H.order
+
+
+@functools.lru_cache(maxsize=_HEADS_CACHE_SIZE)
+def _head_stabilizers(s: Shape, t: CharacterTable) -> tuple:
+    """Each A_j reduced to (class counts, order), one per maximal proper
+    complete subtree of s."""
+    index = {v: i for i, v in enumerate(s.vertices)}
+    return tuple(
+        _reduced(t, pointwise_stabilizer(t.group, [index[v] for v in sub]))
+        for sub in maximal_proper_complete_subtrees(s)
+    )
+
+
+@functools.lru_cache(maxsize=_PAIRS_CACHE_SIZE)
+def _pair_stabilizers(s: Shape, t: CharacterTable, x: str, y: str) -> tuple:
+    """Q(x, y) and Qtilde(x, y) reduced to (class counts, order)."""
+    index = {v: i for i, v in enumerate(s.vertices)}
+    pts = [index[x], index[y]]
+    return (
+        _reduced(t, pointwise_stabilizer(t.group, pts)),
+        _reduced(t, setwise_stabilizer(t.group, pts)),
+    )
+
+
+def _nondegenerate(t: CharacterTable, row: int, heads) -> bool:
+    return not any(dim_from_counts(t, row, c, order) for c, order in heads)
+
+
+def _h2(t: CharacterTable, row: int, pair) -> int:
+    (c_point, n_point), (c_set, n_set) = pair
+    dim = dim_from_counts(t, row, c_point, n_point) - dim_from_counts(t, row, c_set, n_set)
+    if dim < 0:
+        raise NonIntegralDimension(
+            f"setwise invariants exceed pointwise invariants by {-dim}"
+        )
+    return dim
+
+
 def is_nondegenerate(s: Shape, t: CharacterTable, row: int) -> bool:
     """No nonzero vectors fixed by any pointwise stabilizer of a maximal
     proper complete subtree."""
     if len(s.vertices) <= 2 or s.diameter() < 2:
         raise TooSmall("non-degeneracy needs diameter >= 2")
-    index = {v: i for i, v in enumerate(s.vertices)}
-    for sub in maximal_proper_complete_subtrees(s):
-        a_j = pointwise_stabilizer(t.group, [index[v] for v in sub])
-        if invariant_dim(t, row, a_j) != 0:
-            return False
-    return True
+    return _nondegenerate(t, row, _head_stabilizers(s, t))
 
 
 def admissible_vertex_pairs(s: Shape) -> list:
@@ -114,16 +165,7 @@ def h2_dimension(s: Shape, t: CharacterTable, row: int, x, y) -> int:
         raise BadVertexChoice(
             f"({x}, {y}) do not avoid two distinct maximal complete proper subtrees"
         )
-    index = {v: i for i, v in enumerate(s.vertices)}
-    pts = [index[x], index[y]]
-    q_point = pointwise_stabilizer(t.group, pts)
-    q_set = setwise_stabilizer(t.group, pts)
-    dim = invariant_dim(t, row, q_point) - invariant_dim(t, row, q_set)
-    if dim < 0:
-        raise NonIntegralDimension(
-            f"setwise invariants exceed pointwise invariants by {-dim}"
-        )
-    return dim
+    return _h2(t, row, _pair_stabilizers(s, t, x, y))
 
 
 def canonical_vertex_pair(s: Shape):
@@ -175,15 +217,12 @@ def enumerate_nondegenerate(s: Shape, bound: int = DEFAULT_ORDER_BOUND):
     if len(s.vertices) <= 2 or s.diameter() < 2:
         raise TooSmall("enumeration needs diameter >= 2")
     t = character_table(shape_automorphism_group(s, bound))
-    is_centipede = classify_shape(s).tag == "centipede"
+    heads = _head_stabilizers(s, t)
+    pair = None
+    if classify_shape(s).tag == "centipede":
+        pair = _pair_stabilizers(s, t, *canonical_vertex_pair(s))
     out = []
     for row in range(t.n_rows):
-        if not is_nondegenerate(s, t, row):
-            continue
-        if is_centipede:
-            x, y = canonical_vertex_pair(s)
-            h2 = h2_dimension(s, t, row, x, y)
-        else:
-            h2 = 0
-        out.append((row, t.degrees[row], h2))
+        if _nondegenerate(t, row, heads):
+            out.append((row, t.degrees[row], _h2(t, row, pair) if pair else 0))
     return out

@@ -12,7 +12,7 @@ import numpy as np
 from .catalog import enumerate_complete_shapes
 from .chartab import character_table, invariant_dim, realize_irrep
 from .config import Config
-from .errors import UnknownSuite
+from .errors import TooManyRays, UnknownSuite
 from .flip import check_flip_witness, find_flip
 from .perm import (
     DEFAULT_ORDER_BOUND,
@@ -82,7 +82,16 @@ def random_word(rng, q, depth):
 
 
 def random_rays(rng, q, n, depth):
-    """n rays, pairwise divergent strictly before the given depth."""
+    """n rays, pairwise divergent strictly before the given depth.  Raises
+    TooManyRays when q < 2 or when n exceeds the (q+1) q^(depth-2)
+    distinct (depth-1)-prefixes, which no number of draws could beat."""
+    if q < 2:
+        raise TooManyRays(f"branching parameter q = {q} < 2 admits no divergent rays")
+    prefixes = (q + 1) * q ** (depth - 2) if depth >= 2 else 1
+    if n > prefixes:
+        raise TooManyRays(
+            f"{n} rays cannot diverge before depth {depth}: only {prefixes} prefixes at q = {q}"
+        )
     while True:
         rays = [RayPrefix(random_word(rng, q, depth)) for _ in range(n)]
         ok = all(

@@ -1,7 +1,13 @@
 """The batch CLI: subcommands, exit codes, and byte-deterministic output."""
 
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+import arbocoh
 from arbocoh.cli import main
 from arbocoh.reptheory import enumerate_nondegenerate
 from arbocoh.shapes import centipede_shape, star_shape
@@ -157,3 +163,22 @@ def test_config_file_and_env(tmp_path, monkeypatch, capsys):
     # explicit flag beats the config file
     code, out = run(capsys, ["--seed", "2", "verify", "groups"])
     assert json.loads(out)["seed"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["flip-demo", "--q", "1"], ["--depth", "2", "flip-demo", "--rays", "7"]],
+    ids=["q1", "more-rays-than-prefixes"],
+)
+def test_flip_demo_impossible_rays_exit_1(argv):
+    """Rays that cannot be drawn end in a JSON error, not a hang."""
+    src = os.path.dirname(os.path.dirname(arbocoh.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "ARBOCOH_CONFIG"}
+    env["PYTHONPATH"] = src
+    out = subprocess.run(
+        [sys.executable, "-m", "arbocoh.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 1
+    assert json.loads(out.stdout)["error"] == "TooManyRays"
+    assert "Traceback" not in out.stderr

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from arbocoh.config import Config
-from arbocoh.errors import InsufficientDepth, NotDistinct, SubtreeHitsTriple
+from arbocoh.errors import InsufficientDepth, NotDistinct, SubtreeHitsTriple, TooManyRays
 from arbocoh.flip import check_flip_witness, find_flip
 from arbocoh.shapes import edge_shape, enumerate_embeddings, star_shape
 from arbocoh.tree import RayPrefix, Vertex
-from arbocoh.verify import flip_suite, random_flip_instance
+from arbocoh.verify import flip_suite, random_flip_instance, random_rays
 
 
 def _ray(labels, depth=12):
@@ -80,6 +80,20 @@ def test_flip_input_validation():
     same = [_ray([0]), _ray([0]), _ray([1])]
     with pytest.raises(NotDistinct):
         find_flip(2, same, None, 12)
+
+
+def test_random_rays_capacity():
+    """(q+1) q^(depth-2) prefixes of length depth-1 exist: that many
+    divergent rays can be drawn, one more raises instead of looping."""
+    rng = np.random.default_rng(0)
+    for q, depth in ((2, 2), (2, 3), (3, 2)):
+        cap = (q + 1) * q ** (depth - 2)
+        rays = random_rays(rng, q, cap, depth)
+        assert len({r.word[: depth - 1] for r in rays}) == cap
+        with pytest.raises(TooManyRays):
+            random_rays(rng, q, cap + 1, depth)
+    with pytest.raises(TooManyRays):
+        random_rays(rng, 1, 2, 12)
 
 
 def test_random_instances_small():

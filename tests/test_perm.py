@@ -6,6 +6,7 @@ import pytest
 
 from arbocoh.errors import GroupTooLarge
 from arbocoh.perm import (
+    DEFAULT_ORDER_BOUND,
     Permutation,
     all_subgroups,
     closure,
@@ -38,6 +39,37 @@ def test_closure_examples():
 def test_closure_bound():
     with pytest.raises(GroupTooLarge):
         closure([Permutation((1, 2, 0, 4, 5, 6, 3))], bound=5)
+
+
+def test_user_permutations_are_checked_once():
+    """A Permutation built from user data must be a bijection; products,
+    inverses and closure elements are bijections by construction and are
+    not checked again."""
+    for bad in ((0, 0), (0, 2), (1, 1, 0)):
+        with pytest.raises(ValueError):
+            Permutation(bad)
+    with pytest.raises(ValueError):
+        Permutation.from_dict(3, {0: 1})
+    p, q = Permutation((1, 2, 0)), Permutation((1, 0, 2))
+
+    def refuse(self):
+        raise AssertionError("bijection checked again")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Permutation, "__post_init__", refuse)
+        assert (p * q).mapping == (2, 1, 0)
+        assert p.inverse().mapping == (2, 0, 1)
+        assert closure([p, q]).order == 6
+
+
+def test_default_and_explicit_bound_share_one_cache_entry():
+    shape_automorphism_group.cache_clear()
+    s = star_shape(3)
+    G = shape_automorphism_group(s)
+    assert shape_automorphism_group(s, DEFAULT_ORDER_BOUND) is G
+    assert shape_automorphism_group(s, bound=10**6) is G
+    info = shape_automorphism_group.cache_info()
+    assert info.misses == 1 and info.hits == 2 and info.maxsize is not None
 
 
 def test_conjugacy_classes():

@@ -1,0 +1,181 @@
+"""The array-backed group path against element-loop oracles.
+
+The oracles are the one-element-at-a-time implementations that the
+array path replaced: breadth-first closure, conjugation orbits, counted
+class constants and invariant dimensions summed over subgroup elements.
+Each check runs on the q=2 D<=5 catalog groups, star(4..6), centipede(3,3)
+and centipede(4,3), every one under three seeded vertex relabellings, which
+reorder elements and classes inside the program."""
+
+import random
+from collections import Counter
+
+import pytest
+
+from arbocoh import chartab, reptheory
+from arbocoh.catalog import enumerate_complete_shapes
+from arbocoh.chartab import character_table, dim_from_counts
+from arbocoh.perm import Permutation, closure, conjugacy_classes, shape_automorphism_group
+from arbocoh.reptheory import (
+    RepDescriptor,
+    admissible_vertex_pairs,
+    canonical_vertex_pair,
+    classify_bounded_cohomology,
+    enumerate_nondegenerate,
+)
+from arbocoh.shapes import (
+    Shape,
+    centipede_shape,
+    maximal_proper_complete_subtrees,
+    star_shape,
+)
+
+# -- oracles -------------------------------------------------------------------
+
+
+def oracle_closure(gens, degree):
+    """Elements in breadth-first discovery order, one product at a time."""
+    ident = Permutation.identity(degree)
+    elements, seen, frontier = [ident], {ident}, [ident]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                r = g * p
+                if r not in seen:
+                    seen.add(r)
+                    elements.append(r)
+                    nxt.append(r)
+        frontier = nxt
+    return tuple(elements)
+
+
+def oracle_classes(G):
+    """Conjugation orbits sorted by (size, least element), each sorted."""
+    seen, classes = set(), []
+    for x in G.elements:
+        if x in seen:
+            continue
+        orbit, frontier = {x}, [x]
+        while frontier:
+            y = frontier.pop()
+            for g in G.generators:
+                z = g * y * g.inverse()
+                if z not in orbit:
+                    orbit.add(z)
+                    frontier.append(z)
+        seen |= orbit
+        classes.append(tuple(sorted(orbit)))
+    classes.sort(key=lambda c: (len(c), c[0]))
+    return classes
+
+
+def oracle_constants(classes):
+    """c[i][j][l] = #{x in C_i : x^-1 z_l in C_j}, counted element by element."""
+    k = len(classes)
+    class_of = {p: i for i, c in enumerate(classes) for p in c}
+    c = [[[0] * k for _ in range(k)] for _ in range(k)]
+    for i in range(k):
+        for x in classes[i]:
+            for ell in range(k):
+                c[i][class_of[x.inverse() * classes[ell][0]]][ell] += 1
+    return c
+
+
+def oracle_dim(t, row, elements):
+    """(1/|H|) sum over H of the character, H given by its elements."""
+    class_of = {p: i for i, c in enumerate(t.classes) for p in c}
+    total = sum(int(t.characters[row, class_of[h]]) for h in elements)
+    assert total % len(elements) == 0
+    return total // len(elements)
+
+
+def fixing(G, points):
+    return [p for p in G.elements if all(p(i) == i for i in points)]
+
+
+def preserving(G, points):
+    return [p for p in G.elements if {p(i) for i in points} == set(points)]
+
+
+# -- inputs --------------------------------------------------------------------
+
+
+def relabel(s: Shape, seed: int) -> Shape:
+    rng = random.Random(seed)
+    ids = rng.sample(range(100 * len(s.vertices)), len(s.vertices))
+    new = {v: f"x{i}" for v, i in zip(s.vertices, ids)}
+    return Shape(s.q, [new[v] for v in s.vertices], [(new[a], new[b]) for a, b in s.edges])
+
+
+SHAPES = {f"q2d5#{i}": s for i, s in enumerate(enumerate_complete_shapes(2, 5))}
+SHAPES.update({f"star{q}": star_shape(q) for q in (4, 5, 6)})
+SHAPES.update({"centipede(3,3)": centipede_shape(3, 3), "centipede(4,3)": centipede_shape(4, 3)})
+CASES = [(name, seed) for name in SHAPES for seed in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("name,seed", CASES, ids=[f"{n}~{s}" for n, s in CASES])
+def test_array_path_matches_the_element_loops(name, seed):
+    s = relabel(SHAPES[name], seed)
+    G = shape_automorphism_group(s)
+    assert G.elements == oracle_closure(G.generators, G.degree)
+    assert G.array.tolist() == [list(p.mapping) for p in G.elements]
+    classes = conjugacy_classes(G)
+    assert classes == oracle_classes(G)
+    assert chartab._class_constants(G, classes).tolist() == oracle_constants(classes)
+
+    if len(s.vertices) <= 2:
+        return
+    t = character_table(G)
+    index = {v: i for i, v in enumerate(s.vertices)}
+    heads = reptheory._head_stabilizers(s, t)
+    subs = maximal_proper_complete_subtrees(s)
+    assert len(heads) == len(subs)
+    reduced = [(counts, order, fixing(G, [index[v] for v in sub])) for (counts, order), sub in zip(heads, subs)]
+    if admissible_vertex_pairs(s):
+        x, y = canonical_vertex_pair(s)
+        pts = [index[x], index[y]]
+        (c_point, n_point), (c_set, n_set) = reptheory._pair_stabilizers(s, t, x, y)
+        reduced += [(c_point, n_point, fixing(G, pts)), (c_set, n_set, preserving(G, pts))]
+    for counts, order, elements in reduced:
+        assert order == len(elements)
+        for row in range(t.n_rows):
+            assert dim_from_counts(t, row, counts, order) == oracle_dim(t, row, elements)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_cyclic_groups_match_the_element_loops(n):
+    """C_n has classes that are not closed under inversion, unlike the
+    tree automorphism groups above, so x^-1 z and x z differ here."""
+    G = closure([Permutation(tuple((i + 1) % n for i in range(n)))])
+    assert G.elements == oracle_closure(G.generators, G.degree)
+    classes = conjugacy_classes(G)
+    assert classes == oracle_classes(G)
+    assert chartab._class_constants(G, classes).tolist() == oracle_constants(classes)
+
+
+def test_enumerate_nondegenerate_builds_each_stabilizer_once(monkeypatch):
+    """A_j, Q and Qtilde are enumerated once per shape and table; later
+    rows and later classify calls reuse their class counts."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(reptheory, "pointwise_stabilizer", counting("pointwise", reptheory.pointwise_stabilizer))
+    monkeypatch.setattr(reptheory, "setwise_stabilizer", counting("setwise", reptheory.setwise_stabilizer))
+    reptheory._head_stabilizers.cache_clear()
+    reptheory._pair_stabilizers.cache_clear()
+    s = star_shape(6)
+    rows = enumerate_nondegenerate(s)
+    once = {"pointwise": len(maximal_proper_complete_subtrees(s)) + 1, "setwise": 1}
+    assert calls == once
+    assert enumerate_nondegenerate(s) == rows
+    for row, _deg, h2 in rows:
+        assert classify_bounded_cohomology(RepDescriptor.cuspidal(s, row), 2) == h2
+    assert calls == once
+
