@@ -4,41 +4,14 @@ A complete subtree of diameter d >= 2 is determined by its internal tree
 (the full-degree vertices), an arbitrary tree of diameter d - 2 with
 maximum degree at most q+1; leaves are then attached to fill every
 internal vertex up to degree q+1.  Unlabeled internal trees are generated
-by leaf growth with canonical-code deduplication.
+by leaf growth with deduplication by treecode.canonical_code, whose codes
+also fix the order of each growth level.
 """
 
 from __future__ import annotations
 
 from .shapes import complete_shape_from_internal, edge_shape, vertex_shape
-
-
-def _canonical_code(adj) -> str:
-    """Canonical string code of an unlabeled tree given by adjacency."""
-    if len(adj) == 1:
-        return "()"
-    deg = {v: len(ns) for v, ns in adj.items()}
-    alive = set(adj)
-    layer = sorted(v for v in adj if deg[v] <= 1)
-    while len(alive) > 2:
-        nxt = []
-        for v in layer:
-            alive.discard(v)
-            for n in adj[v]:
-                if n in alive:
-                    deg[n] -= 1
-                    if deg[n] == 1:
-                        nxt.append(n)
-        layer = sorted(nxt)
-
-    def code(v, parent):
-        kids = sorted(code(n, v) for n in adj[v] if n != parent)
-        return "(" + "".join(kids) + ")"
-
-    center = sorted(alive)
-    if len(center) == 1:
-        return code(center[0], None)
-    a, b = center
-    return "[" + "".join(sorted((code(a, b), code(b, a)))) + "]"
+from .treecode import canonical_code, diameter
 
 
 def enumerate_trees(max_vertices: int, max_degree: int = 0, max_diameter: int = -1) -> list:
@@ -58,34 +31,14 @@ def enumerate_trees(max_vertices: int, max_degree: int = 0, max_diameter: int = 
                 grown = {u: list(ns) for u, ns in adj.items()}
                 grown[v].append(n)
                 grown[n] = [v]
-                if max_diameter >= 0 and _tree_diameter(grown) > max_diameter:
+                if max_diameter >= 0 and diameter(grown) > max_diameter:
                     continue
-                key = _canonical_code(grown)
+                key = canonical_code(grown)
                 if key not in seen:
                     seen[key] = grown
         level = [seen[k] for k in sorted(seen)]
         out.extend(level)
     return out
-
-
-def _tree_diameter(adj) -> int:
-    def far(start):
-        dist = {start: 0}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for n in adj[u]:
-                    if n not in dist:
-                        dist[n] = dist[u] + 1
-                        nxt.append(n)
-            frontier = nxt
-        v = max(dist, key=lambda u: (dist[u], u))
-        return v, dist[v]
-
-    v, _ = far(next(iter(adj)))
-    _, d = far(v)
-    return d
 
 
 def _internal_size_bound(q: int, internal_diameter: int) -> int:
@@ -110,7 +63,7 @@ def enumerate_complete_shapes(q: int, max_diameter: int) -> list:
     if max_diameter >= 2:
         bound = _internal_size_bound(q, max_diameter - 2)
         for adj in enumerate_trees(bound, max_degree=q + 1, max_diameter=max_diameter - 2):
-            d = _tree_diameter(adj)
+            d = diameter(adj)
             ids = [f"i{v}" for v in adj]
             edges = [
                 (f"i{u}", f"i{v}") for u, ns in adj.items() for v in ns if u < v

@@ -27,7 +27,7 @@ from . import verify as verify_mod
 from .catalog import enumerate_complete_shapes
 from .chartab import character_table
 from .config import Config, load_config
-from .errors import ArbocohError, InvalidDescriptor, UnknownSuite
+from .errors import ArbocohError, InvalidDescriptor, InvalidInput, UnknownSuite
 from .flip import find_flip, check_flip_witness
 from .perm import DEFAULT_ORDER_BOUND, shape_automorphism_group
 from .reptheory import RepDescriptor, classify_bounded_cohomology, enumerate_nondegenerate
@@ -65,7 +65,10 @@ def emit(data, fmt: str, stream=None) -> None:
 
 
 def parse_complex(text: str) -> complex:
-    return complex(str(text).replace(" ", "").replace("i", "j"))
+    try:
+        return complex(str(text).replace(" ", "").replace("i", "j"))
+    except ValueError:
+        raise InvalidInput(f"not a complex number: {text!r}") from None
 
 
 def format_complex(z: complex) -> str:
@@ -74,17 +77,23 @@ def format_complex(z: complex) -> str:
 
 def descriptor_from_json(data: dict, bound: int = DEFAULT_ORDER_BOUND) -> RepDescriptor:
     """Parse a descriptor; bound caps |Aut(shape)| when a fingerprint
-    names the row."""
+    names the row.  Malformed data raises InvalidDescriptor."""
+    if not isinstance(data, dict):
+        raise InvalidDescriptor("a descriptor is a JSON object")
     tag = data.get("tag")
-    if tag == "spherical":
-        return RepDescriptor.spherical(int(data.get("q", 2)), parse_complex(data["z"]))
-    if tag == "special":
-        sign = {"−": "-"}.get(data["sign"], data["sign"])
-        return RepDescriptor.special(int(data.get("q", 2)), sign)
-    if tag == "cuspidal":
-        shape = Shape.from_json(data["shape"])
-        return RepDescriptor.cuspidal(shape, _resolve_row(shape, data["irrep"], bound))
-    raise InvalidDescriptor(f"unknown descriptor tag {tag!r}")
+    if tag not in ("spherical", "special", "cuspidal"):
+        raise InvalidDescriptor(f"unknown descriptor tag {tag!r}")
+    try:
+        if tag == "cuspidal":
+            shape, irrep = Shape.from_json(data["shape"]), data["irrep"]
+        elif tag == "spherical":
+            return RepDescriptor.spherical(int(data.get("q", 2)), parse_complex(data["z"]))
+        else:
+            sign = {"−": "-"}.get(data["sign"], data["sign"])
+            return RepDescriptor.special(int(data.get("q", 2)), sign)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidDescriptor(f"malformed {tag} descriptor: {exc!r}") from None
+    return RepDescriptor.cuspidal(shape, _resolve_row(shape, irrep, bound))
 
 
 def _resolve_row(shape: Shape, irrep, bound: int) -> int:
@@ -99,8 +108,21 @@ def _resolve_row(shape: Shape, irrep, bound: int) -> int:
     raise InvalidDescriptor(f"no character row with fingerprint {irrep!r}")
 
 
+def _json_arg(text: str, what: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidInput(f"{what} is not valid JSON: {exc}") from None
+
+
 def _shape_arg(text: str) -> Shape:
-    return Shape.from_json(json.loads(text))
+    return Shape.from_json(_json_arg(text, "shape"))
+
+
+def _require(ok: bool, message: str) -> None:
+    """Reject an out-of-range argument."""
+    if not ok:
+        raise InvalidInput(message)
 
 
 def _fingerprint(degree: int, values) -> str:
@@ -115,13 +137,10 @@ def _fingerprint(degree: int, values) -> str:
 
 
 def cmd_classify(args, cfg: Config) -> int:
-    data = json.loads(args.descriptor)
-    try:
-        desc = descriptor_from_json(data, cfg.group_order_bound)
-        dim = classify_bounded_cohomology(desc, args.n, cfg.group_order_bound)
-    except InvalidDescriptor as exc:
-        emit({"error": "InvalidDescriptor", "message": str(exc)}, "json")
-        return 2
+    data = _json_arg(args.descriptor, "descriptor")
+    _require(args.n >= 1, f"cohomology degree -n must be >= 1, got {args.n}")
+    desc = descriptor_from_json(data, cfg.group_order_bound)
+    dim = classify_bounded_cohomology(desc, args.n, cfg.group_order_bound)
     emit({"descriptor": data, "n": args.n, "dim": dim}, "json")
     return 0
 
@@ -152,6 +171,7 @@ def cmd_spectrum(args, cfg: Config) -> int:
 
 
 def cmd_shapes_enumerate(args, cfg: Config) -> int:
+    _require(args.q >= 2, f"--q must be >= 2, got {args.q}")
     shapes = enumerate_complete_shapes(args.q, args.max_diameter)
     rows = []
     for s in shapes:
@@ -193,6 +213,7 @@ def cmd_flip_demo(args, cfg: Config) -> int:
     rng = np.random.default_rng(cfg.seed)
     q = args.q
     depth = args.depth or cfg.default_depth
+    _require(args.rays is None or args.rays >= 3, f"--rays must be >= 3, got {args.rays}")
     if args.rays:
         rays = random_rays(rng, q, args.rays, depth)
         s = None
@@ -220,6 +241,7 @@ def cmd_flip_demo(args, cfg: Config) -> int:
 
 def cmd_spherical_check(args, cfg: Config) -> int:
     q = args.q
+    _require(q >= 2, f"--q must be >= 2, got {q}")
     z = parse_complex(args.z)
     depth = args.depth or 8
     phi = phi_values(q, z, depth)
@@ -245,11 +267,7 @@ def cmd_spherical_check(args, cfg: Config) -> int:
 
 
 def cmd_verify(args, cfg: Config) -> int:
-    try:
-        report = verify_mod.run_suite(args.suite, cfg)
-    except UnknownSuite as exc:
-        emit({"error": "UnknownSuite", "message": str(exc)}, "json")
-        return 3
+    report = verify_mod.run_suite(args.suite, cfg)
     emit(report, "json")
     return 0 if report["passed"] else 1
 
@@ -302,9 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = load_config(args.config)
+def _config(args) -> Config:
+    """The config file with the global flags applied over it."""
     updates = {}
     if args.seed is not None:
         updates["seed"] = args.seed
@@ -312,13 +329,24 @@ def main(argv=None) -> int:
         updates["default_depth"] = args.depth
     if args.format is not None:
         updates["output_format"] = args.format
-    if updates:
-        cfg = dataclasses.replace(cfg, **updates)
     try:
-        return args.fn(args, cfg)
+        return dataclasses.replace(load_config(args.config), **updates)
+    except (OSError, ValueError) as exc:
+        raise InvalidInput(f"bad configuration: {exc}") from None
+
+
+def main(argv=None) -> int:
+    """Run one command.  Exit codes: 0 success, 1 a library error or a
+    failed check, 2 bad input, 3 an unknown verify suite; every error is
+    one JSON object {"error", "message"} on stdout."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.fn(args, _config(args))
     except ArbocohError as exc:
         emit({"error": type(exc).__name__, "message": str(exc)}, "json")
-        return 1
+        if isinstance(exc, UnknownSuite):
+            return 3
+        return 2 if isinstance(exc, InvalidInput) else 1
 
 
 if __name__ == "__main__":

@@ -29,8 +29,13 @@ class Config:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("default_depth", "group_order_bound", "seed"):
+            if not isinstance(getattr(self, name), int):
+                raise ValueError(f"{name} must be an integer")
         if self.default_depth <= 0 or self.group_order_bound <= 0:
             raise ValueError("depths and bounds must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.output_format not in ("json", "csv"):
             raise ValueError(f"unknown output format {self.output_format!r}")
 
@@ -40,13 +45,16 @@ ENV_VAR = "ARBOCOH_CONFIG"
 
 def load_config(path: str | None = None) -> Config:
     """Load configuration from an explicit path, else from $ARBOCOH_CONFIG,
-    else defaults."""
+    else defaults.  An unreadable file raises OSError, and a file that is
+    not a JSON object of valid fields raises ValueError."""
     if path is None:
         path = os.environ.get(ENV_VAR)
     if path is None:
         return Config()
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"bad config file {path}: not a JSON object")
     try:
         tol = Tolerances(**data.pop("tolerances", {}))
         return Config(tolerances=tol, **data)

@@ -11,6 +11,11 @@ class ArbocohError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidInput(ArbocohError, ValueError):
+    """Outside input (command-line arguments, shape or descriptor JSON, a
+    config file) cannot be parsed or is out of range."""
+
+
 # -- tree geometry ---------------------------------------------------------
 
 class InsufficientDepth(ArbocohError):
@@ -91,7 +96,7 @@ class BadVertexChoice(ArbocohError):
     """(x, y) do not sit in complements of two distinct maximal subtrees."""
 
 
-class InvalidDescriptor(ArbocohError):
+class InvalidDescriptor(InvalidInput):
     """Representation descriptor fails its admissibility checks."""
 
 

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from .errors import InsufficientDepth, NotDistinct, SubtreeHitsTriple
 from .shapes import EmbeddedSubtree
 from .tree import (
-    RayPrefix,
     TreeIsometry,
     Vertex,
     gromov_product,
@@ -35,6 +34,7 @@ from .tree import (
     median,
     vertex_to_ray_path,
     word_neighbors,
+    word_path,
 )
 
 
@@ -49,12 +49,15 @@ class FlipWitness:
     certified_depth: int
 
 
-def _vv_path(a, b):
-    """Word path from a to b: climb to the common prefix, then descend."""
-    k = lcp_len(a, b)
-    path = [a[:i] for i in range(len(a), k - 1, -1)]
-    path.extend(b[: i + 1] for i in range(k, len(b)))
-    return path
+def _spines(m, ray_i, ray_j):
+    """The known paths from the median m toward two rays, each cut to start
+    at their last common vertex, the secondary median."""
+    path_i = vertex_to_ray_path(m.word, ray_i.word)
+    path_j = vertex_to_ray_path(m.word, ray_j.word)
+    t = 0
+    while t < len(path_i) and t < len(path_j) and path_i[t] == path_j[t]:
+        t += 1
+    return path_i[t - 1:], path_j[t - 1:]
 
 
 def _missing_pair(rays, s, m):
@@ -87,7 +90,7 @@ class _BranchSwap:
         self.reach = min(len(spine_a), len(spine_b)) - 1
 
     def image(self, u):
-        path = _vv_path(self.m, u)
+        path = word_path(self.m, u)
         if len(path) == 1:
             return u
         side = None
@@ -166,17 +169,11 @@ def find_flip(q: int, rays, s, depth: int) -> FlipWitness:
                     best = (g, ii, jj)
     _, i, j = best
 
-    path_i = vertex_to_ray_path(m.word, rays[i].word)
-    path_j = vertex_to_ray_path(m.word, rays[j].word)
-    t = 0
-    while t < len(path_i) and t < len(path_j) and path_i[t] == path_j[t]:
-        t += 1
-    if t == len(path_i) or t == len(path_j):
+    spine_i, spine_j = _spines(m, rays[i], rays[j])
+    if len(spine_i) == 1 or len(spine_j) == 1:
         raise InsufficientDepth(f"rays {i} and {j} do not visibly diverge")
-    spine_i = path_i[t - 1:]
-    spine_j = path_j[t - 1:]
 
-    swap = _BranchSwap(q, path_i[t - 1], spine_i, spine_j)
+    swap = _BranchSwap(q, spine_i[0], spine_i, spine_j)
 
     dom = set()
     for r in rays:
@@ -207,12 +204,7 @@ def check_flip_witness(q: int, rays, s, w: FlipWitness, strict: bool = True) -> 
                 fails.append(f"subtree vertex {list(word)} moved")
 
     m = median(rays[0], rays[1], rays[2])
-    path_i = vertex_to_ray_path(m.word, rays[w.i].word)
-    path_j = vertex_to_ray_path(m.word, rays[w.j].word)
-    t = 0
-    while t < len(path_i) and t < len(path_j) and path_i[t] == path_j[t]:
-        t += 1
-    spine_i, spine_j = path_i[t - 1:], path_j[t - 1:]
+    spine_i, spine_j = _spines(m, rays[w.i], rays[w.j])
     reach = min(len(spine_i), len(spine_j)) - 1
     if w.certified_depth > reach:
         fails.append("certified depth exceeds the visible spine overlap")

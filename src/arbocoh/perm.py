@@ -20,10 +20,11 @@ products, inverses and group rows skip that check.  Aut(S) of the shapes
 in this library has order at most a few tens of thousands, and a
 GroupTooLarge guard keeps that honest.
 
-shape_automorphism_group computes Aut(S) of a finite tree via canonical
-subtree codes rooted at the tree center: sibling subtrees with equal codes
-yield swap generators, and an isomorphic center-edge split yields the
-flip.  The result is verified against a brute-force search in the tests.
+shape_automorphism_group computes Aut(S) of a finite tree from the rooted
+subtree codes of `treecode`, hung from the tree centre: sibling subtrees
+with equal codes yield swap generators, and an isomorphic centre-edge
+split yields the flip.  The result is verified against a brute-force
+search in the tests and in `verify groups`.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import treecode
 from .errors import GroupTooLarge, NotASubgroup
 from .shapes import Shape
 
@@ -293,48 +295,6 @@ def all_subgroups(G: PermGroup) -> list:
 # -- tree automorphism groups -------------------------------------------------
 
 
-def _tree_center(adj) -> list:
-    """One or two central vertices, by peeling leaves."""
-    deg = {v: len(ns) for v, ns in adj.items()}
-    layer = sorted(v for v, d in deg.items() if d <= 1)
-    alive = set(adj)
-    while len(alive) > 2:
-        nxt = []
-        for v in layer:
-            alive.discard(v)
-            for n in adj[v]:
-                if n in alive:
-                    deg[n] -= 1
-                    if deg[n] == 1:
-                        nxt.append(n)
-        layer = sorted(nxt)
-    return sorted(alive)
-
-
-def _rooted_codes(adj, root, parent_of):
-    """Canonical code of each subtree hanging below each vertex."""
-    order = [root]
-    for u in order:
-        for n in adj[u]:
-            if n != parent_of[u]:
-                parent_of[n] = u
-                order.append(n)
-    code = {}
-    for u in reversed(order):
-        kids = sorted(code[n] for n in adj[u] if parent_of.get(n) == u)
-        code[u] = "(" + "".join(kids) + ")"
-    return code
-
-
-def _subtree_vertices(adj, root, parent):
-    out = [root]
-    for u in out:
-        for n in adj[u]:
-            if n != parent and n not in out:
-                out.append(n)
-    return out
-
-
 def _map_subtrees(adj, code, a, pa, b, pb, moves):
     """Extend moves with the canonical isomorphism subtree(a) -> subtree(b),
     children matched in (code, id) order."""
@@ -362,47 +322,31 @@ def _automorphism_group(s: Shape, bound: int) -> PermGroup:
     if n == 1:
         return closure([], degree=1, bound=bound)
 
-    center = _tree_center(adj)
+    center = treecode.center(adj)
+    # the tree hung from its centre: one root, or both ends of the centre edge
+    halves = [(center[0], None)] if len(center) == 1 else [tuple(center), tuple(center[::-1])]
+    code = {}
+    for root, parent in halves:
+        code.update(treecode.rooted_codes(adj, root, parent))
     gens = []
 
-    def add_gen(moves):
-        images = {index[a]: index[b] for a, b in moves.items()}
-        gens.append(Permutation.from_dict(n, images))
+    def swap_gen(x, px, y, py):
+        """The involution exchanging the subtrees at x and y."""
+        moves = {}
+        _map_subtrees(adj, code, x, px, y, py, moves)
+        moves.update({b: a for a, b in moves.items()})
+        gens.append(Permutation.from_dict(n, {index[a]: index[b] for a, b in moves.items()}))
 
-    def sibling_gens(root, parent_of, code):
-        order = _subtree_vertices(adj, root, parent_of.get(root))
+    for root, parent in halves:
+        order, parent_of = treecode.bfs(adj, root, parent)
         for u in order:
-            kids = sorted(
-                (v for v in adj[u] if parent_of.get(v) == u), key=lambda v: (code[v], v)
-            )
+            kids = sorted((v for v in adj[u] if v != parent_of[u]), key=lambda v: (code[v], v))
             for x, y in zip(kids, kids[1:]):
                 if code[x] == code[y]:
-                    moves = {}
-                    _map_subtrees(adj, code, x, u, y, u, moves)
-                    inv = {b: a for a, b in moves.items()}
-                    moves.update(inv)
-                    add_gen(moves)
-
-    if len(center) == 1:
-        root = center[0]
-        parent_of = {root: None}
-        code = _rooted_codes(adj, root, parent_of)
-        sibling_gens(root, parent_of, code)
-    else:
+                    swap_gen(x, u, y, u)
+    if len(center) == 2 and code[center[0]] == code[center[1]]:
         a, b = center
-        parent_a = {a: b}
-        code = _rooted_codes(adj, a, parent_a)
-        parent_b = {b: a}
-        code_b = _rooted_codes(adj, b, parent_b)
-        code.update(code_b)
-        sibling_gens(a, parent_a, code)
-        sibling_gens(b, parent_b, code)
-        if code[a] == code[b]:
-            moves = {}
-            _map_subtrees(adj, code, a, b, b, a, moves)
-            inv = {y: x for x, y in moves.items()}
-            moves.update(inv)
-            add_gen(moves)
+        swap_gen(a, b, b, a)
 
     return closure(gens, degree=n, bound=bound)
 

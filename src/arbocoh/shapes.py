@@ -8,17 +8,28 @@ concretely by EmbeddedSubtree placements into the word-encoded tree.
 The taxonomy runs through the maximal proper complete subtrees: a complete
 subtree of diameter > 2 with exactly k of them is k-headed, a 2-headed one
 is a centipede, and diameter-2 stars count as 2-centipedes by decree.
-Maximal subtrees are found by brute-force enumeration of all complete
-subtrees (cached per shape), never by a closed-form shortcut; the head
-characterization is checked in tests instead of assumed.
+
+The maximal proper complete subtrees have a closed form.  Let I be the
+internal (full-degree) vertices.  A complete subtree with at least three
+vertices is J + N(J) for a connected nonempty J inside I, and a connected
+proper J that held every leaf of the tree I would be all of I.  So a star
+(|I| = 1) has its edges, and any other shape has one maximal subtree
+(I - {l}) + N(I - {l}) for each leaf l of I; the shape is a centipede
+exactly when I is a path.  verify.brute_force_maximal_subtrees searches
+every connected subset of I instead and is the oracle for this closed
+form, in `verify groups` and in the tests.
+
+Embeddings into the word tree and the canonical sections of the witness
+module share one backtracking placement search, place_tree.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
+from . import treecode
 from .errors import (
+    InvalidInput,
     InvalidShape,
     NotATree,
     NotCuspidalShape,
@@ -31,6 +42,7 @@ from .tree import (
     check_word,
     median,
     word_distance,
+    word_neighbors,
 )
 
 
@@ -83,55 +95,23 @@ class Shape:
         """Raise NotATree unless connected and acyclic."""
         if len(self.edges) != len(self.vertices) - 1:
             raise NotATree("edge count is not vertex count minus one")
-        adj = self.adjacency()
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            for n in adj[stack.pop()]:
-                if n not in seen:
-                    seen.add(n)
-                    stack.append(n)
-        if len(seen) != len(self.vertices):
+        reached, _ = treecode.bfs(self.adjacency(), self.vertices[0])
+        if len(reached) != len(self.vertices):
             raise NotATree("graph is disconnected")
 
     def internal_vertices(self) -> tuple:
-        return tuple(v for v in self.vertices if self.degree(v) == self.q + 1)
+        adj = self.adjacency()
+        return tuple(v for v in self.vertices if len(adj[v]) == self.q + 1)
 
     def diameter(self) -> int:
-        ecc = self._bfs_dist(self.vertices[0])
-        far = max(ecc, key=lambda v: ecc[v])
-        return max(self._bfs_dist(far).values())
-
-    def _bfs_dist(self, start) -> dict:
-        adj = self.adjacency()
-        dist = {start: 0}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for n in adj[u]:
-                    if n not in dist:
-                        dist[n] = dist[u] + 1
-                        nxt.append(n)
-            frontier = nxt
-        return dist
+        return treecode.diameter(self.adjacency())
 
     def path(self, a, b) -> list:
         """The unique path between two vertices, endpoints included."""
-        adj = self.adjacency()
-        prev = {a: None}
-        frontier = [a]
-        while b not in prev and frontier:
-            nxt = []
-            for u in frontier:
-                for n in adj[u]:
-                    if n not in prev:
-                        prev[n] = u
-                        nxt.append(n)
-            frontier = nxt
+        _, parent_of = treecode.bfs(self.adjacency(), a)
         out = [b]
         while out[-1] != a:
-            out.append(prev[out[-1]])
+            out.append(parent_of[out[-1]])
         return out[::-1]
 
     def to_json(self) -> dict:
@@ -143,7 +123,11 @@ class Shape:
 
     @staticmethod
     def from_json(data: dict) -> "Shape":
-        return Shape(int(data["q"]), data["vertices"], data["edges"])
+        """Parse {q, vertices, edges}; malformed data raises InvalidInput."""
+        try:
+            return Shape(int(data["q"]), data["vertices"], data["edges"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidInput(f"bad shape JSON: {exc!r}") from None
 
 
 @dataclass(frozen=True)
@@ -222,50 +206,23 @@ def _require_complete(s: Shape):
         raise InvalidShape("shape is not a complete subtree")
 
 
-@functools.lru_cache(maxsize=None)
-def _complete_subtrees(s: Shape) -> tuple:
-    """All vertex sets of complete subtrees of s, as frozensets.
-
-    A complete subtree with >= 3 vertices is I union N(I) for a nonempty
-    connected set I of full-degree vertices; singletons and edges are the
-    rest.  Brute force over connected subsets, cached per shape.
-    """
-    adj = s.adjacency()
-    out = {frozenset([v]) for v in s.vertices}
-    out.update(frozenset(e) for e in s.edges)
-    internal = [v for v in s.vertices if s.degree(v) == s.q + 1]
-    n = len(internal)
-    idx = {v: i for i, v in enumerate(internal)}
-    for mask in range(1, 1 << n):
-        chosen = [internal[i] for i in range(n) if mask >> i & 1]
-        seen = {chosen[0]}
-        stack = [chosen[0]]
-        while stack:
-            for nb in adj[stack.pop()]:
-                if nb in idx and mask >> idx[nb] & 1 and nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        if len(seen) != len(chosen):
-            continue
-        hull = set(chosen)
-        for v in chosen:
-            hull.update(adj[v])
-        out.add(frozenset(hull))
-    return tuple(sorted(out, key=lambda fs: (len(fs), tuple(sorted(fs)))))
-
-
 def maximal_proper_complete_subtrees(s: Shape) -> list:
-    """All proper complete subtrees maximal under inclusion, as sorted
-    frozensets of vertex ids."""
+    """All proper complete subtrees maximal under inclusion, as frozensets
+    of vertex ids sorted by their sorted ids; see the module docstring."""
     _require_complete(s)
     if len(s.vertices) <= 2:
         raise TooSmall("vertex and edge shapes have no maximal proper complete subtrees")
-    full = frozenset(s.vertices)
-    proper = [t for t in _complete_subtrees(s) if t != full]
-    maximal = [
-        t for t in proper if not any(t < u for u in proper)
-    ]
-    return sorted(maximal, key=lambda fs: tuple(sorted(fs)))
+    internal = set(s.internal_vertices())
+    if len(internal) == 1:
+        out = [frozenset(e) for e in s.edges]
+    else:
+        adj = s.adjacency()
+        out = []
+        for leaf in internal:
+            if sum(n in internal for n in adj[leaf]) == 1:
+                rest = internal - {leaf}
+                out.append(frozenset(rest.union(*(adj[v] for v in rest))))
+    return sorted(out, key=lambda fs: tuple(sorted(fs)))
 
 
 def heads(s: Shape) -> list:
@@ -295,13 +252,48 @@ def classify_shape(s: Shape) -> ShapeClass:
     diam = s.diameter()
     if diam == 2:
         return ShapeClass("centipede", k=2)
-    h = len(heads(s))
+    h = len(maximal_proper_complete_subtrees(s))  # one head per subtree
     if h == 2:
         return ShapeClass("centipede", k=diam)
     return ShapeClass("multi_headed", n_heads=h, diam=diam)
 
 
 # -- embeddings into the word tree -------------------------------------------
+
+
+def place_tree(order, parent_of, roots, host_nbrs, visit) -> None:
+    """Backtracking search over the injective placements of a tree into a
+    host graph that map edges to edges.
+
+    order and parent_of are a breadth-first order of the tree and each
+    vertex's parent (treecode.bfs); order[0] goes to each of roots in turn
+    and every later vertex to an unused host neighbour of its parent's
+    image, host_nbrs(w) listing those of w.  visit(placed) receives each
+    complete placement as a list aligned with order; the list is reused,
+    so copy what you keep.
+    """
+    n = len(order)
+    pos = {v: i for i, v in enumerate(order)}
+    anchor = [None] + [pos[parent_of[v]] for v in order[1:]]
+    placed = [None] * n
+    used = set()
+
+    def extend(i):
+        if i == n:
+            visit(placed)
+            return
+        for w in host_nbrs(placed[anchor[i]]):
+            if w not in used:
+                placed[i] = w
+                used.add(w)
+                extend(i + 1)
+                used.discard(w)
+
+    for w0 in roots:
+        placed[0] = w0
+        used.add(w0)
+        extend(1)
+        used.discard(w0)
 
 
 def enumerate_embeddings(s: Shape, anchor: Vertex, radius: int) -> list:
@@ -314,62 +306,24 @@ def enumerate_embeddings(s: Shape, anchor: Vertex, radius: int) -> list:
     _require_complete(s)
     q = s.q
     ball = set(ball_words(anchor.word, radius, q))
+    ball_nbrs = {w: [x for x in word_neighbors(w, q) if x in ball] for w in ball}
     adj = s.adjacency()
-    # visit shape vertices so each new one is adjacent to a placed one
-    start = max(s.vertices, key=lambda v: (s.degree(v), v))
-    order = [start]
-    seen = {start}
-    for u in order:
-        for n in adj[u]:
-            if n not in seen:
-                seen.add(n)
-                order.append(n)
-    anchor_of = {
-        v: next(n for n in adj[v] if n in order[: order.index(v)])
-        for v in order[1:]
-    }
-
+    start = max(s.vertices, key=lambda v: (len(adj[v]), v))
+    order, parent_of = treecode.bfs(adj, start)
+    cols = [order.index(v) for v in s.vertices]
     found = {}
 
-    def extend(i, pl, used):
-        if i == len(order):
-            key = frozenset(used)
-            cand = tuple(pl[v] for v in s.vertices)
-            if key not in found or cand < found[key]:
-                found[key] = cand
-            return
-        v = order[i]
-        base = pl[anchor_of[v]]
-        for w in _word_nbrs_in(base, ball, q):
-            if w not in used:
-                pl[v] = w
-                used.add(w)
-                extend(i + 1, pl, used)
-                used.discard(w)
-                del pl[v]
+    def keep_least(placed):
+        key = frozenset(placed)
+        cand = tuple([placed[c] for c in cols])
+        if key not in found or cand < found[key]:
+            found[key] = cand
 
-    for w0 in ball:
-        extend(1, {start: w0}, {w0})
-
-    out = []
-    for key in sorted(found, key=lambda fs: tuple(sorted(fs))):
-        words = found[key]
-        out.append(EmbeddedSubtree(s, dict(zip(s.vertices, words))))
-    return out
-
-
-def _word_nbrs_in(w, ball, q):
-    out = []
-    if w:
-        p = w[:-1]
-        if p in ball:
-            out.append(p)
-    hi = q if not w else q - 1
-    for lab in range(hi + 1):
-        c = w + (lab,)
-        if c in ball:
-            out.append(c)
-    return out
+    place_tree(order, parent_of, ball, ball_nbrs.__getitem__, keep_least)
+    return [
+        EmbeddedSubtree(s, dict(zip(s.vertices, found[key])))
+        for key in sorted(found, key=lambda fs: tuple(sorted(fs)))
+    ]
 
 
 def hits(e: EmbeddedSubtree, g0: RayPrefix, g1: RayPrefix, g2: RayPrefix) -> bool:

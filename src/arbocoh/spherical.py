@@ -39,6 +39,8 @@ from .tree import (
     word_distance,
 )
 
+_INTERTWINER_CACHE_SIZE = 32  # per cache: intertwiners and inner pairings
+
 
 def mu_of_z(q: int, z: complex) -> complex:
     """Averaging-operator eigenvalue (q^z + q^(1-z)) / (q+1)."""
@@ -260,7 +262,7 @@ def _solve_exchange(q: int, a: complex, b: complex, n: int, tol: float):
     return cylinders, X, residual
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_INTERTWINER_CACHE_SIZE)
 def intertwiner_matrix(
     q: int, z: complex, n: int, tol: float = 1e-8
 ) -> Intertwiner:
@@ -273,7 +275,7 @@ def intertwiner_matrix(
     return Intertwiner(q, complex(z), n, cylinders, X, residual)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_INTERTWINER_CACHE_SIZE)
 def _inner_pairing(q: int, z: complex, n: int, tol: float = 1e-8) -> Intertwiner:
     """Operator of the invariant Hermitian form: solves
     W^(conj z) X = W^(1-z).  For real z this is the intertwiner itself; on

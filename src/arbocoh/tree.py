@@ -120,6 +120,13 @@ def distance(u: Vertex, v: Vertex) -> int:
     return word_distance(u.word, v.word)
 
 
+def word_path(a: Word, b: Word) -> list:
+    """Words on the path from a to b: climb to the common prefix, then
+    descend."""
+    k = lcp_len(a, b)
+    return [a[:i] for i in range(len(a), k - 1, -1)] + [b[:i] for i in range(k + 1, len(b) + 1)]
+
+
 def _is_proper_prefix(a: Word, b: Word) -> bool:
     """True iff a is a proper prefix of b."""
     return len(a) < len(b) and b[: len(a)] == a
@@ -136,10 +143,7 @@ def vertex_to_ray_path(x: Word, w: Word) -> list:
         raise InsufficientDepth(
             f"ray prefix {list(w)} too shallow: vertex {list(x)} hangs below it"
         )
-    k = lcp_len(x, w)
-    path = [x[:i] for i in range(len(x), k - 1, -1)]  # x down to the join
-    path.extend(w[: i + 1] for i in range(k, len(w)))  # join down along w
-    return path
+    return word_path(x, w)
 
 
 def _geodesic_data(a, b):
@@ -150,10 +154,7 @@ def _geodesic_data(a, b):
     prefixes and InsufficientDepth when divergence is not visible.
     """
     if isinstance(a, Vertex) and isinstance(b, Vertex):
-        k = lcp_len(a.word, b.word)
-        path = [a.word[:i] for i in range(len(a.word), k - 1, -1)]
-        path.extend(b.word[: i + 1] for i in range(k, len(b.word)))
-        return path, []
+        return word_path(a.word, b.word), []
     if isinstance(a, Vertex):
         return vertex_to_ray_path(a.word, b.word), [b.word]
     if isinstance(b, Vertex):
@@ -165,10 +166,7 @@ def _geodesic_data(a, b):
         raise InsufficientDepth(
             f"prefixes {list(wa)}, {list(wb)} do not show where the rays diverge"
         )
-    k = lcp_len(wa, wb)
-    path = [wa[:i] for i in range(len(wa), k - 1, -1)]
-    path.extend(wb[: i + 1] for i in range(k, len(wb)))
-    return path, [wa, wb]
+    return word_path(wa, wb), [wa, wb]
 
 
 def gromov_product(a, b, base: Vertex) -> int:

@@ -312,6 +312,35 @@ def brute_force_automorphisms(s: Shape):
     return set(out)
 
 
+def brute_force_maximal_subtrees(s: Shape) -> list:
+    """Maximal proper complete subtrees by search: every single vertex and
+    edge, and J + N(J) for every connected nonempty subset J of the
+    full-degree vertices, filtered to the proper ones no other contains.
+    The oracle for the closed form of maximal_proper_complete_subtrees."""
+    adj = s.adjacency()
+    internal = [v for v in s.vertices if len(adj[v]) == s.q + 1]
+    complete = {frozenset([v]) for v in s.vertices}
+    complete.update(frozenset(e) for e in s.edges)
+    for mask in range(1, 1 << len(internal)):
+        chosen = {v for i, v in enumerate(internal) if mask >> i & 1}
+        start = next(iter(chosen))
+        seen = {start}
+        stack = [start]
+        while stack:
+            for nb in adj[stack.pop()]:
+                if nb in chosen and nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+        if len(seen) == len(chosen):
+            complete.add(frozenset(chosen.union(*(adj[v] for v in chosen))))
+    complete.discard(frozenset(s.vertices))
+    maximal = []
+    for sub in sorted(complete, key=len, reverse=True):
+        if not any(sub < big for big in maximal):
+            maximal.append(sub)
+    return sorted(maximal, key=lambda fs: tuple(sorted(fs)))
+
+
 def groups_suite(cfg: Config) -> dict:
     checks = []
     small = [
@@ -332,6 +361,14 @@ def groups_suite(cfg: Config) -> dict:
         if got != want:
             bad.append(f"{len(s.vertices)}-vertex shape: {len(got)} vs {len(want)}")
     checks.append(_check("aut_matches_brute_force", not bad, mismatches=bad))
+
+    bad = [
+        f"{len(s.vertices)}-vertex shape"
+        for s in small
+        if len(s.vertices) > 2
+        and maximal_proper_complete_subtrees(s) != brute_force_maximal_subtrees(s)
+    ]
+    checks.append(_check("maximal_subtrees_match_brute_force", not bad, mismatches=bad))
 
     lagrange_bad = 0
     zoo = [

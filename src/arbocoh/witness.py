@@ -27,13 +27,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import treecode
 from .chartab import IrrepModel
 from .errors import BadVector, InsufficientDepth, NotACentipede
 from .perm import Permutation, pointwise_stabilizer, setwise_stabilizer
-from .shapes import EmbeddedSubtree, Shape, classify_shape
-from .tree import RayPrefix, TreeIsometry, Vertex, lcp_len, word_distance, word_neighbors
+from .shapes import EmbeddedSubtree, Shape, classify_shape, place_tree
+from .tree import (
+    RayPrefix,
+    TreeIsometry,
+    lcp_len,
+    word_distance,
+    word_neighbors,
+    word_path,
+)
 
 _VEC_TOL = 1e-9
+_REFERENCE_CACHE_SIZE = 64
 
 
 def _line_word(p: int):
@@ -62,7 +71,7 @@ class ReferenceConfiguration:
         return index[self.x_id], index[self.y_id]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_REFERENCE_CACHE_SIZE)
 def reference_configuration(s: Shape, depth: int) -> ReferenceConfiguration:
     cls = classify_shape(s)
     if cls.tag != "centipede":
@@ -105,52 +114,28 @@ def _geodesic_words(g: RayPrefix, h: RayPrefix):
     wg, wh = g.word, h.word
     if wg == wh or wg[: min(len(wg), len(wh))] == wh[: min(len(wg), len(wh))]:
         raise InsufficientDepth("rays do not visibly diverge")
-    k = lcp_len(wg, wh)
-    path = [wg[:i] for i in range(len(wg), k - 1, -1)]
-    path.extend(wh[: i + 1] for i in range(k, len(wh)))
-    return path
+    return word_path(wg, wh)
 
 
 def _canonical_tree_iso(words_a, words_b, q):
     """Lexicographically minimal isomorphism between two word-subtrees, as
     a dict; None when they are not isomorphic."""
-    a_sorted = sorted(words_a)
     if len(words_a) != len(words_b):
         return None
-    nbrs_a = {w: [x for x in words_a if word_distance(w, x) == 1] for w in words_a}
-    nbrs_b = {w: [x for x in words_b if word_distance(w, x) == 1] for w in words_b}
-    order = [a_sorted[0]]
-    seen = {a_sorted[0]}
-    for u in order:
-        for n in sorted(nbrs_a[u]):
-            if n not in seen:
-                seen.add(n)
-                order.append(n)
-    anchor = {}
-    for v in order[1:]:
-        anchor[v] = next(n for n in nbrs_a[v] if n in seen and order.index(n) < order.index(v))
+    a_sorted = sorted(words_a)
+    adj_a = {w: [x for x in word_neighbors(w, q) if x in words_a] for w in a_sorted}
+    nbrs_b = {w: [x for x in word_neighbors(w, q) if x in words_b] for w in words_b}
+    order, parent_of = treecode.bfs(adj_a, a_sorted[0])
+    cols = [order.index(w) for w in a_sorted]
+    best = []
 
-    best = [None]
+    def keep_least(placed):
+        cand = tuple([placed[c] for c in cols])
+        if not best or cand < best[0]:
+            best[:] = [cand]
 
-    def extend(i, iso, used):
-        if i == len(order):
-            cand = tuple(iso[w] for w in a_sorted)
-            if best[0] is None or cand < best[0][0]:
-                best[0] = (cand, dict(iso))
-            return
-        v = order[i]
-        base = iso[anchor[v]]
-        for w in sorted(nbrs_b[base]):
-            if w not in used:
-                iso[v] = w
-                used.add(w)
-                extend(i + 1, iso, used)
-                used.discard(w)
-                del iso[v]
-
-    for w0 in sorted(words_b):
-        extend(1, {order[0]: w0}, {w0})
-    return None if best[0] is None else best[0][1]
+    place_tree(order, parent_of, sorted(words_b), nbrs_b.__getitem__, keep_least)
+    return dict(zip(a_sorted, best[0])) if best else None
 
 
 def canonical_section(ref: ReferenceConfiguration, e: EmbeddedSubtree) -> dict:

@@ -182,3 +182,46 @@ def test_flip_demo_impossible_rays_exit_1(argv):
     assert out.returncode == 1
     assert json.loads(out.stdout)["error"] == "TooManyRays"
     assert "Traceback" not in out.stderr
+
+
+SPECIAL = '{"tag": "special", "sign": "+", "q": 2}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--config", "{empty}", "verify", "groups"],
+        ["--config", "{missing}", "verify", "groups"],
+        ["classify", "{bad", "-n", "2"],
+        ["classify", SPECIAL, "-n", "0"],
+        ["spectrum", '{"q":2}'],
+        ["chartab", "[1]"],
+        ["spherical-check", "--z", "abc"],
+        ["spherical-check", "--q", "1", "--z", "0.5"],
+        ["shapes-enumerate", "--q", "1", "--max-diameter", "3"],
+        ["--depth", "0", "flip-demo"],
+        ["flip-demo", "--rays", "2"],
+    ],
+    ids=[
+        "empty-config", "missing-config", "bad-descriptor-json", "degree-0",
+        "shape-without-vertices", "shape-not-an-object", "z-not-complex",
+        "spherical-q1", "enumerate-q1", "depth-0", "two-rays",
+    ],
+)
+def test_input_errors_exit_2(argv, tmp_path):
+    """Bad outside input ends in exit code 2 and a JSON error, never a
+    traceback."""
+    empty = tmp_path / "empty.json"
+    empty.write_text("")
+    paths = {"{empty}": str(empty), "{missing}": str(tmp_path / "missing.json")}
+    argv = [paths.get(a, a) for a in argv]
+    src = os.path.dirname(os.path.dirname(arbocoh.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "ARBOCOH_CONFIG"}
+    env["PYTHONPATH"] = src
+    out = subprocess.run(
+        [sys.executable, "-m", "arbocoh.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 2
+    assert json.loads(out.stdout)["error"] in ("InvalidInput", "InvalidDescriptor")
+    assert "Traceback" not in out.stderr

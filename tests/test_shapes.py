@@ -1,17 +1,23 @@
 """Complete subtrees: validation, maximal subtrees, heads, classification,
 embeddings, and hit counts, cross-checked against subset brute force."""
 
+import dataclasses
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arbocoh.errors import NotATree, NotCuspidalShape, TooSmall
 from arbocoh.shapes import (
     EmbeddedSubtree,
     Shape,
+    ShapeClass,
     centipede_shape,
     classify_shape,
+    complete_shape_from_internal,
     count_hitting,
     edge_shape,
     enumerate_embeddings,
@@ -24,7 +30,7 @@ from arbocoh.shapes import (
     y_shape,
 )
 from arbocoh.tree import RayPrefix, Vertex
-from arbocoh.verify import random_isometry, random_rays
+from arbocoh.verify import brute_force_maximal_subtrees, random_isometry, random_rays
 
 
 # -- independent oracle: maximal complete subtrees by raw subset search -------
@@ -122,6 +128,59 @@ def test_maximal_subtrees_whole_catalog_against_brute_force():
                 assert len(heads(s)) == len(got)
 
 
+@pytest.mark.parametrize("q,d", [(2, 7), (3, 5), (4, 4), (5, 3)])
+def test_closed_form_matches_subset_search_on_catalog(q, d):
+    from arbocoh.catalog import enumerate_complete_shapes
+
+    for s in enumerate_complete_shapes(q, d):
+        if len(s.vertices) > 2:
+            assert maximal_proper_complete_subtrees(s) == brute_force_maximal_subtrees(s)
+
+
+def _internal_is_path(s: Shape) -> bool:
+    """A tree is a path when no vertex has three neighbours in it."""
+    internal = set(s.internal_vertices())
+    adj = s.adjacency()
+    return all(sum(n in internal for n in adj[v]) <= 2 for v in internal)
+
+
+def test_centipede_exactly_when_internal_tree_is_a_path():
+    from arbocoh.catalog import enumerate_complete_shapes
+
+    for q in range(2, 6):
+        for k in range(3, 7):
+            s = centipede_shape(q, k)
+            assert _internal_is_path(s)
+            assert classify_shape(s) == ShapeClass("centipede", k=k)
+            assert len(maximal_proper_complete_subtrees(s)) == 2
+    for q, d in [(2, 7), (3, 5), (4, 4)]:
+        for s in enumerate_complete_shapes(q, d):
+            if s.diameter() > 2:
+                assert (classify_shape(s).tag == "centipede") == _internal_is_path(s)
+
+
+@st.composite
+def internal_trees(draw):
+    """A complete shape from a random internal tree: q in {2, 3, 4} and at
+    most 12 internal vertices, each of degree <= q+1 inside the tree."""
+    q = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(1, 12))
+    deg = [0] * n
+    edges = []
+    for v in range(1, n):
+        u = draw(st.sampled_from([u for u in range(v) if deg[u] < q + 1]))
+        deg[u] += 1
+        deg[v] += 1
+        edges.append((f"i{u}", f"i{v}"))
+    return complete_shape_from_internal(q, [f"i{v}" for v in range(n)], edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(internal_trees())
+def test_closed_form_matches_subset_search_on_random_trees(s):
+    assert maximal_proper_complete_subtrees(s) == brute_force_maximal_subtrees(s)
+
+
 def test_maximal_subtrees_too_small():
     with pytest.raises(TooSmall):
         maximal_proper_complete_subtrees(edge_shape(2))
@@ -179,6 +238,44 @@ def test_embeddings_deduped_and_deterministic():
     images = [e.image_words() for e in embs]
     assert len(set(images)) == len(images)
     assert embs == enumerate_embeddings(s, Vertex(()), 2)
+
+
+# (embedding count, sha256 of their placements) and (section count, sha256
+# of the sorted canonical-section items) around V[1] at radius diameter+1,
+# sections taken from every len(embs)//4-th embedding onto each embedding.
+# Taken from the implementation before the placement search was shared.
+PLACEMENTS_PINNED = {
+    "star2": (10, "9ac04953605feca2d60fcaf25608ae844f5850a3fb371b958c2ec3de8779fa2c",
+              50, "fc728ab7e7c9d511929c5bcccafd808b76f5db7a18e8adc72398aeb10269443d"),
+    "cent23": (21, "4ac9f0511f5117ac9f1122d1394769ae3ceeac53d6ff0f0f21fe6900dbf337c5",
+               105, "5c25d31fc67f056df5f5ef72c679540755f3105be14a29a1954db0658ee1f86f"),
+    "cent24": (66, "161f2ed7a22586880fc4f715dde8662950e6d4afaddda16e60c456739cad3ac5",
+               330, "117119afb93220468d3c724c4cdf999f8ff5be441c71c15fd111ec309a7d6985"),
+    "y2": (22, "3e9ea348590f22aa81e189392fadf0b2dbefe962a149e30b608807ea6f743718",
+           110, "ce993930dd458fd416d8645474b65d602575660f14cb4b4b71aab219ecc14565"),
+}
+
+
+@pytest.mark.parametrize(
+    "name,shape",
+    [("star2", star_shape(2)), ("cent23", centipede_shape(2, 3)),
+     ("cent24", centipede_shape(2, 4)), ("y2", y_shape(2))],
+)
+def test_placements_pinned(name, shape):
+    from arbocoh.witness import canonical_section, reference_configuration
+
+    embs = enumerate_embeddings(shape, Vertex((1,)), shape.diameter() + 1)
+    # canonical_section reads only the reference placement
+    template = reference_configuration(centipede_shape(2, 3), 5)
+    secs = []
+    for e_ref in embs[:: max(1, len(embs) // 4)]:
+        ref = dataclasses.replace(template, shape=shape, embedding=e_ref)
+        secs.extend(sorted(canonical_section(ref, e).items()) for e in embs)
+    got = (
+        len(embs), hashlib.sha256(repr([e.placement for e in embs]).encode()).hexdigest(),
+        len(secs), hashlib.sha256(repr(secs).encode()).hexdigest(),
+    )
+    assert got == PLACEMENTS_PINNED[name]
 
 
 def test_hits_examples():

@@ -25,6 +25,9 @@ from arbocoh.tree import (
     identity_isometry,
     median,
     poisson_kernel,
+    word_distance,
+    word_neighbors,
+    word_path,
 )
 from arbocoh.verify import random_isometry, random_rays, random_word
 
@@ -41,6 +44,20 @@ def test_distance_examples():
     assert distance(O, O) == 0
     assert distance(O, Vertex((0,))) == 1
     assert distance(Vertex((0, 1)), Vertex((2,))) == 3
+
+
+def test_word_path_examples_and_walk():
+    assert word_path((0, 1), (2,)) == [(0, 1), (0,), (), (2,)]
+    assert word_path((1,), (1, 0, 1)) == [(1,), (1, 0), (1, 0, 1)]
+    assert word_path((), ()) == [()]
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        a = random_word(rng, 3, int(rng.integers(0, 6)))
+        b = random_word(rng, 3, int(rng.integers(0, 6)))
+        path = word_path(a, b)
+        assert (path[0], path[-1], len(path)) == (a, b, word_distance(a, b) + 1)
+        assert all(y in word_neighbors(x, 3) for x, y in zip(path, path[1:]))
+        assert word_path(b, a) == path[::-1]
 
 
 def test_gromov_product_examples():
