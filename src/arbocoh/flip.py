@@ -34,8 +34,9 @@ from .tree import (
     median,
     vertex_to_ray_path,
     word_neighbors,
-    word_path,
 )
+
+_WALK_STATES = 1 << 16  # walk states kept per branch swap
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,10 @@ class _BranchSwap:
 
     Spines are the known vertex paths from m' toward the two rays; the
     walk from m' to any vertex is replayed on the mirror side, following
-    the spine pin while on it and canonical child order off it.
+    the spine pin while on it and canonical child order off it.  Every
+    walk starts at m', so the walk state at a vertex depends only on the
+    vertex; states are kept (up to _WALK_STATES of them) and a walk
+    resumes from the last kept vertex on its path.
     """
 
     def __init__(self, q, m_prime, spine_a, spine_b):
@@ -88,29 +92,34 @@ class _BranchSwap:
         self.m = m_prime
         self.spines = {0: spine_a, 1: spine_b}
         self.reach = min(len(spine_a), len(spine_b)) - 1
+        # vertex -> (image, previous vertex, its image, spine position or
+        # -1 once off the spine, side); side None: the branch is fixed
+        self._states = {m_prime: (m_prime, None, None, 0, None)}
 
     def image(self, u):
-        path = word_path(self.m, u)
-        if len(path) == 1:
-            return u
-        side = None
-        for k in (0, 1):
-            if path[1] == self.spines[k][1]:
-                side = k
-        if side is None:
-            return u
-        src, dst = self.spines[side], self.spines[1 - side]
-        a, b = self.m, self.m
-        prev_a, prev_b = None, None
-        r = 0  # spine position while the walk follows it; -1 once off
-        for a2 in path[1:]:
-            if r >= 0 and r + 1 < len(src) and r + 1 < len(dst) and a2 == src[r + 1]:
-                a, b, prev_a, prev_b = a2, dst[r + 1], a, b
-                r += 1
-                continue
-            b2 = self._match(a, b, prev_a, prev_b, r, a2)
+        states, m = self._states, self.m
+        walk = []  # the vertices after the last kept one, from u back
+        while u not in states:
+            walk.append(u)
+            # the vertex before u on the path from m': toward m' when u
+            # is an ancestor of m', else u's parent
+            u = m[: len(u) + 1] if m[: len(u)] == u else u[:-1]
+        a = u
+        b, prev_a, prev_b, r, side = states[a]
+        for a2 in reversed(walk):
+            if a == m:
+                side = next((k for k in (0, 1) if a2 == self.spines[k][1]), None)
+            if side is None:
+                b2, r = a2, -1
+            else:
+                src, dst = self.spines[side], self.spines[1 - side]
+                if r >= 0 and r + 1 < len(src) and r + 1 < len(dst) and a2 == src[r + 1]:
+                    b2, r = dst[r + 1], r + 1
+                else:
+                    b2, r = self._match(a, b, prev_a, prev_b, r, a2), -1
             a, b, prev_a, prev_b = a2, b2, a, b
-            r = -1
+            if len(states) < _WALK_STATES:
+                states[a] = (b, prev_a, prev_b, r, side)
         return b
 
     def _match(self, a, b, prev_a, prev_b, r, a2):

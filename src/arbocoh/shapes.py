@@ -198,7 +198,7 @@ def validate_complete(s: Shape) -> bool:
     if len(s.vertices) == 1:
         return True
     ok = {1, s.q + 1}
-    return all(s.degree(v) in ok for v in s.vertices)
+    return all(len(nbrs) in ok for nbrs in s.adjacency().values())
 
 
 def _require_complete(s: Shape):

@@ -6,10 +6,20 @@ label over 0..q-1 (the q downward edges at any other vertex).  Depth of a
 word equals its distance from o, and longest-common-prefix computations
 give all distances in O(depth).
 
+Array code works with the BFS code of a word instead: a word at depth d
+with labels (a_1, ..., a_d) has rank a_1 q^(d-1) + ... + a_d, its rank in
+lexicographic order among the (q+1) q^(d-1) words of its sphere, and code
+offset[d] + rank, its position in the breadth-first order of the ball
+around o (sphere_offsets).  The parent of a word at depth d >= 2 has rank
+rank // q, the parent of a depth-1 word is o, and the children of a word
+at depth d >= 1 have ranks rank*q + lab.
+
 A RayPrefix with word w stands for the cylinder of boundary points whose
 ray from o passes through w.  Operations that consume ray prefixes verify
 that the prefix actually determines the answer and raise InsufficientDepth
 otherwise -- they never guess how a ray continues below its frontier.
+Past those checks the Gromov product is the closed form
+(d(x,a) + d(x,b) - d(a,b)) / 2 on the prefix words.
 
 Measures and kernels are exact: cylinder masses and Radon-Nikodym ratios
 are Fractions, Busemann values are ints.
@@ -25,6 +35,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import (
     DegenerateCylinder,
@@ -85,6 +97,8 @@ O = Vertex(())
 
 def check_word(word: Word, q: int) -> None:
     """Validate the label ranges of a root-based word."""
+    if not word or (min(word) >= 0 and word[0] <= q and max(word[1:], default=0) < q):
+        return
     for i, lab in enumerate(word):
         hi = q if i == 0 else q - 1
         if not 0 <= lab <= hi:
@@ -120,6 +134,13 @@ def distance(u: Vertex, v: Vertex) -> int:
     return word_distance(u.word, v.word)
 
 
+def _adjacent(a: Word, b: Word) -> bool:
+    """word_distance(a, b) == 1: one word is the other's parent."""
+    if len(a) < len(b):
+        a, b = b, a
+    return len(a) == len(b) + 1 and a[:-1] == b
+
+
 def word_path(a: Word, b: Word) -> list:
     """Words on the path from a to b: climb to the common prefix, then
     descend."""
@@ -139,34 +160,15 @@ def vertex_to_ray_path(x: Word, w: Word) -> list:
     The continuation below w is unknown; raises InsufficientDepth when w is
     a proper prefix of x (the join with the ray is then below the frontier).
     """
+    _require_vertex_above(x, w)
+    return word_path(x, w)
+
+
+def _require_vertex_above(x: Word, w: Word) -> None:
     if _is_proper_prefix(w, x):
         raise InsufficientDepth(
             f"ray prefix {list(w)} too shallow: vertex {list(x)} hangs below it"
         )
-    return word_path(x, w)
-
-
-def _geodesic_data(a, b):
-    """Known vertex path of the geodesic between a and b, plus the frontier
-    words below which the geodesic continues into unknown territory.
-
-    Returns (path_words, frontiers).  Raises NotDistinct for identical ray
-    prefixes and InsufficientDepth when divergence is not visible.
-    """
-    if isinstance(a, Vertex) and isinstance(b, Vertex):
-        return word_path(a.word, b.word), []
-    if isinstance(a, Vertex):
-        return vertex_to_ray_path(a.word, b.word), [b.word]
-    if isinstance(b, Vertex):
-        return vertex_to_ray_path(b.word, a.word), [a.word]
-    wa, wb = a.word, b.word
-    if wa == wb:
-        raise NotDistinct("identical ray prefixes do not determine a geodesic")
-    if _is_proper_prefix(wa, wb) or _is_proper_prefix(wb, wa):
-        raise InsufficientDepth(
-            f"prefixes {list(wa)}, {list(wb)} do not show where the rays diverge"
-        )
-    return word_path(wa, wb), [wa, wb]
 
 
 def gromov_product(a, b, base: Vertex) -> int:
@@ -174,15 +176,35 @@ def gromov_product(a, b, base: Vertex) -> int:
     the distance from base to the geodesic joining a and b.
 
     a and b may each be a Vertex or a RayPrefix.  Identical ray prefixes
-    raise NotDistinct (the +infinity convention is the caller's business).
+    raise NotDistinct (the +infinity convention is the caller's business);
+    InsufficientDepth is raised when a prefix does not show where the
+    geodesic leaves a vertex or the other ray, or when base hangs below a
+    ray frontier.
     """
-    path, frontiers = _geodesic_data(a, b)
+    wa, wb = a.word, b.word
+    if isinstance(a, Vertex) and isinstance(b, Vertex):
+        frontiers = ()
+    elif isinstance(a, Vertex):
+        _require_vertex_above(wa, wb)
+        frontiers = (wb,)
+    elif isinstance(b, Vertex):
+        _require_vertex_above(wb, wa)
+        frontiers = (wa,)
+    else:
+        if wa == wb:
+            raise NotDistinct("identical ray prefixes do not determine a geodesic")
+        if _is_proper_prefix(wa, wb) or _is_proper_prefix(wb, wa):
+            raise InsufficientDepth(
+                f"prefixes {list(wa)}, {list(wb)} do not show where the rays diverge"
+            )
+        frontiers = (wa, wb)
+    x = base.word
     for f in frontiers:
-        if _is_proper_prefix(f, base.word):
+        if _is_proper_prefix(f, x):
             raise InsufficientDepth(
                 f"base {base} hangs below the frontier {list(f)} of the geodesic"
             )
-    return min(word_distance(base.word, v) for v in path)
+    return (word_distance(x, wa) + word_distance(x, wb) - word_distance(wa, wb)) // 2
 
 
 def median(g0: RayPrefix, g1: RayPrefix, g2: RayPrefix) -> Vertex:
@@ -257,6 +279,57 @@ def ball_words(center: Word, radius: int, q: int) -> list:
     return out
 
 
+def sphere_offsets(q: int, depth: int) -> np.ndarray:
+    """offset[d] for d = 0..depth+1: the number of vertices closer to o
+    than d, so the ball of radius depth has codes 0..offset[depth+1]-1.
+    int64 while that fits with room to spare, Python ints beyond."""
+    sizes = [1] + [(q + 1) * q ** (d - 1) for d in range(1, depth + 1)]
+    dtype = np.int64 if sum(sizes) < 2**62 else object
+    out = np.zeros(depth + 2, dtype=dtype)
+    out[1:] = np.cumsum(np.array(sizes, dtype=dtype))
+    return out
+
+
+def word_rank(w: Word, q: int) -> int:
+    """Rank of w in its sphere: a_1 q^(d-1) + ... + a_d."""
+    r = 0
+    for lab in w:
+        r = r * q + lab
+    return r
+
+
+def parent_rank(depth, rank, q: int):
+    """Rank of the parent of the vertex (depth >= 1, rank), elementwise on
+    arrays: rank // q from depth 2 on, 0 (the basepoint) at depth 1."""
+    return np.where(depth >= 2, rank // q, 0)
+
+
+def rank_words(depth, rank, q: int) -> list:
+    """The words of the vertices (depth[i], rank[i]), in input order."""
+    depth = np.asarray(depth)
+    rank = np.asarray(rank)
+    if not len(depth):
+        return []
+    order = np.argsort(depth, kind="stable")
+    ds = depth[order]
+    cuts = (np.flatnonzero(ds[1:] != ds[:-1]) + 1).tolist()
+    words = []
+    for lo, hi in zip([0, *cuts], [*cuts, len(ds)]):
+        d = int(ds[lo])
+        if d == 0:
+            words.extend([()] * (hi - lo))
+            continue
+        powers = np.array([q**e for e in range(d - 1, -1, -1)], dtype=rank.dtype)
+        digits = rank[order[lo:hi], None] // powers
+        digits[:, 1:] %= q
+        words.extend(zip(*digits.T.tolist()))
+    if np.any(order != np.arange(len(order))):
+        slot = np.empty(len(order), dtype=np.int64)
+        slot[order] = np.arange(len(order))
+        words = [words[i] for i in slot.tolist()]
+    return words
+
+
 class TreeIsometry:
     """A finite partial automorphism: an injective, adjacency-preserving map
     on a finite connected subtree, given as a word -> word dict.
@@ -287,7 +360,7 @@ class TreeIsometry:
         for w in m:
             p = w[:-1]
             if w and p in m:
-                if word_distance(m[w], m[p]) != 1:
+                if not _adjacent(m[w], m[p]):
                     raise ValueError(
                         f"adjacency broken at {list(w)}: image not adjacent to parent image"
                     )

@@ -53,15 +53,17 @@ from .tree import (
     RayPrefix,
     TreeIsometry,
     Vertex,
-    ball_words,
     busemann,
     cylinder_measure,
     distance,
     gromov_product,
     median,
+    parent_rank,
     poisson_kernel,
+    rank_words,
+    sphere_offsets,
     word_children,
-    word_neighbors,
+    word_rank,
 )
 from .witness import (
     induced_reference_permutation,
@@ -105,36 +107,94 @@ def random_rays(rng, q, n, depth):
 
 def random_isometry(rng, q, radius, move=0):
     """Random automorphism germ on the radius ball: the basepoint goes to a
-    random word of the given length, children assigned in random order."""
-    return _random_on_domain(rng, q, ball_words((), radius, q), move)
+    random word of the given length, children assigned in random order.
+
+    Draw order: random_word(rng, q, move) for the image of the basepoint,
+    then one rng.permutation per domain word in BFS order (size q+1 at the
+    basepoint, q everywhere else, leaves included).  The k-th child of a
+    word takes the permutation's k-th entry among the neighbours of the
+    word's image, parent first and then children by label, with the
+    image of the word's parent left out."""
+    sizes = [1] + [(q + 1) * q ** (d - 1) for d in range(1, radius + 1)]
+    depth = np.repeat(np.arange(radius + 1), sizes)
+    rank = np.concatenate([np.arange(n) for n in sizes])
+    return _random_on_domain(rng, q, depth, rank, move)
 
 
 def random_isometry_on(rng, q, words, move=0):
     """Random automorphism germ defined on the ancestor closure of the
-    given words (cheap when the words are few but deep)."""
+    given words (cheap when the words are few but deep), drawn as
+    random_isometry draws it."""
     dom = set()
     for w in words:
         dom.update(w[:k] for k in range(len(w) + 1))
-    return _random_on_domain(rng, q, sorted(dom, key=lambda w: (len(w), w)), move)
+    ordered = sorted(dom, key=lambda w: (len(w), w))
+    depth = np.array([len(w) for w in ordered])
+    rank = np.array([word_rank(w, q) for w in ordered], dtype=object)
+    return _random_on_domain(rng, q, depth, rank, move, ordered)
 
 
-def _random_on_domain(rng, q, ordered_words, move):
-    """ordered_words must list parents before children and contain ()."""
-    domain = set(ordered_words)
-    mapping = {(): random_word(rng, q, move)}
-    for u in ordered_words:
-        fu = mapping[u]
-        used, unmapped = set(), []
-        for nb in word_neighbors(u, q):
-            if nb in mapping:
-                used.add(mapping[nb])
-            elif nb in domain and len(nb) > len(u):
-                unmapped.append(nb)
-        avail = [w for w in word_neighbors(fu, q) if w not in used]
-        idx = list(rng.permutation(len(avail)))
-        for k, nb in enumerate(unmapped):
-            mapping[nb] = avail[idx[k]]
-    return TreeIsometry(q, mapping)
+def _random_on_domain(rng, q, depth, rank, move, words=None):
+    """The isometry on the domain given by BFS codes (depth, rank), sorted
+    by code and closed under parents; words are the domain words when the
+    caller has them.  Images are computed one depth layer at a time."""
+    n, top = len(depth), int(depth[-1])
+    offsets = sphere_offsets(q, top + move)
+    rank = rank.astype(offsets.dtype)
+    code = offsets[depth] + rank
+    # for words 1..n-1: the parent's index, and the position among the
+    # parent's children in the domain
+    par = np.searchsorted(code, offsets[depth[1:] - 1] + parent_rank(depth[1:], rank[1:], q))
+    sib = np.arange(n - 1) - np.searchsorted(par, par)
+
+    root = random_word(rng, q, move)
+    perms = np.zeros((n, q + 1), dtype=np.int64)
+    perms[0] = rng.permutation(q + 1)
+    # permuted shuffles row after row with the draws of one
+    # rng.permutation(q) per row (the tests compare the two)
+    perms[1:, :q] = rng.permuted(np.tile(np.arange(q), (n - 1, 1)), axis=1)
+    pick = perms[par, sib]
+
+    # image of each word as (depth, rank), and the index of its parent's
+    # image among the neighbours of its own image (q+1: none, at the root)
+    img_d = np.zeros(n, dtype=np.int64)
+    img_r = np.zeros(n, dtype=rank.dtype)
+    skip = np.zeros(n, dtype=np.int64)
+    img_d[0], img_r[0], skip[0] = len(root), word_rank(root, q), q + 1
+    bounds = np.searchsorted(depth, np.arange(top + 2))
+    for d in range(1, top + 1):
+        lo, hi = bounds[d], bounds[d + 1]
+        p, j = par[lo - 1:hi - 1], pick[lo - 1:hi - 1]
+        t = j + (j >= skip[p])  # neighbour index: 0 = parent, 1 + lab = child
+        e, r = img_d[p], img_r[p]
+        up = (e > 0) & (t == 0)
+        img_d[lo:hi] = np.where(up, e - 1, e + 1)
+        img_r[lo:hi] = np.where(up, parent_rank(e, r, q), np.where(e > 0, r * q + t - 1, t))
+        skip[lo:hi] = np.where(up, np.where(e == 1, r, 1 + r % q), 0)
+    _check_image(q, par, img_d, img_r)
+
+    if words is None:
+        words = rank_words(depth, rank, q)
+    return TreeIsometry(q, dict(zip(words, rank_words(img_d, img_r, q))), validate=False)
+
+
+def _check_image(q, par, img_d, img_r):
+    """Array form of TreeIsometry validation for a map on a domain closed
+    under parents (par[i-1] is the parent of word i): images in range,
+    pairwise distinct, and each adjacent to its parent's image."""
+    if img_d.min() < 0 or img_r.min() < 0:
+        raise ValueError("image code out of range")
+    offsets = sphere_offsets(q, int(img_d.max()))
+    if np.any(img_r >= offsets[img_d + 1] - offsets[img_d]):
+        raise ValueError("image code out of range")
+    code = np.sort(offsets[img_d] + img_r)
+    if np.any(code[1:] == code[:-1]):
+        raise ValueError("mapping is not injective")
+    cd, cr, pd, pr = img_d[1:], img_r[1:], img_d[par], img_r[par]
+    down = (cd == pd + 1) & (parent_rank(cd, cr, q) == pr)
+    up = (pd == cd + 1) & (parent_rank(pd, pr, q) == cr)
+    if not np.all(down | up):
+        raise ValueError("adjacency broken: image not adjacent to parent image")
 
 
 def _check(name, passed, **detail):
@@ -301,7 +361,7 @@ def brute_force_automorphisms(s: Shape):
         for cand in ids:
             if cand in img.values():
                 continue
-            if s.degree(cand) != s.degree(v):
+            if len(adj[cand]) != len(adj[v]):
                 continue
             if all(cand in adj[img[nb]] for nb in placed_nbrs):
                 img[v] = cand

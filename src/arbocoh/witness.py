@@ -173,7 +173,7 @@ def _carrying_isometry(ref: ReferenceConfiguration, g, h, e) -> TreeIsometry | N
     InsufficientDepth."""
     s = ref.shape
     q = s.q
-    k = classify_shape(s).k
+    k = len(ref.spine_ids) - 1
     lwords = _geodesic_words(g, h)
     lset = set(lwords)
     image = e.image_words()

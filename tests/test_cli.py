@@ -1,5 +1,6 @@
 """The batch CLI: subcommands, exit codes, and byte-deterministic output."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -225,3 +226,41 @@ def test_input_errors_exit_2(argv, tmp_path):
     assert out.returncode == 2
     assert json.loads(out.stdout)["error"] in ("InvalidInput", "InvalidDescriptor")
     assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["--seed", "2", "verify", "geometry"],
+            "a1846956af7d16591f343e60c850c9f7d80f7e4400587d45a105ce0384068837",
+        ),
+        (
+            ["--seed", "2", "verify", "flip"],
+            "3003f0a0df3cdfe0fcae04a431182e0af3f87a00712cbbf3a8ca63520f6d2e3d",
+        ),
+        (
+            ["--seed", "7", "flip-demo", "--q", "3"],
+            "c88c1db458ed7b6427141f69a2df89e98601b0df7c2ad140b4668fd4330ec578",
+        ),
+    ],
+)
+def test_pinned_reports(capsys, argv, digest):
+    # sha256 of stdout, computed before BFS-coded isometries, the closed-form
+    # Gromov product and kept branch-swap walk states
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_module_entry_point():
+    """`python -m arbocoh` runs the same command line as the script."""
+    src = os.path.dirname(os.path.dirname(arbocoh.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "ARBOCOH_CONFIG"}
+    env["PYTHONPATH"] = src
+    out = subprocess.run(
+        [sys.executable, "-m", "arbocoh", "--seed", "2", "verify", "groups"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0
+    assert json.loads(out.stdout)["suite"] == "groups"

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from arbocoh import flip
 from arbocoh.config import Config
 from arbocoh.errors import InsufficientDepth, NotDistinct, SubtreeHitsTriple, TooManyRays
 from arbocoh.flip import check_flip_witness, find_flip
 from arbocoh.shapes import edge_shape, enumerate_embeddings, star_shape
-from arbocoh.tree import RayPrefix, Vertex
+from arbocoh.tree import RayPrefix, Vertex, word_path
 from arbocoh.verify import flip_suite, random_flip_instance, random_rays
 
 
@@ -139,3 +140,54 @@ def test_clustered_rays_fuzz():
             continue
         w = find_flip(q, rays, None, depth)
         assert not check_flip_witness(q, rays, None, w), f"instance {k}"
+
+
+def _walk_from_m_prime(self, u):
+    """_BranchSwap.image without kept walk states: every call replays the
+    whole walk from m'."""
+    path = word_path(self.m, u)
+    if len(path) == 1:
+        return u
+    side = None
+    for k in (0, 1):
+        if path[1] == self.spines[k][1]:
+            side = k
+    if side is None:
+        return u
+    src, dst = self.spines[side], self.spines[1 - side]
+    a, b = self.m, self.m
+    prev_a, prev_b = None, None
+    r = 0
+    for a2 in path[1:]:
+        if r >= 0 and r + 1 < len(src) and r + 1 < len(dst) and a2 == src[r + 1]:
+            a, b, prev_a, prev_b = a2, dst[r + 1], a, b
+            r += 1
+            continue
+        b2 = self._match(a, b, prev_a, prev_b, r, a2)
+        a, b, prev_a, prev_b = a2, b2, a, b
+        r = -1
+    return b
+
+
+def _flip_outcomes(instances):
+    out = []
+    for q, rays, s in instances:
+        try:
+            w = find_flip(q, rays, s, 12)
+        except Exception as exc:
+            out.append((type(exc), str(exc)))
+        else:
+            out.append((w.i, w.j, w.h.mapping, w.certified_depth))
+    return out
+
+
+def test_kept_walk_states_match_per_call_walk(monkeypatch):
+    rng = np.random.default_rng(2024)
+    instances = []
+    for q in (2, 3):
+        for _ in range(300):
+            rays, s = random_flip_instance(rng, q, 12)
+            instances.append((q, rays, s))
+    kept = _flip_outcomes(instances)
+    monkeypatch.setattr(flip._BranchSwap, "image", _walk_from_m_prime)
+    assert _flip_outcomes(instances) == kept

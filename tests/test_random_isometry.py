@@ -1,0 +1,165 @@
+"""Random isometry germs drawn on BFS codes: equal to the per-vertex draw,
+draw for draw, and the array validation that replaces the dict one."""
+
+import numpy as np
+import pytest
+
+from arbocoh.shapes import centipede_shape, star_shape
+from arbocoh.tree import TreeIsometry, ball_words, word_neighbors, word_rank
+from arbocoh.verify import _check_image, random_isometry, random_isometry_on, random_word
+from arbocoh.witness import reference_configuration
+
+
+def _per_vertex_draw(rng, q, ordered_words, move):
+    """The per-vertex loop the array code replaces: one rng.permutation per
+    domain word, in the given parents-first order."""
+    domain = set(ordered_words)
+    mapping = {(): random_word(rng, q, move)}
+    for u in ordered_words:
+        fu = mapping[u]
+        used, unmapped = set(), []
+        for nb in word_neighbors(u, q):
+            if nb in mapping:
+                used.add(mapping[nb])
+            elif nb in domain and len(nb) > len(u):
+                unmapped.append(nb)
+        avail = [w for w in word_neighbors(fu, q) if w not in used]
+        idx = list(rng.permutation(len(avail)))
+        for k, nb in enumerate(unmapped):
+            mapping[nb] = avail[idx[k]]
+    return TreeIsometry(q, mapping)
+
+
+def _ancestor_closure(words):
+    dom = set()
+    for w in words:
+        dom.update(w[:k] for k in range(len(w) + 1))
+    return sorted(dom, key=lambda w: (len(w), w))
+
+
+def _assert_same_draw(seed, draw_old, draw_new):
+    r_old, r_new = np.random.default_rng(seed), np.random.default_rng(seed)
+    r_old.integers(0, 7)  # start both mid-stream
+    r_new.integers(0, 7)
+    old, new = draw_old(r_old), draw_new(r_new)
+    assert new.mapping == old.mapping
+    assert list(new.mapping) == list(old.mapping)
+    assert r_new.bit_generator.state == r_old.bit_generator.state
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("radius", range(8))
+def test_ball_draw_matches_per_vertex_loop(q, radius):
+    words = ball_words((), radius, q)
+    for move in range(3):
+        _assert_same_draw(
+            100 * q + 10 * radius + move,
+            lambda rng: _per_vertex_draw(rng, q, words, move),
+            lambda rng: random_isometry(rng, q, radius, move),
+        )
+
+
+def _witness_words(shape, depth):
+    ref = reference_configuration(shape, depth)
+    return [ref.gamma0.word, ref.gamma1.word] + sorted(ref.embedding.image_words())
+
+
+@pytest.mark.parametrize(
+    "q, words",
+    [
+        (2, _witness_words(centipede_shape(2, 4), 10)),
+        (2, _witness_words(centipede_shape(2, 3), 9)),
+        (3, _witness_words(star_shape(3), 8)),
+    ],
+)
+def test_witness_closure_draw_matches_per_vertex_loop(q, words):
+    ordered = _ancestor_closure(words)
+    for seed in range(40):
+        move = seed % 3
+        _assert_same_draw(
+            seed,
+            lambda rng: _per_vertex_draw(rng, q, ordered, move),
+            lambda rng: random_isometry_on(rng, q, words, move),
+        )
+
+
+def test_random_closure_draw_matches_per_vertex_loop():
+    rng = np.random.default_rng(17)
+    for seed in range(200):
+        q = int(rng.integers(2, 5))
+        words = [random_word(rng, q, int(rng.integers(0, 14))) for _ in range(int(rng.integers(1, 7)))]
+        move = int(rng.integers(0, 3))
+        ordered = _ancestor_closure(words)
+        _assert_same_draw(
+            seed,
+            lambda r: _per_vertex_draw(r, q, ordered, move),
+            lambda r: random_isometry_on(r, q, words, move),
+        )
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_deep_closure_beyond_int64_codes(q):
+    # depth 70 ranks exceed 2**63 at both q: codes become Python ints
+    rng = np.random.default_rng(q)
+    words = [random_word(rng, q, 70), random_word(rng, q, 66)]
+    ordered = _ancestor_closure(words)
+    _assert_same_draw(
+        3,
+        lambda r: _per_vertex_draw(r, q, ordered, 2),
+        lambda r: random_isometry_on(r, q, words, 2),
+    )
+
+
+def _image_arrays(f):
+    words = list(f.mapping)
+    index = {w: i for i, w in enumerate(words)}
+    par = np.array([index[w[:-1]] for w in words[1:]], dtype=np.int64)
+    imgs = [f.mapping[w] for w in words]
+    img_d = np.array([len(v) for v in imgs], dtype=np.int64)
+    img_r = np.array([word_rank(v, f.q) for v in imgs], dtype=np.int64)
+    return words, par, img_d, img_r
+
+
+def test_image_check_accepts_drawn_isometries():
+    rng = np.random.default_rng(4)
+    for q in (2, 3):
+        f = random_isometry(rng, q, 4, move=2)
+        _words, par, img_d, img_r = _image_arrays(f)
+        _check_image(q, par, img_d, img_r)
+
+
+def test_image_check_rejects_corruptions():
+    q = 3
+    f = random_isometry(np.random.default_rng(8), q, 3, move=1)
+    words, par, img_d, img_r = _image_arrays(f)
+    index = {w: i for i, w in enumerate(words)}
+
+    # two images swapped: a depth-1 word and a depth-3 word
+    i, j = index[(0,)], index[(2, 1, 0)]
+    d, r = img_d.copy(), img_r.copy()
+    d[[i, j]], r[[i, j]] = d[[j, i]], r[[j, i]]
+    with pytest.raises(ValueError, match="adjacency broken"):
+        _check_image(q, par, d, r)
+
+    # a duplicated image: two siblings sent to the same vertex
+    i, j = index[(1, 0)], index[(1, 1)]
+    d, r = img_d.copy(), img_r.copy()
+    d[j], r[j] = d[i], r[i]
+    with pytest.raises(ValueError, match="not injective"):
+        _check_image(q, par, d, r)
+
+    # a broken adjacency: a leaf sent to an unused vertex far from its
+    # parent's image
+    used = set(zip(img_d.tolist(), img_r.tolist()))
+    far = next(rk for rk in range(4 * 3**5) if (6, rk) not in used)
+    d, r = img_d.copy(), img_r.copy()
+    d[index[(2, 2, 2)]], r[index[(2, 2, 2)]] = 6, far
+    with pytest.raises(ValueError, match="adjacency broken"):
+        _check_image(q, par, d, r)
+
+    # a rank beyond its sphere
+    d, r = img_d.copy(), img_r.copy()
+    i = index[(0, 0)]
+    r[i] = (q + 1) * q ** (d[i] - 1) if d[i] else 1
+    with pytest.raises(ValueError, match="out of range"):
+        _check_image(q, par, d, r)

@@ -3,6 +3,8 @@ values, visual measures, and finite isometries."""
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arbocoh.errors import (
     DegenerateCylinder,
@@ -27,6 +29,7 @@ from arbocoh.tree import (
     poisson_kernel,
     word_distance,
     word_neighbors,
+    vertex_to_ray_path,
     word_path,
 )
 from arbocoh.verify import random_isometry, random_rays, random_word
@@ -64,6 +67,69 @@ def test_gromov_product_examples():
     assert gromov_product(RayPrefix((0, 0)), RayPrefix((1, 0)), O) == 0
     assert gromov_product(RayPrefix((0, 0, 1)), RayPrefix((0, 1, 0)), O) == 1
     assert gromov_product(Vertex((0, 1)), Vertex((0,)), O) == 1
+
+
+def _path_min_gromov(a, b, base):
+    """Gromov product as the distance from base to the known geodesic
+    path, with the prefix checks of the closed form: the oracle."""
+
+    def proper_prefix(u, w):
+        return len(u) < len(w) and w[: len(u)] == u
+
+    if isinstance(a, Vertex) and isinstance(b, Vertex):
+        path, frontiers = word_path(a.word, b.word), []
+    elif isinstance(a, Vertex):
+        path, frontiers = vertex_to_ray_path(a.word, b.word), [b.word]
+    elif isinstance(b, Vertex):
+        path, frontiers = vertex_to_ray_path(b.word, a.word), [a.word]
+    else:
+        wa, wb = a.word, b.word
+        if wa == wb:
+            raise NotDistinct("identical ray prefixes do not determine a geodesic")
+        if proper_prefix(wa, wb) or proper_prefix(wb, wa):
+            raise InsufficientDepth(
+                f"prefixes {list(wa)}, {list(wb)} do not show where the rays diverge"
+            )
+        path, frontiers = word_path(wa, wb), [wa, wb]
+    for f in frontiers:
+        if proper_prefix(f, base.word):
+            raise InsufficientDepth(
+                f"base {base} hangs below the frontier {list(f)} of the geodesic"
+            )
+    return min(word_distance(base.word, v) for v in path)
+
+
+@st.composite
+def gromov_inputs(draw):
+    """Two points and a base at q in {2, 3}; each word keeps a random
+    prefix of an earlier one, so prefix relations and equal words are
+    frequent."""
+    q = draw(st.sampled_from([2, 3]))
+
+    def word(stem):
+        w = list(stem[: draw(st.integers(0, len(stem)))])
+        for _ in range(draw(st.integers(0, 4))):
+            w.append(draw(st.integers(0, q if not w else q - 1)))
+        return tuple(w)
+
+    wa = word(())
+    wb = word(wa)
+    wx = word(draw(st.sampled_from([wa, wb])))
+    a, b = (draw(st.sampled_from([Vertex, RayPrefix]))(w) for w in (wa, wb))
+    return a, b, Vertex(wx)
+
+
+@settings(max_examples=600, deadline=None)
+@given(gromov_inputs())
+def test_gromov_closed_form_matches_path_min(args):
+    try:
+        want = _path_min_gromov(*args)
+    except (NotDistinct, InsufficientDepth) as exc:
+        with pytest.raises(type(exc)) as got:
+            gromov_product(*args)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+    else:
+        assert gromov_product(*args) == want
 
 
 def test_gromov_product_identical_rays_rejected():
