@@ -27,10 +27,11 @@ closure, say) keep the float64 table, validated by row and column
 orthogonality.  A failed separation or check retries with a fresh
 combination before raising NumericalDegeneracy.
 
-realize_irrep builds actual unitary matrices: project the regular
-representation onto the chosen isotypic component, then split off a single
-irreducible copy as an eigenspace of a random averaged (hence commuting)
-Hermitian operator.
+A table keeps one class id per group element; a model keeps one
+(|G|, d, d) array of matrices in element order.  realize_irrep builds
+them: project the regular representation onto the chosen isotypic
+component, then split off a single irreducible copy as an eigenspace of a
+random averaged (hence commuting) Hermitian operator.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonIntegralDimension, NumericalDegeneracy
-from .perm import PermGroup, Permutation, check_subgroup, class_ids, conjugacy_classes
+from .perm import PermGroup, Permutation, conjugacy_classes, subgroup_indices
 
 _ORTHO_TOL = 1e-9
 _SEP_TOL = 1e-10  # eigenvalue gaps below this times the largest |eigenvalue| retry
@@ -56,7 +57,8 @@ class CharacterTable:
     """Rows are irreducible characters, columns are conjugacy classes."""
 
     group: PermGroup
-    classes: tuple  # tuple of tuples of Permutation
+    # class of each element, in element order; classes by (size, least element)
+    class_ids: np.ndarray = field(compare=False, repr=False)
     # rows x classes: int64 when every character is integral, else complex
     characters: np.ndarray = field(compare=False)
     degrees: tuple = ()
@@ -74,24 +76,21 @@ class CharacterTable:
         return hash((self.group, self.degrees))
 
     def class_sizes(self) -> tuple:
-        return tuple(len(c) for c in self.classes)
+        return tuple(np.bincount(self.class_ids).tolist())
 
-    def element_class_ids(self) -> np.ndarray:
-        """Class position of each element of the group, in element order."""
-        if not hasattr(self, "_ids"):
-            ids = class_ids(self.group, self.classes)
-            ids.flags.writeable = False
-            object.__setattr__(self, "_ids", ids)
-        return self._ids
+    @functools.cached_property
+    def classes(self) -> tuple:
+        """Each class as a sorted tuple of elements: a view for the API and
+        the tests, built on first use."""
+        ids = self.class_ids.tolist()
+        return tuple(
+            tuple(sorted(p for p, i in zip(self.group.elements, ids) if i == c))
+            for c in range(self.n_rows)
+        )
 
     def class_index(self, p: Permutation) -> int:
-        return self._class_of()[p]
-
-    def _class_of(self) -> dict:
-        if not hasattr(self, "_class_map"):
-            ids = self.element_class_ids().tolist()
-            object.__setattr__(self, "_class_map", dict(zip(self.group.elements, ids)))
-        return self._class_map
+        """Class of p; KeyError when p is not a group element."""
+        return int(self.class_ids[self.group.index(p)])
 
     def value(self, row: int, p: Permutation) -> complex:
         return complex(self.characters[row, self.class_index(p)])
@@ -110,32 +109,37 @@ class CharacterTable:
         return float(np.max(np.abs((gram - target) * (n[:, None] / self.group.order))))
 
     def to_json(self) -> dict:
+        reps = self.group.array[_least_elements(self.group, self.class_ids)].tolist()
         return {
             "order": self.group.order,
             "degrees": list(self.degrees),
-            "classes": [
-                {"size": len(c), "representative": list(c[0].mapping)}
-                for c in self.classes
-            ],
+            "classes": [{"size": n, "representative": r} for n, r in zip(self.class_sizes(), reps)],
             "characters": [
                 [[float(v.real), float(v.imag)] for v in row] for row in self.characters
             ],
         }
 
 
-def _class_constants(G: PermGroup, classes) -> np.ndarray:
-    """c[i, j, l] = #{x in C_i : x^{-1} z_l in C_j} for class reps z_l.
+def _least_elements(G: PermGroup, ids: np.ndarray) -> np.ndarray:
+    """Element index of the least element (by image tuple) of each class."""
+    lex = G._row_index()[1]
+    return lex[np.unique(ids[lex], return_index=True)[1]]
+
+
+def _class_constants(G: PermGroup, ids: np.ndarray) -> np.ndarray:
+    """c[i, j, l] = #{x in C_i : x^{-1} z_l in C_j} for the least elements
+    z_l of the classes, given the class id of each element.
 
     One gather per representative: column z_l of the inverse-element
     array holds every product x^{-1} z_l at once, the row index of G
     turns those into element indices, and a bincount of the (class of x,
     class of product) pairs fills the slice c[:, :, l]."""
-    k = len(classes)
-    ids = class_ids(G, classes)
+    reps = _least_elements(G, ids)
+    k = len(reps)
     inv = np.argsort(G.array, axis=1).astype(G.array.dtype)  # row x: x^{-1}
     c = np.empty((k, k, k), dtype=np.int64)
-    for ell, cls in enumerate(classes):
-        prod = ids[G.indices(inv[:, list(cls[0].mapping)])]
+    for ell, z in enumerate(reps):
+        prod = ids[G.indices(inv[:, G.array[z]])]
         c[:, :, ell] = np.bincount(ids * k + prod, minlength=k * k).reshape(k, k)
     return c
 
@@ -144,13 +148,13 @@ def _class_constants(G: PermGroup, classes) -> np.ndarray:
 def character_table(G: PermGroup, retries: int = 8, seed: int = 12345) -> CharacterTable:
     """Full character table of G; see the module docstring.  Rows are
     sorted by degree, then by their values in class order."""
-    classes = tuple(conjugacy_classes(G))
-    k = len(classes)
+    ids = conjugacy_classes(G)
+    sizes = np.bincount(ids).astype(float)
+    k = len(sizes)
     if k == 1:
-        return CharacterTable(G, classes, np.ones((1, 1), dtype=np.int64), (1,))
+        return CharacterTable(G, ids, np.ones((1, 1), dtype=np.int64), (1,))
 
-    sizes = np.array([len(c) for c in classes], dtype=float)
-    A = _class_constants(G, classes)  # A[i, j, l] = a_ijl
+    A = _class_constants(G, ids)  # A[i, j, l] = a_ijl
     rng = np.random.default_rng(seed)
     last_err = None
     for _ in range(retries):
@@ -172,12 +176,12 @@ def character_table(G: PermGroup, retries: int = 8, seed: int = 12345) -> Charac
         chi = W * deg[:, None] / sizes
         X = np.rint(chi.real)
         if np.abs(chi - X).max() < _INT_TOL:
-            table = _integral_table(G, classes, X, A)
+            table = _integral_table(G, ids, X, A)
             if table is not None:
                 return table
             last_err = "rounded table failed the exact checks"
             continue
-        table = _float_table(G, classes, chi, deg)
+        table = _float_table(G, ids, chi, deg)
         if (
             table.row_orthogonality_residual() < _ORTHO_TOL
             and table.column_orthogonality_residual() < _ORTHO_TOL
@@ -188,7 +192,7 @@ def character_table(G: PermGroup, retries: int = 8, seed: int = 12345) -> Charac
     raise NumericalDegeneracy(f"character table failed after {retries} tries: {last_err}")
 
 
-def _integral_table(G: PermGroup, classes, X, A):
+def _integral_table(G: PermGroup, ids, X, A):
     """The table with rounded rows X (float, class 0 the identity) when the
     exact checks of the module docstring prove it, else None."""
     order = G.order
@@ -203,18 +207,18 @@ def _integral_table(G: PermGroup, classes, X, A):
     rows = sorted(X.astype(np.int64).tolist())  # degree first: column 0
     X = np.array(rows, dtype=dt)
     d = X[:, [0]]
-    W = X * np.array([len(c) for c in classes], dtype=dt)  # W[a, l] = n_l chi_a(l)
+    W = X * np.bincount(ids).astype(dt)  # W[a, l] = n_l chi_a(l)
     if not np.array_equal(W @ X.T, np.diag([order] * len(rows))):
         return None
     A = A.astype(dt)
-    for i in range(len(classes)):
+    for i in range(len(rows)):
         # row a, column j: chi_a(1) sum_l a_ijl W[a, l] == W[a, i] W[a, j]
         if not np.array_equal(d * (W @ A[i].T), W[:, [i]] * W):
             return None
-    return CharacterTable(G, classes, X.astype(np.int64), tuple(r[0] for r in rows))
+    return CharacterTable(G, ids, X.astype(np.int64), tuple(r[0] for r in rows))
 
 
-def _float_table(G: PermGroup, classes, chi, deg):
+def _float_table(G: PermGroup, ids, chi, deg):
     """The table with float rows, sorted like the integral one; values are
     compared to 9 decimals so that rounding noise cannot swap rows."""
     key = [
@@ -222,15 +226,13 @@ def _float_table(G: PermGroup, classes, chi, deg):
         for d, row in zip(deg, chi.tolist())
     ]
     perm = sorted(range(len(key)), key=key.__getitem__)
-    return CharacterTable(G, classes, chi[perm].astype(complex), tuple(key[a][0] for a in perm))
+    return CharacterTable(G, ids, chi[perm].astype(complex), tuple(key[a][0] for a in perm))
 
 
 def class_counts(t: CharacterTable, H: PermGroup) -> np.ndarray:
     """The class-count vector of a subgroup H of t.group: entry l is the
     number of elements of H in class l."""
-    check_subgroup(t.group, H)
-    ids = t.element_class_ids()[t.group.indices(H.array)]
-    return np.bincount(ids, minlength=len(t.classes))
+    return np.bincount(t.class_ids[subgroup_indices(t.group, H)], minlength=t.n_rows)
 
 
 def dim_from_counts(t: CharacterTable, row: int, counts, order: int) -> int:
@@ -258,26 +260,26 @@ def invariant_dim(t: CharacterTable, row: int, H: PermGroup) -> int:
 
 @dataclass(frozen=True)
 class IrrepModel:
-    """Unitary matrices for one irreducible row, indexed by group element."""
+    """Unitary matrices for one irreducible row, one per element in element order."""
 
     table: CharacterTable
     row: int
-    matrices: dict = field(compare=False)
+    matrices: np.ndarray = field(compare=False, repr=False)  # (|G|, d, d)
+
+    def __post_init__(self):
+        self.matrices.flags.writeable = False
 
     @property
     def degree(self) -> int:
         return self.table.degrees[self.row]
 
     def matrix(self, p: Permutation) -> np.ndarray:
-        return self.matrices[p]
+        """The matrix of p; KeyError when p is not a group element."""
+        return self.matrices[self.table.group.index(p)]
 
     def subspace_projector(self, H: PermGroup) -> np.ndarray:
         """Orthogonal projector onto the H-fixed subspace."""
-        d = self.degree
-        P = np.zeros((d, d), dtype=complex)
-        for h in H.elements:
-            P += self.matrices[h]
-        return P / H.order
+        return self.matrices[subgroup_indices(self.table.group, H)].sum(axis=0) / H.order
 
 
 @functools.lru_cache(maxsize=_IRREP_CACHE_SIZE)
@@ -285,27 +287,15 @@ def realize_irrep(t: CharacterTable, row: int, seed: int = 7, tol: float = 1e-10
     """Explicit unitary matrices realizing one character row."""
     G = t.group
     d = t.degrees[row]
+    chi = t.characters[row, t.class_ids].astype(complex)  # chi[i]: chi(element i)
     if d == 1:
-        mats = {
-            g: np.array([[complex(t.characters[row, t.class_index(g)])]])
-            for g in G.elements
-        }
-        return IrrepModel(t, row, mats)
+        return IrrepModel(t, row, chi.reshape(-1, 1, 1))
 
     order = G.order
-    elems = list(G.elements)
-    idx = {g: i for i, g in enumerate(elems)}
-    reg = {}
-    for g in elems:
-        P = np.zeros((order, order))
-        for h in elems:
-            P[idx[g * h], idx[h]] = 1.0
-        reg[g] = P
-
-    chi = {g: complex(t.characters[row, t.class_index(g)]) for g in elems}
+    # mult[g, h] = g * h: the regular matrix of g has its 1s at (mult[g, h], h)
+    mult = G.indices(G.array[:, G.array]).reshape(order, order)
     proj = np.zeros((order, order), dtype=complex)
-    for g in elems:
-        proj += np.conj(chi[g]) * reg[g]
+    proj[mult, np.arange(order)] += np.conj(chi)[:, None]
     proj *= d / order
 
     vals, vecs = np.linalg.eigh(proj)
@@ -315,7 +305,8 @@ def realize_irrep(t: CharacterTable, row: int, seed: int = 7, tol: float = 1e-10
             f"isotypic projector rank {int(keep.sum())} != degree^2 {d * d}"
         )
     basis = vecs[:, keep]  # order x d^2, orthonormal
-    sigma = {g: basis.conj().T @ reg[g] @ basis for g in elems}
+    # basis^H reg(g) is basis^H with column h taken from column g * h
+    sigma = [basis.conj().T[:, mult[g]] @ basis for g in range(order)]
 
     # split off one irreducible copy: eigenspace of a random averaged
     # Hermitian operator, which lies in the commutant of sigma
@@ -324,15 +315,14 @@ def realize_irrep(t: CharacterTable, row: int, seed: int = 7, tol: float = 1e-10
         X = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
         X = X + X.conj().T
         T = np.zeros_like(X)
-        for g in elems:
-            T += sigma[g] @ X @ sigma[g].conj().T
+        for s_g in sigma:
+            T += s_g @ X @ s_g.conj().T
         T /= order
         tvals, tvecs = np.linalg.eigh(T)
         groups = _group_close(tvals, 1e-8)
         if all(len(g) == d for g in groups):
             C = tvecs[:, groups[0]]  # d^2 x d
-            mats = {g: C.conj().T @ sigma[g] @ C for g in elems}
-            model = IrrepModel(t, row, mats)
+            model = IrrepModel(t, row, np.stack([C.conj().T @ s_g @ C for s_g in sigma]))
             _validate_model(model, chi, tol)
             return model
     raise NumericalDegeneracy("could not split a single irreducible copy")
@@ -348,11 +338,9 @@ def _group_close(vals, tol):
     return groups
 
 
-def _validate_model(model: IrrepModel, chi: dict, tol: float):
-    d = model.degree
-    eye = np.eye(d)
-    for g, M in model.matrices.items():
-        if np.max(np.abs(M @ M.conj().T - eye)) > tol:
-            raise NumericalDegeneracy(f"model not unitary at {g}")
-        if abs(np.trace(M) - chi[g]) > tol:
-            raise NumericalDegeneracy(f"trace mismatch at {g}")
+def _validate_model(model: IrrepModel, chi: np.ndarray, tol: float):
+    M = model.matrices
+    if np.abs(M @ M.conj().transpose(0, 2, 1) - np.eye(model.degree)).max() > tol:
+        raise NumericalDegeneracy("model not unitary")
+    if np.abs(np.trace(M, axis1=1, axis2=2) - chi).max() > tol:
+        raise NumericalDegeneracy("model traces differ from the character")

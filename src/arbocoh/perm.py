@@ -14,11 +14,11 @@ searchsorted.  The heavy operations are numpy gathers on that array:
   index maps until each class carries one label;
 * stabilizers are row masks.
 
-The Permutation objects of `elements` are a view of the rows for the API
-and the tests; a user-built Permutation is checked to be a bijection, and
-products, inverses and group rows skip that check.  Aut(S) of the shapes
-in this library has order at most a few tens of thousands, and a
-GroupTooLarge guard keeps that honest.
+A group holds no Permutation per element: membership, class lookups and
+model matrices go through the key index.  Permutation stays the type of
+user input and generators; a user-built one is checked to be a bijection,
+and products and inverses skip that check.  Enumeration stops with
+GroupTooLarge past DEFAULT_ORDER_BOUND = 10^6 elements.
 
 shape_automorphism_group computes Aut(S) of a finite tree from the rooted
 subtree codes of `treecode`, hung from the tree centre: sibling subtrees
@@ -39,6 +39,7 @@ from .errors import GroupTooLarge, NotASubgroup
 from .shapes import Shape
 
 DEFAULT_ORDER_BOUND = 10**6
+SUBGROUP_SEARCH_MAX_ORDER = 120  # all_subgroups refuses larger groups
 _AUT_CACHE_SIZE = 128
 _RADIX_MAX_DEGREE = 15  # 15^15 < 2^63 < 16^16
 
@@ -115,39 +116,53 @@ def _keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.itemsize * n))).ravel()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PermGroup:
-    """A fully enumerated permutation group.  `array` row i is the image
-    tuple of `elements[i]`, in deterministic (breadth-first discovery)
-    order."""
+    """A fully enumerated permutation group, equal to another with the same
+    degree and array.  `array` row i is the image tuple of element i, in
+    deterministic (breadth-first discovery) order.  A group given by its
+    rows alone (a stabilizer, a subgroup) has generators None."""
 
     degree: int
-    generators: tuple
-    elements: tuple
-    element_set: frozenset = field(repr=False, compare=False)
-    array: np.ndarray = field(repr=False, compare=False)
+    generators: tuple | None
+    array: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         self.array.flags.writeable = False
-        # equal groups have equal arrays; hashing the bytes is cheaper than
-        # hashing every Permutation of `elements`
-        object.__setattr__(self, "_hash", hash((self.degree, self.array.tobytes())))
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, PermGroup)
+            and self.degree == other.degree
+            and np.array_equal(self.array, other.array)
+        )
 
     def __hash__(self):
+        if not hasattr(self, "_hash"):
+            object.__setattr__(self, "_hash", hash((self.degree, self.array.tobytes())))
         return self._hash
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.array)
+
+    @functools.cached_property
+    def elements(self) -> tuple:
+        """The rows as Permutations, in element order: a view for the API
+        and the tests, built on first use."""
+        return tuple(map(Permutation._trusted, map(tuple, self.array.tolist())))
 
     def __contains__(self, p: Permutation) -> bool:
-        return p in self.element_set
+        return p.degree == self.degree and self.indices([p.mapping])[0] >= 0
+
+    def index(self, p: Permutation) -> int:
+        """Element index of p; KeyError when p is not an element."""
+        if p not in self:
+            raise KeyError(p)
+        return int(self.indices([p.mapping])[0])
 
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)
-
-    def key(self) -> frozenset:
-        return self.element_set
 
     def _row_index(self):
         """(sorted row keys, element index of each sorted key), built once."""
@@ -164,14 +179,6 @@ class PermGroup:
         want = _keys(np.asarray(rows, dtype=self.array.dtype).reshape(-1, self.degree))
         pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
         return np.where(keys[pos] == want, order[pos], -1)
-
-
-def _group(degree: int, rows: np.ndarray, generators: tuple | None = None) -> PermGroup:
-    """The group with these element rows; without generators, every
-    element is its own generator."""
-    elements = tuple(map(Permutation._trusted, map(tuple, rows.tolist())))
-    gens = elements if generators is None else generators
-    return PermGroup(degree, gens, elements, frozenset(elements), rows)
 
 
 def closure(gens, degree: int | None = None, bound: int = DEFAULT_ORDER_BOUND) -> PermGroup:
@@ -205,91 +212,94 @@ def closure(gens, degree: int | None = None, bound: int = DEFAULT_ORDER_BOUND) -
         frontier = cand[new]
         layers.append(frontier)
         seen = np.concatenate([seen, keys[new]])
-    return _group(degree, np.concatenate(layers), tuple(gens))
+    return PermGroup(degree, tuple(gens), np.concatenate(layers))
 
 
 def _class_labels(G: PermGroup) -> np.ndarray:
     """One label per element, shared exactly by the elements of a
     conjugacy class: the least label is propagated along conjugation by
-    each generator (both ways) with pointer jumping until it is stable."""
+    each generator (both ways: gathered along the map, scattered back
+    through it) with pointer jumping until it is stable."""
     E = G.array
-    maps = []
-    for g in G.generators:
-        image = np.array(g.mapping)
-        conj = G.indices(image[E[:, np.argsort(image)]])  # row x: g x g^-1
-        maps += [conj, np.argsort(conj)]
+    gens = E if G.generators is None else [g.mapping for g in G.generators]
+    # x -> g x g^-1; int32 halves the maps, which set the peak on the largest groups
+    maps = [G.indices(g[E[:, np.argsort(g)]]).astype(np.int32) for g in map(np.asarray, gens)]
     label = np.arange(G.order)
     while True:
         new = label
         for m in maps:
             new = np.minimum(new, new[m])
+            new[m] = np.minimum(new[m], new)
         new = new[new]
         if np.array_equal(new, label):
             return label
         label = new
 
 
-def conjugacy_classes(G: PermGroup) -> list:
-    """Conjugation orbits, each a tuple of elements, sorted by (size,
-    minimal element); elements within a class in sorted order."""
+def conjugacy_classes(G: PermGroup) -> np.ndarray:
+    """The class id of each element, read-only: classes are numbered by
+    (size, least element), comparing elements by their image tuples."""
     _, cls, sizes = np.unique(_class_labels(G), return_inverse=True, return_counts=True)
     lex = G._row_index()[1]  # element indices in sorted (lexicographic) order
-    cls_lex = cls[lex]
-    _, least = np.unique(cls_lex, return_index=True)  # lex rank of each class's least element
-    order = np.lexsort((least, sizes))
+    _, least = np.unique(cls[lex], return_index=True)  # lex rank of each class's least element
     rank = np.empty(len(sizes), dtype=np.intp)
-    rank[order] = np.arange(len(sizes))
-    grouped = lex[np.argsort(rank[cls_lex], kind="stable")]
-    elements = G.elements
-    return [
-        tuple(elements[i] for i in part)
-        for part in np.split(grouped, np.cumsum(sizes[order])[:-1])
-    ]
-
-
-def class_ids(G: PermGroup, classes) -> np.ndarray:
-    """Position in `classes` of the class of each element of G."""
-    rows = np.array([p.mapping for c in classes for p in c], dtype=G.array.dtype)
-    ids = np.empty(G.order, dtype=np.intp)
-    ids[G.indices(rows)] = np.repeat(np.arange(len(classes)), [len(c) for c in classes])
+    rank[np.lexsort((least, sizes))] = np.arange(len(sizes))
+    ids = rank[cls]
+    ids.flags.writeable = False
     return ids
 
 
 def pointwise_stabilizer(G: PermGroup, points) -> PermGroup:
     """Subgroup of elements fixing every given point."""
     pts = np.array(sorted(points), dtype=np.intp)
-    return _group(G.degree, G.array[(G.array[:, pts] == pts).all(axis=1)])
+    return PermGroup(G.degree, None, G.array[(G.array[:, pts] == pts).all(axis=1)])
 
 
 def setwise_stabilizer(G: PermGroup, points) -> PermGroup:
     """Subgroup of elements mapping the given point set onto itself."""
     pts = np.array(sorted(set(points)), dtype=np.intp)
-    return _group(G.degree, G.array[np.isin(G.array[:, pts], pts).all(axis=1)])
+    return PermGroup(G.degree, None, G.array[np.isin(G.array[:, pts], pts).all(axis=1)])
 
 
-def check_subgroup(G: PermGroup, H: PermGroup) -> None:
-    if H.degree != G.degree or (G.indices(H.array) < 0).any():
+def subgroup_indices(G: PermGroup, H: PermGroup) -> np.ndarray:
+    """Element index in G of each element of H; NotASubgroup when H is not
+    contained in G."""
+    idx = G.indices(H.array) if H.degree == G.degree else np.array([-1])
+    if (idx < 0).any():
         raise NotASubgroup("H is not contained in G")
+    return idx
 
 
 def all_subgroups(G: PermGroup) -> list:
-    """Every subgroup, by closing known subgroups under extra generators.
-    Exponential in principle; fine for the small groups used here."""
-    triv = _group(G.degree, np.arange(G.degree, dtype=G.array.dtype)[None, :])
-    known = {triv.key(): triv}
-    frontier = [triv]
+    """Every subgroup, its rows sorted, the list sorted by (order, rows):
+    each known subgroup is closed with one more element of G, from the
+    trivial group up, as masks over the multiplication table.  The search
+    is exponential, so it refuses orders above SUBGROUP_SEARCH_MAX_ORDER."""
+    n = G.order
+    if n > SUBGROUP_SEARCH_MAX_ORDER:
+        raise GroupTooLarge(f"subgroup search refused at order {n} > {SUBGROUP_SEARCH_MAX_ORDER}")
+    lex = G._row_index()[1]  # element indices in sorted row order; the identity first
+    rows = G.array[lex]
+    mult = np.argsort(lex)[G.indices(rows[:, rows])].reshape(n, n)  # sorted position of a * b
+
+    def closed(mask):
+        """The subgroup generated by a fresh mask of elements: its product
+        closure, grown in place."""
+        while True:
+            inside = np.flatnonzero(mask)
+            mask[mult[np.ix_(inside, inside)]] = True
+            if mask.sum() == len(inside):
+                return mask
+
+    trivial = np.arange(n) == 0
+    known = {trivial.tobytes(): trivial}
+    frontier = [trivial]
     while frontier:
-        nxt = []
-        for H in frontier:
-            for g in G.elements:
-                if g in H.element_set:
-                    continue
-                K = closure(tuple(set(H.generators) | {g}), degree=G.degree)
-                if K.key() not in known:
-                    known[K.key()] = K
-                    nxt.append(K)
-        frontier = nxt
-    return sorted(known.values(), key=lambda H: (H.order, tuple(H.elements)))
+        grown = (closed(H | (np.arange(n) == g)) for H in frontier for g in np.flatnonzero(~H))
+        frontier = [known.setdefault(K.tobytes(), K) for K in grown if K.tobytes() not in known]
+    subgroups = [np.flatnonzero(K) for K in known.values()]
+    subgroups.sort(key=lambda e: (len(e), e.tolist()))
+    return [PermGroup(G.degree, None, rows[e]) for e in subgroups]
 
 
 # -- tree automorphism groups -------------------------------------------------

@@ -106,23 +106,45 @@ def test_invariant_dim_rejects_non_subgroup():
         invariant_dim(t, 0, other)
 
 
+def frobenius21():
+    """x -> x + 1 and x -> 2x on Z/7: order 21, with two degree-3
+    characters that take non-real values."""
+    shift = Permutation(tuple((x + 1) % 7 for x in range(7)))
+    return closure([shift, Permutation(tuple(2 * x % 7 for x in range(7)))])
+
+
 def test_realize_irrep_models():
+    for t in (character_table(sym3()), character_table(frobenius21())):
+        for r in range(t.n_rows):
+            model = realize_irrep(t, r)
+            d = model.degree
+            eye = np.eye(d)
+            elems = t.group.elements
+            for g in elems:
+                M = model.matrix(g)
+                assert np.max(np.abs(M @ M.conj().T - eye)) < 1e-10
+                assert abs(np.trace(M) - t.characters[r, t.class_index(g)]) < 1e-10
+            # multiplicativity on all pairs
+            for g in elems:
+                for h in elems:
+                    assert np.max(
+                        np.abs(model.matrix(g * h) - model.matrix(g) @ model.matrix(h))
+                    ) < 1e-9
+
+
+def test_lookups_reject_non_elements():
+    """A Permutation outside the group, or of another degree, has no
+    class and no model matrix."""
     t = character_table(sym3())
-    for r in range(3):
-        model = realize_irrep(t, r)
-        d = model.degree
-        eye = np.eye(d)
-        elems = t.group.elements
-        for g in elems:
-            M = model.matrix(g)
-            assert np.max(np.abs(M @ M.conj().T - eye)) < 1e-10
-            assert abs(np.trace(M) - t.characters[r, t.class_index(g)]) < 1e-10
-        # multiplicativity on all pairs
-        for g in elems:
-            for h in elems:
-                assert np.max(
-                    np.abs(model.matrix(g * h) - model.matrix(g) @ model.matrix(h))
-                ) < 1e-9
+    model = realize_irrep(t, 2)
+    for p in (Permutation((1, 0, 2, 3)), Permutation((0, 1))):
+        assert p not in t.group
+        with pytest.raises(KeyError):
+            t.class_index(p)
+        with pytest.raises(KeyError):
+            model.matrix(p)
+    with pytest.raises(NotASubgroup):
+        model.subspace_projector(closure([Permutation((1, 0, 2, 3))]))
 
 
 def test_sign_model_is_signs():
@@ -247,16 +269,16 @@ def test_exact_check_rejects_an_orthonormal_impostor():
     orthonormal with the right degrees, but breaks the class algebra."""
     G = shape_automorphism_group(star_shape(4))
     t = character_table(G)
-    A = np.array(chartab._class_constants(G, t.classes))
+    A = np.array(chartab._class_constants(G, t.class_ids))
     X = t.characters.astype(float)
-    proved = chartab._integral_table(G, t.classes, X, A)
+    proved = chartab._integral_table(G, t.class_ids, X, A)
     assert proved is not None and np.array_equal(proved.characters, t.characters)
     i, j = [c for c, n in enumerate(t.class_sizes()) if n == 20]
     swapped = X.copy()
     swapped[:, [i, j]] = X[:, [j, i]]
     n = np.array(t.class_sizes())
     assert np.array_equal((swapped * n) @ swapped.T, G.order * np.eye(t.n_rows))
-    assert chartab._integral_table(G, t.classes, swapped, A) is None
+    assert chartab._integral_table(G, t.class_ids, swapped, A) is None
 
 
 def test_python_int_proof_matches_int64(monkeypatch):
@@ -289,7 +311,7 @@ def test_invariant_dim_is_exact_division():
     assert all(type(d) is int for d in dims)
     broken = t.characters.copy()
     broken[1, 1] += 1  # the sum over G now misses a multiple of |G| by |C_1|
-    bad = CharacterTable(G, t.classes, broken, t.degrees)
+    bad = CharacterTable(G, t.class_ids, broken, t.degrees)
     with pytest.raises(NonIntegralDimension):
         invariant_dim(bad, 1, G)
 

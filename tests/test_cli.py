@@ -243,11 +243,37 @@ def test_input_errors_exit_2(argv, tmp_path):
             ["--seed", "7", "flip-demo", "--q", "3"],
             "c88c1db458ed7b6427141f69a2df89e98601b0df7c2ad140b4668fd4330ec578",
         ),
+        (
+            ["--seed", "2", "verify", "groups"],
+            "7ec4771b33e9686ac0f66dea2def088c4c5790999a5a3702945db63dea26fe9d",
+        ),
+        (
+            ["--seed", "2", "verify", "reps"],
+            "02e7d4e49958e51a5d4b0034df1fd814644899ce4e47951971e716e34a22ade9",
+        ),
+        (
+            ["chartab", json.dumps(star_shape(3).to_json())],
+            "86ab76255002b47b8377bc7b0f023b54755fcfdc93296b5a006fb6c803785e86",
+        ),
+        (
+            ["chartab", json.dumps(centipede_shape(2, 4).to_json())],
+            "0686ba9340c4f05658ad59ff3f0d1671309d1ba9b88ce1fe0c89068137f4d150",
+        ),
+        (
+            ["spectrum", json.dumps(star_shape(6).to_json())],
+            "e9a1a7beb567c2cd31b41843d30a5ee2097fd6d579416339730c801aa566e965",
+        ),
+        (
+            ["spectrum", json.dumps(centipede_shape(4, 3).to_json())],
+            "4c39628fe9552509e3de7918b20433f247b00eed61ff868a418ca9a5d8a772a6",
+        ),
     ],
 )
 def test_pinned_reports(capsys, argv, digest):
-    # sha256 of stdout, computed before BFS-coded isometries, the closed-form
-    # Gromov product and kept branch-swap walk states
+    # sha256 of stdout: the first three computed before BFS-coded
+    # isometries, the closed-form Gromov product and kept branch-swap walk
+    # states; the rest before the element-object view of groups and
+    # character tables was dropped
     code, out = run(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

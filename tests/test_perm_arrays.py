@@ -2,20 +2,28 @@
 
 The oracles are the one-element-at-a-time implementations that the
 array path replaced: breadth-first closure, conjugation orbits, counted
-class constants and invariant dimensions summed over subgroup elements.
-Each check runs on the q=2 D<=5 catalog groups, star(4..6), centipede(3,3)
-and centipede(4,3), every one under three seeded vertex relabellings, which
+class constants, invariant dimensions summed over subgroup elements and
+the subgroup search by closures.  The closure, class and stabilizer checks
+run on the q=2 D<=5 catalog groups, star(4..6), centipede(3,3) and
+centipede(4,3), every one under three seeded vertex relabellings, which
 reorder elements and classes inside the program."""
 
+import json
 import random
 from collections import Counter
 
 import pytest
 
-from arbocoh import chartab, reptheory
+from arbocoh import chartab, cli, reptheory
 from arbocoh.catalog import enumerate_complete_shapes
 from arbocoh.chartab import character_table, dim_from_counts
-from arbocoh.perm import Permutation, closure, conjugacy_classes, shape_automorphism_group
+from arbocoh.perm import (
+    Permutation,
+    all_subgroups,
+    closure,
+    conjugacy_classes,
+    shape_automorphism_group,
+)
 from arbocoh.reptheory import (
     RepDescriptor,
     admissible_vertex_pairs,
@@ -70,6 +78,14 @@ def oracle_classes(G):
     return classes
 
 
+def as_classes(G, ids):
+    """The class id array as tuples of elements, each sorted, in id order."""
+    return [
+        tuple(sorted(p for p, i in zip(G.elements, ids.tolist()) if i == c))
+        for c in range(max(ids.tolist()) + 1)
+    ]
+
+
 def oracle_constants(classes):
     """c[i][j][l] = #{x in C_i : x^-1 z_l in C_j}, counted element by element."""
     k = len(classes)
@@ -88,6 +104,25 @@ def oracle_dim(t, row, elements):
     total = sum(int(t.characters[row, class_of[h]]) for h in elements)
     assert total % len(elements) == 0
     return total // len(elements)
+
+
+def oracle_subgroups(G):
+    """Every subgroup as its sorted element tuple, sorted by (order,
+    elements): known subgroups are closed under one more element with
+    `closure`."""
+    ident = G.identity()
+    known = {frozenset([ident]): (ident,)}
+    frontier = list(known.values())
+    while frontier:
+        nxt = []
+        for gens in frontier:
+            for g in G.elements:
+                K = frozenset(closure(set(gens) | {g}, degree=G.degree).elements)
+                if K not in known:
+                    known[K] = tuple(gens) + (g,)
+                    nxt.append(known[K])
+        frontier = nxt
+    return sorted((tuple(sorted(K)) for K in known), key=lambda e: (len(e), e))
 
 
 def fixing(G, points):
@@ -120,9 +155,10 @@ def test_array_path_matches_the_element_loops(name, seed):
     G = shape_automorphism_group(s)
     assert G.elements == oracle_closure(G.generators, G.degree)
     assert G.array.tolist() == [list(p.mapping) for p in G.elements]
-    classes = conjugacy_classes(G)
+    ids = conjugacy_classes(G)
+    classes = as_classes(G, ids)
     assert classes == oracle_classes(G)
-    assert chartab._class_constants(G, classes).tolist() == oracle_constants(classes)
+    assert chartab._class_constants(G, ids).tolist() == oracle_constants(classes)
 
     if len(s.vertices) <= 2:
         return
@@ -149,9 +185,10 @@ def test_cyclic_groups_match_the_element_loops(n):
     tree automorphism groups above, so x^-1 z and x z differ here."""
     G = closure([Permutation(tuple((i + 1) % n for i in range(n)))])
     assert G.elements == oracle_closure(G.generators, G.degree)
-    classes = conjugacy_classes(G)
+    ids = conjugacy_classes(G)
+    classes = as_classes(G, ids)
     assert classes == oracle_classes(G)
-    assert chartab._class_constants(G, classes).tolist() == oracle_constants(classes)
+    assert chartab._class_constants(G, ids).tolist() == oracle_constants(classes)
 
 
 def test_enumerate_nondegenerate_builds_each_stabilizer_once(monkeypatch):
@@ -179,3 +216,55 @@ def test_enumerate_nondegenerate_builds_each_stabilizer_once(monkeypatch):
         assert classify_bounded_cohomology(RepDescriptor.cuspidal(s, row), 2) == h2
     assert calls == once
 
+
+@pytest.mark.parametrize(
+    "G",
+    [
+        shape_automorphism_group(star_shape(2)),
+        shape_automorphism_group(relabel(star_shape(3), 1)),
+        shape_automorphism_group(relabel(centipede_shape(2, 4), 2)),
+        closure([Permutation((1, 2, 3, 4, 0))]),
+    ],
+    ids=["S3", "S4", "D8", "C5"],
+)
+def test_all_subgroups_matches_the_closure_search(G):
+    """The mask search finds the subgroups of the closure search."""
+    assert [H.elements for H in all_subgroups(G)] == oracle_subgroups(G)
+
+
+def test_library_path_builds_no_element_objects(monkeypatch, capsys):
+    """spectrum, chartab and classify of every row work on the element
+    array alone: the only Permutations built are the generators of Aut(S)."""
+    built = Counter()
+    post_init, trusted = Permutation.__post_init__, Permutation._trusted.__func__
+
+    def checked(self):
+        built["checked"] += 1
+        post_init(self)
+
+    def unchecked(cls, mapping):
+        built["trusted"] += 1
+        return trusted(cls, mapping)
+
+    monkeypatch.setattr(Permutation, "__post_init__", checked)
+    monkeypatch.setattr(Permutation, "_trusted", classmethod(unchecked))
+    for s in (star_shape(6), centipede_shape(4, 3)):
+        for cache in (
+            shape_automorphism_group,
+            character_table,
+            reptheory._head_stabilizers,
+            reptheory._pair_stabilizers,
+        ):
+            cache.cache_clear()
+        built.clear()
+        shape = json.dumps(s.to_json())
+        assert cli.main(["spectrum", shape]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert cli.main(["chartab", shape]) == 0
+        for row in rows:
+            desc = {"tag": "cuspidal", "shape": s.to_json(), "irrep": row["fingerprint"]}
+            assert cli.main(["classify", json.dumps(desc), "-n", "2"]) == 0
+        capsys.readouterr()
+        G = shape_automorphism_group(s)
+        assert "elements" not in vars(G)
+        assert built == Counter(checked=len(G.generators))
