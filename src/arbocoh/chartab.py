@@ -42,7 +42,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonIntegralDimension, NumericalDegeneracy
-from .perm import PermGroup, Permutation, conjugacy_classes, subgroup_indices
+from .perm import (
+    PermGroup,
+    Permutation,
+    conjugacy_classes,
+    pointwise_stabilizer,
+    setwise_stabilizer,
+    subgroup_indices,
+)
 
 _ORTHO_TOL = 1e-9
 _SEP_TOL = 1e-10  # eigenvalue gaps below this times the largest |eigenvalue| retry
@@ -280,6 +287,23 @@ class IrrepModel:
     def subspace_projector(self, H: PermGroup) -> np.ndarray:
         """Orthogonal projector onto the H-fixed subspace."""
         return self.matrices[subgroup_indices(self.table.group, H)].sum(axis=0) / H.order
+
+    def pair_projectors(self, ix: int, iy: int) -> tuple:
+        """Read-only projectors onto the vectors fixed by the pointwise and
+        by the setwise stabilizer of the points (ix, iy), computed once per
+        pair of points the group acts on and held on the model."""
+        if "_pairs" not in self.__dict__:
+            object.__setattr__(self, "_pairs", {})
+        if (ix, iy) not in self._pairs:
+            G = self.table.group
+            out = (
+                self.subspace_projector(pointwise_stabilizer(G, [ix, iy])),
+                self.subspace_projector(setwise_stabilizer(G, [ix, iy])),
+            )
+            for p in out:
+                p.flags.writeable = False
+            self._pairs[(ix, iy)] = out
+        return self._pairs[(ix, iy)]
 
 
 @functools.lru_cache(maxsize=_IRREP_CACHE_SIZE)

@@ -79,6 +79,7 @@ class RepDescriptor:
 
 _HEADS_CACHE_SIZE = 64
 _PAIRS_CACHE_SIZE = 256  # every admissible pair of a 16-vertex shape
+_ADMISSIBLE_CACHE_SIZE = 64  # admissible pair sets, one per shape
 
 
 def _reduced(t: CharacterTable, H) -> tuple:
@@ -133,24 +134,24 @@ def is_nondegenerate(s: Shape, t: CharacterTable, row: int) -> bool:
     return _nondegenerate(t, row, _head_stabilizers(s, t))
 
 
+@functools.lru_cache(maxsize=_ADMISSIBLE_CACHE_SIZE)
+def _admissible_pairs(s: Shape) -> frozenset:
+    """The admissible vertex pairs of s, computed once per shape."""
+    subs = maximal_proper_complete_subtrees(s)
+    return frozenset(
+        (x, y)
+        for x in s.vertices
+        for y in s.vertices
+        if x != y
+        and any(x not in s1 and y not in s2 for s1 in subs for s2 in subs if s1 != s2)
+    )
+
+
 def admissible_vertex_pairs(s: Shape) -> list:
     """All ordered pairs (x, y) of distinct vertex ids such that x avoids
-    one maximal proper complete subtree and y avoids a different one."""
-    subs = maximal_proper_complete_subtrees(s)
-    out = []
-    for x in s.vertices:
-        for y in s.vertices:
-            if x == y:
-                continue
-            ok = any(
-                x not in s1 and y not in s2
-                for s1 in subs
-                for s2 in subs
-                if s1 != s2
-            )
-            if ok:
-                out.append((x, y))
-    return out
+    one maximal proper complete subtree and y avoids a different one,
+    sorted."""
+    return sorted(_admissible_pairs(s))
 
 
 def h2_dimension(s: Shape, t: CharacterTable, row: int, x, y) -> int:
@@ -161,7 +162,7 @@ def h2_dimension(s: Shape, t: CharacterTable, row: int, x, y) -> int:
     if not is_nondegenerate(s, t, row):
         raise DegenerateIrrep(f"row {row} is degenerate on this shape")
     x, y = str(x), str(y)
-    if (x, y) not in set(admissible_vertex_pairs(s)):
+    if (x, y) not in _admissible_pairs(s):
         raise BadVertexChoice(
             f"({x}, {y}) do not avoid two distinct maximal complete proper subtrees"
         )
@@ -169,7 +170,7 @@ def h2_dimension(s: Shape, t: CharacterTable, row: int, x, y) -> int:
 
 
 def canonical_vertex_pair(s: Shape):
-    pairs = admissible_vertex_pairs(s)
+    pairs = _admissible_pairs(s)
     if not pairs:
         raise BadVertexChoice("shape admits no valid vertex pair")
     return min(pairs)

@@ -97,12 +97,17 @@ O = Vertex(())
 
 def check_word(word: Word, q: int) -> None:
     """Validate the label ranges of a root-based word."""
-    if not word or (min(word) >= 0 and word[0] <= q and max(word[1:], default=0) < q):
+    if _valid_word(word, q):
         return
     for i, lab in enumerate(word):
         hi = q if i == 0 else q - 1
         if not 0 <= lab <= hi:
             raise ValueError(f"label {lab} at position {i} out of range 0..{hi}")
+
+
+def _valid_word(word: Word, q: int) -> bool:
+    """check_word without the error: every label in range."""
+    return not word or (min(word) >= 0 and word[0] <= q and max(word[1:], default=0) < q)
 
 
 def word_children(word: Word, q: int) -> list:
@@ -347,6 +352,44 @@ class TreeIsometry:
             self._validate()
 
     def _validate(self):
+        """Check labels, injectivity, adjacency and connectivity.  The
+        incremental pass below accepts exactly the maps the full checks
+        accept; when it finds a fault the full checks run, in their order,
+        to raise their error."""
+        try:
+            if self._valid_by_parents():
+                return
+        except TypeError:
+            pass
+        self._validate_fully()
+
+    def _valid_by_parents(self) -> bool:
+        """One pass over the domain.  A word whose parent is in the domain
+        needs its last label checked, and its image, adjacent to the
+        parent's image, at most its last label: every label of the parent
+        and of the parent's image is checked along the parent chain, which
+        ends at the one word whose parent is not in the domain, checked in
+        full."""
+        m, q = self.mapping, self.q
+        roots = 0
+        for w, v in m.items():
+            p = w[:-1]
+            if w and p in m:
+                pv = m[p]
+                if not 0 <= w[-1] <= (q if len(w) == 1 else q - 1):
+                    return False
+                if len(v) == len(pv) + 1 and v[:-1] == pv:
+                    if not 0 <= v[-1] <= (q if len(v) == 1 else q - 1):
+                        return False
+                elif not (len(pv) == len(v) + 1 and pv[:-1] == v):
+                    return False
+            else:
+                roots += 1
+                if roots > 1 or not _valid_word(w, q) or not _valid_word(v, q):
+                    return False
+        return roots == 1 and len(set(m.values())) == len(m)
+
+    def _validate_fully(self):
         m = self.mapping
         if not m:
             raise ValueError("empty isometry domain")

@@ -7,6 +7,8 @@ from a single seed recorded in the report.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .catalog import enumerate_complete_shapes
@@ -63,6 +65,7 @@ from .tree import (
     rank_words,
     sphere_offsets,
     word_children,
+    word_neighbors,
     word_rank,
 )
 from .witness import (
@@ -75,18 +78,26 @@ from .witness import (
 # -- randomness helpers -------------------------------------------------------
 
 
+_LOOP_DOMAIN = 64  # smaller isometry domains are drawn word by word
+_DISTINCT_FLOOR = 1e-3  # least chance of a distinct ray batch worth drawing for
+_RAY_BATCHES = 20_000  # batches drawn before random_rays gives up
+
+
 def random_word(rng, q, depth):
+    """Uniform word of the given depth: its first label, then the tail from
+    one rng.integers(0, q, size=depth-1) call, which draws exactly what one
+    scalar call per label does (the tests compare the two)."""
     if depth == 0:
         return ()
-    labels = [int(rng.integers(0, q + 1))]
-    labels.extend(int(rng.integers(0, q)) for _ in range(depth - 1))
-    return tuple(labels)
+    return (int(rng.integers(0, q + 1)), *rng.integers(0, q, size=depth - 1).tolist())
 
 
 def random_rays(rng, q, n, depth):
-    """n rays, pairwise divergent strictly before the given depth.  Raises
-    TooManyRays when q < 2 or when n exceeds the (q+1) q^(depth-2)
-    distinct (depth-1)-prefixes, which no number of draws could beat."""
+    """n rays, pairwise divergent strictly before the given depth, drawn
+    batch after batch until one has distinct (depth-1)-prefixes.  Raises
+    TooManyRays when q < 2, when n exceeds the P = (q+1) q^(depth-2)
+    distinct prefixes, when a batch is distinct with probability
+    prod(1 - i/P) below _DISTINCT_FLOOR, or after _RAY_BATCHES batches."""
     if q < 2:
         raise TooManyRays(f"branching parameter q = {q} < 2 admits no divergent rays")
     prefixes = (q + 1) * q ** (depth - 2) if depth >= 2 else 1
@@ -94,15 +105,19 @@ def random_rays(rng, q, n, depth):
         raise TooManyRays(
             f"{n} rays cannot diverge before depth {depth}: only {prefixes} prefixes at q = {q}"
         )
-    while True:
+    chance = 1.0
+    for i in range(n):
+        chance *= 1 - i / prefixes
+        if chance < _DISTINCT_FLOOR:
+            raise TooManyRays(
+                f"{n} rays among {prefixes} prefixes at q = {q} are distinct before "
+                f"depth {depth} with probability below {_DISTINCT_FLOOR}"
+            )
+    for _ in range(_RAY_BATCHES):
         rays = [RayPrefix(random_word(rng, q, depth)) for _ in range(n)]
-        ok = all(
-            rays[i].word[: depth - 1] != rays[j].word[: depth - 1]
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
-        if ok:
+        if len({r.word[: depth - 1] for r in rays}) == n:
             return rays
+    raise TooManyRays(f"no {n} rays diverging before depth {depth} in {_RAY_BATCHES} batches")
 
 
 def random_isometry(rng, q, radius, move=0):
@@ -137,8 +152,13 @@ def random_isometry_on(rng, q, words, move=0):
 def _random_on_domain(rng, q, depth, rank, move, words=None):
     """The isometry on the domain given by BFS codes (depth, rank), sorted
     by code and closed under parents; words are the domain words when the
-    caller has them.  Images are computed one depth layer at a time."""
+    caller has them.  Images are computed one depth layer at a time, or
+    word by word on domains smaller than _LOOP_DOMAIN, with the same draws."""
     n, top = len(depth), int(depth[-1])
+    if n < _LOOP_DOMAIN:
+        if words is None:
+            words = rank_words(depth, rank, q)
+        return _random_by_word(rng, q, words, move)
     offsets = sphere_offsets(q, top + move)
     rank = rank.astype(offsets.dtype)
     code = offsets[depth] + rank
@@ -176,6 +196,27 @@ def _random_on_domain(rng, q, depth, rank, move, words=None):
     if words is None:
         words = rank_words(depth, rank, q)
     return TreeIsometry(q, dict(zip(words, rank_words(img_d, img_r, q))), validate=False)
+
+
+def _random_by_word(rng, q, words, move):
+    """_random_on_domain one word at a time, for small domains: child k of
+    a word (k-th in label order among its children in the domain) goes to
+    entry k of the word's permutation among the neighbours of the word's
+    image, parent first, with the image of the word's parent left out."""
+    root = random_word(rng, q, move)
+    perms = [rng.permutation(q + 1).tolist()]
+    perms += [rng.permutation(q).tolist() for _ in range(len(words) - 1)]
+    index = {w: i for i, w in enumerate(words)}
+    images, parents, placed = [root], [-1], [0] * len(words)
+    for w in words[1:]:
+        p = index[w[:-1]]
+        nbrs = word_neighbors(images[p], q)
+        if p:
+            nbrs.remove(images[parents[p]])
+        images.append(nbrs[perms[p][placed[p]]])
+        parents.append(p)
+        placed[p] += 1
+    return TreeIsometry(q, dict(zip(words, images)))
 
 
 def _check_image(q, par, img_d, img_r):
@@ -285,6 +326,24 @@ def geometry_suite(cfg: Config, n_instances: int = 500) -> dict:
 # -- flip ---------------------------------------------------------------------
 
 
+_FLIP_SHAPES = (star_shape, edge_shape, lambda q: centipede_shape(q, 3))
+# every window a flip suite draws: 3 kinds times the anchors of depth 0..3,
+# 22 at q = 2 and 53 at q = 3, is 225 windows
+_WINDOW_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=2 * len(_FLIP_SHAPES))
+def _flip_shape(kind, q):
+    return _FLIP_SHAPES[kind](q)
+
+
+@functools.lru_cache(maxsize=_WINDOW_CACHE_SIZE)
+def _flip_window(kind, q, anchor):
+    """The embeddings of the kind's shape in the radius-2 ball around the
+    anchor word, as an immutable tuple."""
+    return tuple(enumerate_embeddings(_flip_shape(kind, q), Vertex(anchor), 2))
+
+
 def random_flip_instance(rng, q, depth):
     """Rays plus a random embedded subtree missing the leading triple (or
     None)."""
@@ -292,11 +351,10 @@ def random_flip_instance(rng, q, depth):
     rays = random_rays(rng, q, n, depth)
     if rng.integers(0, 2) == 0:
         return rays, None
-    maker = [star_shape, edge_shape, lambda qq: centipede_shape(qq, 3)][int(rng.integers(0, 3))]
-    shape = maker(q)
+    kind = int(rng.integers(0, 3))
+    shape = _flip_shape(kind, q)
     for _ in range(20):
-        anchor = Vertex(random_word(rng, q, int(rng.integers(0, 4))))
-        embs = enumerate_embeddings(shape, anchor, 2)
+        embs = _flip_window(kind, q, random_word(rng, q, int(rng.integers(0, 4))))
         if not embs:
             continue
         e = embs[int(rng.integers(0, len(embs)))]

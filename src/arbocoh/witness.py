@@ -30,7 +30,7 @@ import numpy as np
 from . import treecode
 from .chartab import IrrepModel
 from .errors import BadVector, InsufficientDepth, NotACentipede
-from .perm import Permutation, pointwise_stabilizer, setwise_stabilizer
+from .perm import Permutation
 from .shapes import EmbeddedSubtree, Shape, classify_shape, place_tree
 from .tree import (
     RayPrefix,
@@ -43,6 +43,7 @@ from .tree import (
 
 _VEC_TOL = 1e-9
 _REFERENCE_CACHE_SIZE = 64
+_SECTION_CACHE_SIZE = 256  # canonical sections, one per (reference, image)
 
 
 def _line_word(p: int):
@@ -138,25 +139,28 @@ def _canonical_tree_iso(words_a, words_b, q):
     return dict(zip(a_sorted, best[0])) if best else None
 
 
+@functools.lru_cache(maxsize=_SECTION_CACHE_SIZE)
+def _section_items(ref_words: frozenset, words: frozenset, q: int):
+    """_canonical_tree_iso as an immutable tuple of (word, image) pairs."""
+    iso = _canonical_tree_iso(ref_words, words, q)
+    return None if iso is None else tuple(iso.items())
+
+
 def canonical_section(ref: ReferenceConfiguration, e: EmbeddedSubtree) -> dict:
     """Word map of the canonical section at e: the lexicographically
     minimal isomorphism from the reference placement onto e."""
-    iso = _canonical_tree_iso(
-        ref.embedding.image_words(), e.image_words(), ref.shape.q
-    )
-    if iso is None:
+    items = _section_items(ref.embedding.image_words(), e.image_words(), ref.shape.q)
+    if items is None:
         raise ValueError("embedding is not a copy of the reference shape")
-    return iso
+    return dict(items)
 
 
 def check_witness_vector(model: IrrepModel, ref: ReferenceConfiguration, v) -> None:
     """v must be fixed pointwise by Q(x, y) and have no setwise-invariant
     component."""
     ix, iy = ref.endpoint_indices()
-    G = model.table.group
     v = np.asarray(v, dtype=complex)
-    pq = model.subspace_projector(pointwise_stabilizer(G, [ix, iy]))
-    pqs = model.subspace_projector(setwise_stabilizer(G, [ix, iy]))
+    pq, pqs = model.pair_projectors(ix, iy)
     if np.max(np.abs(pq @ v - v)) > _VEC_TOL:
         raise BadVector("vector is not fixed by the pointwise stabilizer of (x, y)")
     if np.max(np.abs(pqs @ v)) > _VEC_TOL:

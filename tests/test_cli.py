@@ -168,8 +168,12 @@ def test_config_file_and_env(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["flip-demo", "--q", "1"], ["--depth", "2", "flip-demo", "--rays", "7"]],
-    ids=["q1", "more-rays-than-prefixes"],
+    [
+        ["flip-demo", "--q", "1"],
+        ["--depth", "2", "flip-demo", "--rays", "7"],
+        ["flip-demo", "--rays", "500"],
+    ],
+    ids=["q1", "more-rays-than-prefixes", "improbable-distinct-batch"],
 )
 def test_flip_demo_impossible_rays_exit_1(argv):
     """Rays that cannot be drawn end in a JSON error, not a hang."""
@@ -267,16 +271,38 @@ def test_input_errors_exit_2(argv, tmp_path):
             ["spectrum", json.dumps(centipede_shape(4, 3).to_json())],
             "4c39628fe9552509e3de7918b20433f247b00eed61ff868a418ca9a5d8a772a6",
         ),
+        (
+            ["--seed", "1", "verify", "flip"],
+            "2f202a8c5d7a83f9c269bbd028d8cc0b3f3fc18cc03b13d25eed30aaa3f08dcb",
+        ),
+        (
+            ["--seed", "1", "verify", "geometry"],
+            "9ef98ceb29e49180bbc1b1b2a86378ecffea54d0126b0967bde96a1f1ce7f5b5",
+        ),
+        (
+            ["--seed", "2", "verify", "spherical"],
+            "5aafe03d9e84ba4c5b3739b24c2df812cb2f36ef8f95ecd370944880146314bc",
+        ),
+        (
+            ["--seed", "1", "verify", "reps"],
+            "50304d53b7ed86554cf312692c884616d36caed57c4f131b09bd2e8665c80547",
+        ),
     ],
 )
 def test_pinned_reports(capsys, argv, digest):
     # sha256 of stdout: the first three computed before BFS-coded
     # isometries, the closed-form Gromov product and kept branch-swap walk
-    # states; the rest before the element-object view of groups and
-    # character tables was dropped
+    # states; the next six before the element-object view of groups and
+    # character tables was dropped; the last four (the benchmark's own
+    # seeds) before the verify suites cached their invariant work
     code, out = run(capsys, argv)
-    assert code == 0
+    assert code == PINNED_EXIT_CODES.get(tuple(argv), 0)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# `verify reps` at seed 1 ends in the known InsufficientDepth error; its
+# pin keeps that error where it is until the library is fixed
+PINNED_EXIT_CODES = {("--seed", "1", "verify", "reps"): 1}
 
 
 def test_module_entry_point():

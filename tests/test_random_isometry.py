@@ -1,9 +1,12 @@
 """Random isometry germs drawn on BFS codes: equal to the per-vertex draw,
-draw for draw, and the array validation that replaces the dict one."""
+draw for draw, on both sides of the size below which they are drawn word
+by word, and the array validation that replaces the dict one.  Random
+words drawn in bulk equal the scalar draws."""
 
 import numpy as np
 import pytest
 
+from arbocoh import verify
 from arbocoh.shapes import centipede_shape, star_shape
 from arbocoh.tree import TreeIsometry, ball_words, word_neighbors, word_rank
 from arbocoh.verify import _check_image, random_isometry, random_isometry_on, random_word
@@ -163,3 +166,64 @@ def test_image_check_rejects_corruptions():
     r[i] = (q + 1) * q ** (d[i] - 1) if d[i] else 1
     with pytest.raises(ValueError, match="out of range"):
         _check_image(q, par, d, r)
+
+
+def _scalar_word(rng, q, depth):
+    """random_word as one scalar rng.integers call per label."""
+    if depth == 0:
+        return ()
+    labels = [int(rng.integers(0, q + 1))]
+    labels.extend(int(rng.integers(0, q)) for _ in range(depth - 1))
+    return tuple(labels)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_bulk_word_matches_scalar_draws(q):
+    for seed in range(100):
+        r_old, r_new = np.random.default_rng(seed), np.random.default_rng(seed)
+        for depth in range(71):
+            assert random_word(r_new, q, depth) == _scalar_word(r_old, q, depth)
+            # other draws in between, as the suites make them
+            for r in (r_old, r_new):
+                r.integers(0, 4)
+                if depth % 3 == 0:
+                    r.permutation(q)
+        assert r_new.bit_generator.state == r_old.bit_generator.state
+
+
+def _all_draw_cases():
+    for q in (2, 3, 4):
+        for radius in range(6):
+            words = ball_words((), radius, q)
+            for move in range(3):
+                yield (
+                    100 * q + 10 * radius + move,
+                    lambda rng, q=q, words=words, move=move: _per_vertex_draw(rng, q, words, move),
+                    lambda rng, q=q, radius=radius, move=move: random_isometry(rng, q, radius, move),
+                )
+    rng = np.random.default_rng(23)
+    for seed in range(60):
+        q = int(rng.integers(2, 5))
+        words = [random_word(rng, q, int(rng.integers(0, 14))) for _ in range(int(rng.integers(1, 7)))]
+        words.append(random_word(rng, q, 70) if seed % 10 == 0 else ())
+        move = int(rng.integers(0, 3))
+        ordered = _ancestor_closure(words)
+        yield (
+            seed,
+            lambda r, q=q, ordered=ordered, move=move: _per_vertex_draw(r, q, ordered, move),
+            lambda r, q=q, words=words, move=move: random_isometry_on(r, q, words, move),
+        )
+
+
+@pytest.mark.parametrize("side", ["by-word", "by-layer"])
+def test_draw_matches_per_vertex_loop_on_each_side_of_threshold(monkeypatch, side):
+    monkeypatch.setattr(verify, "_LOOP_DOMAIN", 10**9 if side == "by-word" else 1)
+    for seed, draw_old, draw_new in _all_draw_cases():
+        _assert_same_draw(seed, draw_old, draw_new)
+
+
+def test_threshold_splits_the_suite_domains():
+    # the 24-word ancestor closure of `verify reps` is drawn word by word,
+    # the radius-7 balls of `verify geometry` layer by layer
+    reps_closure = _ancestor_closure(_witness_words(centipede_shape(2, 4), 10))
+    assert len(reps_closure) < verify._LOOP_DOMAIN <= len(ball_words((), 7, 2))

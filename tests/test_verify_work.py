@@ -1,0 +1,134 @@
+"""Work the verify suites do not repeat, and ray batches that cannot hang:
+each invariant is computed once per key, every cache is bounded and hands
+out values no caller can change, and random_rays keeps its draws."""
+
+import numpy as np
+import pytest
+
+from arbocoh import chartab, reptheory, verify, witness
+from arbocoh.chartab import character_table, realize_irrep
+from arbocoh.config import Config
+from arbocoh.errors import TooManyRays
+from arbocoh.perm import shape_automorphism_group
+from arbocoh.shapes import centipede_shape
+from arbocoh.tree import RayPrefix
+
+
+def _redraw_until_distinct(rng, q, n, depth):
+    """random_rays as it was first written: redraw the batch until every
+    pair of rays differs before the given depth."""
+    while True:
+        rays = [RayPrefix(verify.random_word(rng, q, depth)) for _ in range(n)]
+        if all(
+            rays[i].word[: depth - 1] != rays[j].word[: depth - 1]
+            for i in range(n)
+            for j in range(i + 1, n)
+        ):
+            return rays
+
+
+@pytest.mark.parametrize("q, n, depth", [(2, 3, 5), (2, 6, 5), (3, 7, 4), (2, 7, 12), (3, 60, 12)])
+def test_random_rays_keeps_its_draws(q, n, depth):
+    for seed in range(30):
+        r_old, r_new = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert verify.random_rays(r_new, q, n, depth) == _redraw_until_distinct(r_old, q, n, depth)
+        assert r_new.bit_generator.state == r_old.bit_generator.state
+
+
+def test_improbable_batch_raises_before_any_draw():
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(TooManyRays, match="probability below"):
+        verify.random_rays(rng, 2, 500, 12)
+    assert rng.bit_generator.state == state
+
+
+def test_batches_are_capped(monkeypatch):
+    monkeypatch.setattr(verify, "_RAY_BATCHES", 1)
+    # 6 rays among 24 prefixes: distinct with probability about 0.5
+    outcomes = set()
+    for seed in range(20):
+        try:
+            verify.random_rays(np.random.default_rng(seed), 2, 6, 5)
+            outcomes.add("drawn")
+        except TooManyRays as exc:
+            assert "in 1 batches" in str(exc)
+            outcomes.add("capped")
+    assert outcomes == {"drawn", "capped"}
+
+
+def test_flip_suite_enumerates_each_window_once(monkeypatch):
+    calls = []
+    real = verify.enumerate_embeddings
+
+    def counting(s, anchor, radius):
+        calls.append((s, anchor.word, radius))
+        return real(s, anchor, radius)
+
+    monkeypatch.setattr(verify, "enumerate_embeddings", counting)
+    verify._flip_window.cache_clear()
+    verify.flip_suite(Config(seed=2))
+    assert calls
+    assert len(calls) == len(set(calls))
+    assert verify._flip_window.cache_info().hits > len(calls)
+
+
+def test_reps_suite_builds_invariants_once(monkeypatch):
+    stabilizers, checks = [], []
+    real_stabilizer, real_check = chartab.pointwise_stabilizer, witness.check_witness_vector
+
+    def counting_stabilizer(G, points):
+        stabilizers.append(tuple(points))
+        return real_stabilizer(G, points)
+
+    def counting_check(model, ref, v):
+        checks.append(model)
+        return real_check(model, ref, v)
+
+    monkeypatch.setattr(chartab, "pointwise_stabilizer", counting_stabilizer)
+    monkeypatch.setattr(witness, "check_witness_vector", counting_check)
+    chartab.realize_irrep.cache_clear()  # fresh models hold no projectors yet
+    for cache in (witness._section_items, reptheory._admissible_pairs):
+        cache.cache_clear()
+    assert verify.reps_suite(Config(seed=2))["passed"]
+    # one model and one endpoint pair throughout the witness check
+    assert len({id(m) for m in checks}) == 1 and len(checks) > 1000
+    assert len(stabilizers) == 1
+    for cache in (witness._section_items, reptheory._admissible_pairs):
+        info = cache.cache_info()
+        assert info.misses == info.currsize  # nothing computed twice
+        assert info.hits > info.misses
+
+
+CACHES = [
+    verify._flip_shape,
+    verify._flip_window,
+    witness._section_items,
+    reptheory._admissible_pairs,
+]
+
+
+@pytest.mark.parametrize("cache", CACHES, ids=lambda c: c.__name__)
+def test_caches_are_bounded(cache):
+    assert cache.cache_info().maxsize is not None
+
+
+def test_cached_values_cannot_be_changed_by_callers():
+    window = verify._flip_window(0, 2, ())
+    assert isinstance(window, tuple) and window
+
+    s = centipede_shape(2, 4)
+    pairs = reptheory.admissible_vertex_pairs(s)
+    pairs.clear()
+    assert reptheory.admissible_vertex_pairs(s)
+    assert isinstance(reptheory._admissible_pairs(s), frozenset)
+
+    ref = witness.reference_configuration(s, 10)
+    section = witness.canonical_section(ref, ref.embedding)
+    section.clear()
+    assert witness.canonical_section(ref, ref.embedding)
+
+    model = realize_irrep(character_table(shape_automorphism_group(s, 10**6)), 0)
+    for p in model.pair_projectors(0, 1):
+        with pytest.raises(ValueError):
+            p[0, 0] = 5.0
