@@ -9,7 +9,7 @@ scale, exact where the theory is exact.
 
 from .catalog import enumerate_complete_shapes
 from .chartab import CharacterTable, IrrepModel, character_table, invariant_dim, realize_irrep
-from .config import Config, Tolerances, load_config
+from .config import Config, load_config
 from .errors import ArbocohError
 from .flip import FlipWitness, check_flip_witness, find_flip
 from .perm import (
@@ -49,7 +49,6 @@ from .shapes import (
 from .spherical import (
     CylinderFunction,
     RadialFunction,
-    SphericalParam,
     eigen_residual,
     gram_psd_check,
     inner_product_z,
@@ -62,9 +61,7 @@ from .spherical import (
 from .tree import (
     RayPrefix,
     TreeIsometry,
-    TreeParams,
     Vertex,
-    apply_isometry,
     busemann,
     cylinder_measure,
     distance,
@@ -92,13 +89,9 @@ __all__ = [
     "RepDescriptor",
     "Shape",
     "ShapeClass",
-    "SphericalParam",
-    "Tolerances",
     "TreeIsometry",
-    "TreeParams",
     "Vertex",
     "all_subgroups",
-    "apply_isometry",
     "busemann",
     "centipede_shape",
     "character_table",

@@ -22,10 +22,10 @@ rounded table is proved in exact integer arithmetic:
 The identity makes each row a multiple of an irreducible character, the
 orthogonality makes that multiple 1 and the k rows distinct, so a table
 that passes is exactly the character table; its `characters` are int64.
-Groups whose characters are not all integers (a cyclic C_n built with
-closure, say) keep the float64 table, validated by row and column
-orthogonality.  A failed separation or check retries with a fresh
-combination before raising NumericalDegeneracy.
+A failed separation, non-integral rounded characters (a group with
+irrational characters, such as a cyclic C_n built with closure) or a
+failed check retries with a fresh combination, a fixed number of times,
+before raising NumericalDegeneracy.
 
 A table keeps one class id per group element; a model keeps one
 (|G|, d, d) array of matrices in element order.  realize_irrep builds
@@ -51,7 +51,11 @@ from .perm import (
     subgroup_indices,
 )
 
-_ORTHO_TOL = 1e-9
+_TRIES = 8  # random combinations tried before NumericalDegeneracy
+_TABLE_SEED = 12345  # of the random class-matrix combinations
+_MODEL_SEED = 7  # of the random operators that split off one irreducible
+_MODEL_TOL = 1e-10  # unitarity and trace deviation allowed in a model
+_SPLIT_TOL = 1e-8  # eigenvalues of the averaged operator this close are one
 _SEP_TOL = 1e-10  # eigenvalue gaps below this times the largest |eigenvalue| retry
 _INT_TOL = 1e-6  # degrees and entries this close to integers are rounded
 _INT64_ORDER_LIMIT = 2**21  # |G| < 2^21 keeps |G|^3 < 2^63
@@ -66,18 +70,13 @@ class CharacterTable:
     group: PermGroup
     # class of each element, in element order; classes by (size, least element)
     class_ids: np.ndarray = field(compare=False, repr=False)
-    # rows x classes: int64 when every character is integral, else complex
+    # rows x classes, int64
     characters: np.ndarray = field(compare=False)
     degrees: tuple = ()
 
     @property
     def n_rows(self) -> int:
         return len(self.degrees)
-
-    @property
-    def integral(self) -> bool:
-        """True when the table was proved exact in integer arithmetic."""
-        return self.characters.dtype.kind == "i"
 
     def __hash__(self):
         return hash((self.group, self.degrees))
@@ -152,7 +151,7 @@ def _class_constants(G: PermGroup, ids: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def character_table(G: PermGroup, retries: int = 8, seed: int = 12345) -> CharacterTable:
+def character_table(G: PermGroup) -> CharacterTable:
     """Full character table of G; see the module docstring.  Rows are
     sorted by degree, then by their values in class order."""
     ids = conjugacy_classes(G)
@@ -162,9 +161,9 @@ def character_table(G: PermGroup, retries: int = 8, seed: int = 12345) -> Charac
         return CharacterTable(G, ids, np.ones((1, 1), dtype=np.int64), (1,))
 
     A = _class_constants(G, ids)  # A[i, j, l] = a_ijl
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_TABLE_SEED)
     last_err = None
-    for _ in range(retries):
+    for _ in range(_TRIES):
         M = np.tensordot(rng.integers(1, 10**6, size=k), A, axes=1).astype(float)
         E, V = np.linalg.eig(M)
         gaps = np.abs(E[:, None] - E[None, :]) + np.diag(np.full(k, np.inf))
@@ -182,21 +181,14 @@ def character_table(G: PermGroup, retries: int = 8, seed: int = 12345) -> Charac
             continue
         chi = W * deg[:, None] / sizes
         X = np.rint(chi.real)
-        if np.abs(chi - X).max() < _INT_TOL:
-            table = _integral_table(G, ids, X, A)
-            if table is not None:
-                return table
-            last_err = "rounded table failed the exact checks"
+        if not np.abs(chi - X).max() < _INT_TOL:  # NaN included
+            last_err = "non-integral characters"
             continue
-        table = _float_table(G, ids, chi, deg)
-        if (
-            table.row_orthogonality_residual() < _ORTHO_TOL
-            and table.column_orthogonality_residual() < _ORTHO_TOL
-            and sum(d * d for d in table.degrees) == G.order
-        ):
+        table = _integral_table(G, ids, X, A)
+        if table is not None:
             return table
-        last_err = "orthogonality validation failed"
-    raise NumericalDegeneracy(f"character table failed after {retries} tries: {last_err}")
+        last_err = "rounded table failed the exact checks"
+    raise NumericalDegeneracy(f"character table failed after {_TRIES} tries: {last_err}")
 
 
 def _integral_table(G: PermGroup, ids, X, A):
@@ -225,17 +217,6 @@ def _integral_table(G: PermGroup, ids, X, A):
     return CharacterTable(G, ids, X.astype(np.int64), tuple(r[0] for r in rows))
 
 
-def _float_table(G: PermGroup, ids, chi, deg):
-    """The table with float rows, sorted like the integral one; values are
-    compared to 9 decimals so that rounding noise cannot swap rows."""
-    key = [
-        (int(d), [(round(z.real, 9), round(z.imag, 9)) for z in row])
-        for d, row in zip(deg, chi.tolist())
-    ]
-    perm = sorted(range(len(key)), key=key.__getitem__)
-    return CharacterTable(G, ids, chi[perm].astype(complex), tuple(key[a][0] for a in perm))
-
-
 def class_counts(t: CharacterTable, H: PermGroup) -> np.ndarray:
     """The class-count vector of a subgroup H of t.group: entry l is the
     number of elements of H in class l."""
@@ -245,18 +226,13 @@ def class_counts(t: CharacterTable, H: PermGroup) -> np.ndarray:
 def dim_from_counts(t: CharacterTable, row: int, counts, order: int) -> int:
     """dim of the fixed subspace of the row's irreducible under a subgroup
     of the given order and class counts: (1/|H|) sum_l counts_l chi(C_l).
-    Exact division on an integral table: |chi| <= chi(1) <= |G|^(1/2) and
+    Exact division: |chi| <= chi(1) <= |G|^(1/2) and
     sum_l counts_l = |H| keep the int64 dot product below |G|^(3/2)."""
-    if t.integral:
-        total = int(t.characters[row] @ counts)
-        dim, rem = divmod(total, order)
-        if rem:
-            raise NonIntegralDimension(f"character sum {total} is not a multiple of |H| = {order}")
-        return dim
-    val = complex(t.characters[row] @ counts) / order
-    if abs(val.imag) > 1e-6 or abs(val.real - round(val.real)) > 1e-6:
-        raise NonIntegralDimension(f"invariant dimension {val} is not an integer")
-    return int(round(val.real))
+    total = int(t.characters[row] @ counts)
+    dim, rem = divmod(total, order)
+    if rem:
+        raise NonIntegralDimension(f"character sum {total} is not a multiple of |H| = {order}")
+    return dim
 
 
 def invariant_dim(t: CharacterTable, row: int, H: PermGroup) -> int:
@@ -307,7 +283,7 @@ class IrrepModel:
 
 
 @functools.lru_cache(maxsize=_IRREP_CACHE_SIZE)
-def realize_irrep(t: CharacterTable, row: int, seed: int = 7, tol: float = 1e-10) -> IrrepModel:
+def realize_irrep(t: CharacterTable, row: int) -> IrrepModel:
     """Explicit unitary matrices realizing one character row."""
     G = t.group
     d = t.degrees[row]
@@ -334,7 +310,7 @@ def realize_irrep(t: CharacterTable, row: int, seed: int = 7, tol: float = 1e-10
 
     # split off one irreducible copy: eigenspace of a random averaged
     # Hermitian operator, which lies in the commutant of sigma
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_MODEL_SEED)
     for _ in range(8):
         X = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
         X = X + X.conj().T
@@ -343,28 +319,28 @@ def realize_irrep(t: CharacterTable, row: int, seed: int = 7, tol: float = 1e-10
             T += s_g @ X @ s_g.conj().T
         T /= order
         tvals, tvecs = np.linalg.eigh(T)
-        groups = _group_close(tvals, 1e-8)
+        groups = _group_close(tvals)
         if all(len(g) == d for g in groups):
             C = tvecs[:, groups[0]]  # d^2 x d
             model = IrrepModel(t, row, np.stack([C.conj().T @ s_g @ C for s_g in sigma]))
-            _validate_model(model, chi, tol)
+            _validate_model(model, chi)
             return model
     raise NumericalDegeneracy("could not split a single irreducible copy")
 
 
-def _group_close(vals, tol):
+def _group_close(vals):
     groups = [[0]]
     for i in range(1, len(vals)):
-        if vals[i] - vals[groups[-1][-1]] < tol:
+        if vals[i] - vals[groups[-1][-1]] < _SPLIT_TOL:
             groups[-1].append(i)
         else:
             groups.append([i])
     return groups
 
 
-def _validate_model(model: IrrepModel, chi: np.ndarray, tol: float):
+def _validate_model(model: IrrepModel, chi: np.ndarray):
     M = model.matrices
-    if np.abs(M @ M.conj().transpose(0, 2, 1) - np.eye(model.degree)).max() > tol:
+    if np.abs(M @ M.conj().transpose(0, 2, 1) - np.eye(model.degree)).max() > _MODEL_TOL:
         raise NumericalDegeneracy("model not unitary")
-    if np.abs(np.trace(M, axis1=1, axis2=2) - chi).max() > tol:
+    if np.abs(np.trace(M, axis1=1, axis2=2) - chi).max() > _MODEL_TOL:
         raise NumericalDegeneracy("model traces differ from the character")

@@ -126,10 +126,7 @@ def _require(ok: bool, message: str) -> None:
 
 
 def _fingerprint(degree: int, values) -> str:
-    parts = ",".join(
-        format_complex(complex(v)) if abs(complex(v).imag) > 1e-12 else f"{complex(v).real:.6g}"
-        for v in values
-    )
+    parts = ",".join(f"{float(v):.6g}" for v in values)
     return f"deg{degree}[{parts}]"
 
 

@@ -4,27 +4,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    orthogonality: float = 1e-9
-    psd: float = 1e-9
-    intertwiner: float = 1e-8
-    unitarity: float = 1e-6
-
-    def __post_init__(self):
-        for name in ("orthogonality", "psd", "intertwiner", "unitarity"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"tolerance {name} must be positive")
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class Config:
     default_depth: int = 12
     group_order_bound: int = 10**6
-    tolerances: Tolerances = field(default_factory=Tolerances)
     output_format: str = "json"
     seed: int = 0
 
@@ -56,7 +42,6 @@ def load_config(path: str | None = None) -> Config:
     if not isinstance(data, dict):
         raise ValueError(f"bad config file {path}: not a JSON object")
     try:
-        tol = Tolerances(**data.pop("tolerances", {}))
-        return Config(tolerances=tol, **data)
+        return Config(**data)
     except TypeError as exc:
         raise ValueError(f"bad config file {path}: {exc}") from None

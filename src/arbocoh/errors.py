@@ -76,7 +76,8 @@ class NotASubgroup(ArbocohError):
 # -- representation theory -------------------------------------------------
 
 class NumericalDegeneracy(ArbocohError):
-    """Eigenspace separation failed after the configured number of retries."""
+    """Eigenspace separation failed, or the characters came out
+    non-integral, in each of a fixed number of tries."""
 
 
 class NonIntegralDimension(ArbocohError):

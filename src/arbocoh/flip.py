@@ -198,13 +198,13 @@ def find_flip(q: int, rays, s, depth: int) -> FlipWitness:
     return FlipWitness(i=i, j=j, h=h, certified_depth=swap.reach)
 
 
-def check_flip_witness(q: int, rays, s, w: FlipWitness, strict: bool = True) -> list:
+def check_flip_witness(q: int, rays, s, w: FlipWitness) -> list:
     """Verify the witness postconditions prefix-exactly: the subtree is
     fixed pointwise, h exchanges the two ray paths beyond the secondary
     median step for step to the certified depth, every other ray's
-    cylinder is fixed exactly, and h is an involution.  With strict=True
-    also check the zero Gromov products at the secondary median.  Returns
-    a list of failure descriptions (empty = pass)."""
+    cylinder is fixed exactly, h is an involution, and the Gromov
+    products at the secondary median are zero.  Returns a list of failure
+    descriptions (empty = pass)."""
     fails = []
     h = w.h
     if s is not None:
@@ -233,22 +233,21 @@ def check_flip_witness(q: int, rays, s, w: FlipWitness, strict: bool = True) -> 
             fails.append(f"not an involution at {list(u)}")
             break
 
-    if strict:
-        m2 = Vertex(spine_i[0])
-        for k, ray in enumerate(rays):
-            if k in (w.i, w.j):
-                continue
+    m2 = Vertex(spine_i[0])
+    for k, ray in enumerate(rays):
+        if k in (w.i, w.j):
+            continue
+        if (
+            gromov_product(ray, rays[w.i], m2) != 0
+            or gromov_product(ray, rays[w.j], m2) != 0
+        ):
+            fails.append(f"ray {k} meets a swapped branch at the secondary median")
+    if s is not None:
+        for word in sorted(s.image_words()):
+            x = Vertex(word)
             if (
-                gromov_product(ray, rays[w.i], m2) != 0
-                or gromov_product(ray, rays[w.j], m2) != 0
+                gromov_product(rays[w.i], x, m2) != 0
+                or gromov_product(rays[w.j], x, m2) != 0
             ):
-                fails.append(f"ray {k} meets a swapped branch at the secondary median")
-        if s is not None:
-            for word in sorted(s.image_words()):
-                x = Vertex(word)
-                if (
-                    gromov_product(rays[w.i], x, m2) != 0
-                    or gromov_product(rays[w.j], x, m2) != 0
-                ):
-                    fails.append(f"subtree vertex {list(word)} meets a swapped branch")
+                fails.append(f"subtree vertex {list(word)} meets a swapped branch")
     return fails

@@ -80,6 +80,18 @@ class RepDescriptor:
 _HEADS_CACHE_SIZE = 64
 _PAIRS_CACHE_SIZE = 256  # every admissible pair of a 16-vertex shape
 _ADMISSIBLE_CACHE_SIZE = 64  # admissible pair sets, one per shape
+_SHAPE_CACHE_SIZE = 64  # per-shape answers of _is_centipede and _cuspidal_size
+
+
+@functools.lru_cache(maxsize=_SHAPE_CACHE_SIZE)
+def _is_centipede(s: Shape) -> bool:
+    return classify_shape(s).tag == "centipede"
+
+
+@functools.lru_cache(maxsize=_SHAPE_CACHE_SIZE)
+def _cuspidal_size(s: Shape) -> bool:
+    """More than two vertices and diameter >= 2."""
+    return len(s.vertices) > 2 and s.diameter() >= 2
 
 
 def _reduced(t: CharacterTable, H) -> tuple:
@@ -129,7 +141,7 @@ def _h2(t: CharacterTable, row: int, pair) -> int:
 def is_nondegenerate(s: Shape, t: CharacterTable, row: int) -> bool:
     """No nonzero vectors fixed by any pointwise stabilizer of a maximal
     proper complete subtree."""
-    if len(s.vertices) <= 2 or s.diameter() < 2:
+    if not _cuspidal_size(s):
         raise TooSmall("non-degeneracy needs diameter >= 2")
     return _nondegenerate(t, row, _head_stabilizers(s, t))
 
@@ -157,7 +169,7 @@ def admissible_vertex_pairs(s: Shape) -> list:
 def h2_dimension(s: Shape, t: CharacterTable, row: int, x, y) -> int:
     """dim V^Q(x,y) - dim V^Qtilde(x,y) for the pointwise/setwise
     stabilizers of {x, y} inside Aut(s)."""
-    if classify_shape(s).tag != "centipede":
+    if not _is_centipede(s):
         raise NotACentipede("the degree-2 formula applies to centipedes only")
     if not is_nondegenerate(s, t, row):
         raise DegenerateIrrep(f"row {row} is degenerate on this shape")
@@ -205,7 +217,7 @@ def classify_bounded_cohomology(
             raise InvalidDescriptor(f"row {d.irrep} is degenerate on this shape")
         if n != 2:
             return 0
-        if classify_shape(s).tag != "centipede":
+        if not _is_centipede(s):
             return 0
         x, y = canonical_vertex_pair(s)
         return h2_dimension(s, t, d.irrep, x, y)
@@ -215,12 +227,12 @@ def classify_bounded_cohomology(
 def enumerate_nondegenerate(s: Shape, bound: int = DEFAULT_ORDER_BOUND):
     """All non-degenerate rows of Aut(s) with their degree and degree-2
     dimension: list of (row, degree, h2_dim); bound caps |Aut(s)|."""
-    if len(s.vertices) <= 2 or s.diameter() < 2:
+    if not _cuspidal_size(s):
         raise TooSmall("enumeration needs diameter >= 2")
     t = character_table(shape_automorphism_group(s, bound))
     heads = _head_stabilizers(s, t)
     pair = None
-    if classify_shape(s).tag == "centipede":
+    if _is_centipede(s):
         pair = _pair_stabilizers(s, t, *canonical_vertex_pair(s))
     out = []
     for row in range(t.n_rows):

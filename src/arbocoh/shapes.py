@@ -180,7 +180,6 @@ class EmbeddedSubtree:
         return frozenset(w for _, w in self.placement)
 
     def image_degree(self, word) -> int:
-        img = self.image_words()
         pl = dict(self.placement)
         adj = 0
         for a, b in self.shape.edges:

@@ -40,6 +40,9 @@ from .tree import (
 )
 
 _INTERTWINER_CACHE_SIZE = 32  # per cache: intertwiners and inner pairings
+_ADMISSIBLE_TOL = 1e-12  # slack of the Re z and Im z tests of is_admissible
+_EXCHANGE_TOL = 1e-8  # largest residual of an intertwiner's linear system
+_MAX_EXTRA_DEPTH = 8  # refinements pi_z_apply tries beyond the input depth
 
 
 def mu_of_z(q: int, z: complex) -> complex:
@@ -47,31 +50,17 @@ def mu_of_z(q: int, z: complex) -> complex:
     return (q**complex(z) + q ** (1 - complex(z))) / (q + 1)
 
 
-def is_admissible(q: int, z: complex, tol: float = 1e-12) -> bool:
+def is_admissible(q: int, z: complex) -> bool:
     """Positive definiteness criterion: Re z = 1/2, or 0 <= Re z <= 1 with
     Im z an integer multiple of pi/ln q."""
     z = complex(z)
-    if abs(z.real - 0.5) <= tol:
+    if abs(z.real - 0.5) <= _ADMISSIBLE_TOL:
         return True
-    if -tol <= z.real <= 1 + tol:
+    if -_ADMISSIBLE_TOL <= z.real <= 1 + _ADMISSIBLE_TOL:
         step = math.pi / math.log(q)
         k = round(z.imag / step)
-        return abs(z.imag - k * step) <= tol
+        return abs(z.imag - k * step) <= _ADMISSIBLE_TOL
     return False
-
-
-@dataclass(frozen=True)
-class SphericalParam:
-    q: int
-    z: complex
-
-    @property
-    def admissible(self) -> bool:
-        return is_admissible(self.q, self.z)
-
-    @property
-    def mu(self) -> complex:
-        return mu_of_z(self.q, self.z)
 
 
 @dataclass(frozen=True)
@@ -82,10 +71,6 @@ class RadialFunction:
 
     def __getitem__(self, d: int) -> complex:
         return self.values[d]
-
-    @property
-    def max_distance(self) -> int:
-        return len(self.values) - 1
 
 
 def _level_masses(q: int, d: int):
@@ -248,7 +233,7 @@ def _check_mu(q, z):
         raise ValueError(f"intertwiner needs mu(z) in (-1, 1), got {mu}")
 
 
-def _solve_exchange(q: int, a: complex, b: complex, n: int, tol: float):
+def _solve_exchange(q: int, a: complex, b: complex, n: int):
     """Matrix X with W^a X = W^b on all probe vertices of the radius-n
     ball, by least squares; returns (cylinders, X, residual)."""
     cylinders = tuple(_depth_words(q, n))
@@ -257,26 +242,24 @@ def _solve_exchange(q: int, a: complex, b: complex, n: int, tol: float):
     Wb = _pairing_matrix(q, b, probes, cylinders)
     X, *_ = np.linalg.lstsq(Wa, Wb, rcond=None)
     residual = float(np.max(np.abs(Wa @ X - Wb)))
-    if residual > tol:
-        raise IllConditioned(f"intertwiner residual {residual} exceeds {tol}")
+    if residual > _EXCHANGE_TOL:
+        raise IllConditioned(f"intertwiner residual {residual} exceeds {_EXCHANGE_TOL}")
     return cylinders, X, residual
 
 
 @functools.lru_cache(maxsize=_INTERTWINER_CACHE_SIZE)
-def intertwiner_matrix(
-    q: int, z: complex, n: int, tol: float = 1e-8
-) -> Intertwiner:
+def intertwiner_matrix(q: int, z: complex, n: int) -> Intertwiner:
     """The operator exchanging the z and 1-z kernel pairings:
     integral of P^z (I_z f) equals integral of P^(1-z) f at every probe."""
     _check_mu(q, z)
     if n < 1:
         raise ValueError("depth must be >= 1")
-    cylinders, X, residual = _solve_exchange(q, complex(z), 1 - complex(z), n, tol)
+    cylinders, X, residual = _solve_exchange(q, complex(z), 1 - complex(z), n)
     return Intertwiner(q, complex(z), n, cylinders, X, residual)
 
 
 @functools.lru_cache(maxsize=_INTERTWINER_CACHE_SIZE)
-def _inner_pairing(q: int, z: complex, n: int, tol: float = 1e-8) -> Intertwiner:
+def _inner_pairing(q: int, z: complex, n: int) -> Intertwiner:
     """Operator of the invariant Hermitian form: solves
     W^(conj z) X = W^(1-z).  For real z this is the intertwiner itself; on
     the unitary principal series (Re z = 1/2) it is the identity and the
@@ -284,7 +267,7 @@ def _inner_pairing(q: int, z: complex, n: int, tol: float = 1e-8) -> Intertwiner
     one there."""
     _check_mu(q, z)
     z = complex(z)
-    cylinders, X, residual = _solve_exchange(q, z.conjugate(), 1 - z, n, tol)
+    cylinders, X, residual = _solve_exchange(q, z.conjugate(), 1 - z, n)
     return Intertwiner(q, z, n, cylinders, X, residual)
 
 
@@ -311,16 +294,14 @@ def inner_product_z(
     return complex(np.sum(fv * np.conj(gv)) * mass)
 
 
-def pi_z_apply(
-    f: TreeIsometry, phi: CylinderFunction, q: int, z: complex, max_extra: int = 8
-) -> CylinderFunction:
+def pi_z_apply(f: TreeIsometry, phi: CylinderFunction, q: int, z: complex) -> CylinderFunction:
     """Twisted boundary action: gamma -> P^z(o, f o, gamma) phi(f^-1 gamma),
     returned at the shallowest depth where both factors are cylinder-wise
-    constant."""
+    constant, at most _MAX_EXTRA_DEPTH levels below phi's."""
     fo = f.apply_vertex(O)
     finv = f.inverse()
     logq = math.log(q)
-    for depth in range(phi.depth, phi.depth + max_extra + 1):
+    for depth in range(phi.depth, phi.depth + _MAX_EXTRA_DEPTH + 1):
         try:
             out = {}
             for w in _depth_words(q, max(depth, 1)):

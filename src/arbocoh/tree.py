@@ -48,17 +48,6 @@ from .errors import (
 Word = tuple  # tuple of int labels
 
 
-@dataclass(frozen=True)
-class TreeParams:
-    """Branching parameter q >= 2 of the (q+1)-regular tree."""
-
-    q: int
-
-    def __post_init__(self):
-        if self.q < 2:
-            raise ValueError(f"q must be >= 2, got {self.q}")
-
-
 @dataclass(frozen=True, order=True)
 class Vertex:
     """A vertex of the tree, encoded as a root-based label word."""
@@ -469,9 +458,6 @@ class TreeIsometry:
                 m[w] = out
         return TreeIsometry(self.q, m)
 
-    def fixes_word(self, w: Word) -> bool:
-        return self.mapping.get(w) == w
-
     def __eq__(self, other):
         return (
             isinstance(other, TreeIsometry)
@@ -523,8 +509,3 @@ def extend_isometry(f: TreeIsometry, target_depth: int) -> TreeIsometry:
                 seen.add(n)
                 heapq.heappush(heap, (dist + 1, n))
     return TreeIsometry(q, mapping)
-
-
-def apply_isometry(f: TreeIsometry, p):
-    """Image of a Vertex or RayPrefix under f (see TreeIsometry.apply)."""
-    return f.apply(p)

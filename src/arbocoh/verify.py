@@ -81,6 +81,10 @@ from .witness import (
 _LOOP_DOMAIN = 64  # smaller isometry domains are drawn word by word
 _DISTINCT_FLOOR = 1e-3  # least chance of a distinct ray batch worth drawing for
 _RAY_BATCHES = 20_000  # batches drawn before random_rays gives up
+_ORTHOGONALITY_TOL = 1e-9  # character-table orthogonality residuals
+_PSD_TOL = 1e-9  # least Gram eigenvalue allowed below zero
+_INTERTWINER_TOL = 1e-8  # intertwiner identity residual on a deeper ball
+_UNITARITY_TOL = 1e-6  # change of the pi_z inner product under an isometry
 
 
 def random_word(rng, q, depth):
@@ -539,11 +543,10 @@ def reps_suite(cfg: Config) -> dict:
         worst_col = max(worst_col, t.column_orthogonality_residual())
         if sum(d * d for d in t.degrees) != t.group.order:
             deg_ok = False
-    tol = cfg.tolerances.orthogonality
     checks.append(
         _check(
             "character_tables_orthogonal",
-            worst_row < tol and worst_col < tol and deg_ok,
+            worst_row < _ORTHOGONALITY_TOL and worst_col < _ORTHOGONALITY_TOL and deg_ok,
             worst_row_residual=worst_row,
             worst_col_residual=worst_col,
             n_shapes=len(shapes),
@@ -696,21 +699,15 @@ def spherical_suite(cfg: Config) -> dict:
     checks.append(
         _check(
             "gram_psd",
-            min_eig >= -cfg.tolerances.psd and violation < -1e-6,
+            min_eig >= -_PSD_TOL and violation < -1e-6,
             min_eigenvalue=min_eig,
             z2_violation=violation,
         )
     )
 
-    iz = intertwiner_matrix(2, 0.3, 3, tol=cfg.tolerances.intertwiner)
+    iz = intertwiner_matrix(2, 0.3, 3)
     deep = intertwiner_defining_residual(iz, 5)
-    checks.append(
-        _check(
-            "intertwiner_identity",
-            deep < cfg.tolerances.intertwiner,
-            residual=deep,
-        )
-    )
+    checks.append(_check("intertwiner_identity", deep < _INTERTWINER_TOL, residual=deep))
 
     z = 0.5 + 0.3j
     worst_u = 0.0
@@ -725,9 +722,7 @@ def spherical_suite(cfg: Config) -> dict:
         before = inner_product_z(phi, psi, 2, z)
         after = inner_product_z(pi_z_apply(f, phi, 2, z), pi_z_apply(f, psi, 2, z), 2, z)
         worst_u = max(worst_u, abs(after - before))
-    checks.append(
-        _check("pi_z_unitary", worst_u < cfg.tolerances.unitarity, worst_deviation=worst_u)
-    )
+    checks.append(_check("pi_z_unitary", worst_u < _UNITARITY_TOL, worst_deviation=worst_u))
     return _report("spherical", cfg.seed, checks)
 
 

@@ -13,7 +13,7 @@ import arbocoh
 from arbocoh import chartab
 from arbocoh.catalog import enumerate_complete_shapes
 from arbocoh.chartab import CharacterTable, character_table, invariant_dim, realize_irrep
-from arbocoh.errors import NonIntegralDimension, NotASubgroup
+from arbocoh.errors import NonIntegralDimension, NotASubgroup, NumericalDegeneracy
 from arbocoh.perm import (
     Permutation,
     all_subgroups,
@@ -114,7 +114,9 @@ def frobenius21():
 
 
 def test_realize_irrep_models():
-    for t in (character_table(sym3()), character_table(frobenius21())):
+    # S_3, and S_4 = Aut(star(3)) with rows of degree 2 and 3
+    sym4 = shape_automorphism_group(star_shape(3))
+    for t in (character_table(sym3()), character_table(sym4)):
         for r in range(t.n_rows):
             model = realize_irrep(t, r)
             d = model.degree
@@ -204,7 +206,7 @@ def _textbook(sizes, rows):
 
 def test_sym4_table_matches_textbook():
     t = character_table(shape_automorphism_group(star_shape(3)))
-    assert t.integral and t.degrees == (1, 1, 2, 3, 3)
+    assert t.characters.dtype == np.int64 and t.degrees == (1, 1, 2, 3, 3)
     # classes: e, (12), (12)(34), (123), (1234)
     sizes = (1, 6, 3, 8, 6)
     rows = [
@@ -219,7 +221,7 @@ def test_sym4_table_matches_textbook():
 
 def test_sym5_table_matches_textbook():
     t = character_table(shape_automorphism_group(star_shape(4)))
-    assert t.integral and t.degrees == (1, 1, 4, 4, 5, 5, 6)
+    assert t.characters.dtype == np.int64 and t.degrees == (1, 1, 4, 4, 5, 5, 6)
     # classes: e, (12), (12)(34), (123), (123)(45), (1234), (12345)
     sizes = (1, 10, 15, 20, 20, 30, 24)
     rows = [
@@ -241,7 +243,7 @@ def test_catalog_tables_are_exact_integers(shape):
     counted here from the group elements."""
     G = shape_automorphism_group(shape)
     t = character_table(G)
-    assert t.integral and t.characters.dtype == np.int64
+    assert t.characters.dtype == np.int64
     k, order, sizes = len(t.classes), G.order, t.class_sizes()
     class_of = {p: i for i, c in enumerate(t.classes) for p in c}
     # a[i][j][l] = #{x in C_i : x^-1 z_l in C_j}, z_l the class representative
@@ -288,19 +290,22 @@ def test_python_int_proof_matches_int64(monkeypatch):
     fast = character_table(G)
     monkeypatch.setattr(chartab, "_INT64_ORDER_LIMIT", 1)
     slow = character_table.__wrapped__(G)
-    assert slow.integral and slow.degrees == fast.degrees
+    assert slow.characters.dtype == np.int64 and slow.degrees == fast.degrees
     assert np.array_equal(slow.characters, fast.characters)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_cyclic_groups_take_the_float_fallback(n):
-    G = closure([Permutation(tuple((i + 1) % n for i in range(n)))])
-    t = character_table(G)
-    assert not t.integral and t.degrees == (1,) * n
-    assert t.row_orthogonality_residual() < 1e-9
-    assert t.column_orthogonality_residual() < 1e-9
-    # only the trivial character has a G-fixed vector
-    assert sorted(invariant_dim(t, r, G) for r in range(n)) == [0] * (n - 1) + [1]
+def cyclic(n):
+    return closure([Permutation(tuple((i + 1) % n for i in range(n)))])
+
+
+@pytest.mark.parametrize(
+    "group", [cyclic(3), cyclic(4), cyclic(5), frobenius21()], ids=["3", "4", "5", "frobenius21"]
+)
+def test_irrational_groups_raise_numerical_degeneracy(group):
+    """C_n for n >= 3 and the order-21 Frobenius group have characters
+    that are not integers, so no table passes the integer checks."""
+    with pytest.raises(NumericalDegeneracy, match="non-integral characters"):
+        character_table(group)
 
 
 def test_invariant_dim_is_exact_division():

@@ -166,6 +166,17 @@ def test_config_file_and_env(tmp_path, monkeypatch, capsys):
     assert json.loads(out)["seed"] == 2
 
 
+def test_config_tolerances_block_is_rejected(tmp_path, capsys):
+    """The tolerances are constants of the verify suites; a config file
+    that sets them is rejected like any unknown field."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 1, "tolerances": {"psd": 1e-9}}))
+    code, out = run(capsys, ["--config", str(cfg), "verify", "groups"])
+    assert code == 2
+    data = json.loads(out)
+    assert data["error"] == "InvalidInput" and "tolerances" in data["message"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -285,7 +296,7 @@ def test_input_errors_exit_2(argv, tmp_path):
         ),
         (
             ["--seed", "1", "verify", "reps"],
-            "50304d53b7ed86554cf312692c884616d36caed57c4f131b09bd2e8665c80547",
+            "cfa1ca4e3219a1b2bbc839383191af3dd3d39f455e8e930e4e567f82ad42cbf7",
         ),
     ],
 )
@@ -294,15 +305,11 @@ def test_pinned_reports(capsys, argv, digest):
     # isometries, the closed-form Gromov product and kept branch-swap walk
     # states; the next six before the element-object view of groups and
     # character tables was dropped; the last four (the benchmark's own
-    # seeds) before the verify suites cached their invariant work
+    # seeds) before the verify suites cached their invariant work, the
+    # seed-1 reps report again once its witness check ran to its end
     code, out = run(capsys, argv)
-    assert code == PINNED_EXIT_CODES.get(tuple(argv), 0)
+    assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-# `verify reps` at seed 1 ends in the known InsufficientDepth error; its
-# pin keeps that error where it is until the library is fixed
-PINNED_EXIT_CODES = {("--seed", "1", "verify", "reps"): 1}
 
 
 def test_module_entry_point():

@@ -10,7 +10,6 @@ import pytest
 from arbocoh.errors import InsufficientDepth
 from arbocoh.spherical import (
     CylinderFunction,
-    SphericalParam,
     cylinder_poisson_integral,
     eigen_residual,
     gram_psd_check,
@@ -87,8 +86,7 @@ def test_admissibility():
     assert is_admissible(2, 0.3 + 1j * math.pi / math.log(2))
     assert not is_admissible(2, 2.0)
     assert not is_admissible(2, 0.3 + 0.5j)
-    p = SphericalParam(2, 0.5 + 1j)
-    assert p.admissible and abs(p.mu) <= 1
+    assert is_admissible(2, 0.5 + 1j) and abs(mu_of_z(2, 0.5 + 1j)) <= 1
 
 
 def test_gram_psd_admissible_and_violation():
@@ -206,4 +204,4 @@ def test_pi_z_insufficient_domain():
     phi = CylinderFunction(2, 1, {(0,): 1.0, (1,): 2.0, (2,): 3.0})
     tiny = TreeIsometry(2, {(): (0,), (0,): (0, 0), (1,): (), (2,): (0, 1)})
     with pytest.raises(InsufficientDepth):
-        pi_z_apply(tiny, phi, 2, z, max_extra=2)
+        pi_z_apply(tiny, phi, 2, z)

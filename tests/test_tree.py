@@ -16,9 +16,7 @@ from arbocoh.tree import (
     O,
     RayPrefix,
     TreeIsometry,
-    TreeParams,
     Vertex,
-    apply_isometry,
     busemann,
     cylinder_measure,
     distance,
@@ -35,12 +33,6 @@ from arbocoh.tree import (
 from arbocoh.verify import random_isometry, random_rays, random_word
 
 import numpy as np
-
-
-def test_tree_params_validation():
-    TreeParams(2)
-    with pytest.raises(ValueError):
-        TreeParams(1)
 
 
 def test_distance_examples():
@@ -243,10 +235,10 @@ def test_extend_deterministic():
 
 def test_apply_isometry_examples():
     ident = extend_isometry(identity_isometry(2), 3)
-    assert apply_isometry(ident, Vertex((0, 1))) == Vertex((0, 1))
-    assert apply_isometry(ident, RayPrefix((2, 0))) == RayPrefix((2, 0))
+    assert ident.apply(Vertex((0, 1))) == Vertex((0, 1))
+    assert ident.apply(RayPrefix((2, 0))) == RayPrefix((2, 0))
     with pytest.raises(OutOfDomain):
-        apply_isometry(ident, Vertex((0, 1, 0, 0)))
+        ident.apply(Vertex((0, 1, 0, 0)))
 
 
 def test_apply_inverse_roundtrip():

@@ -88,13 +88,19 @@ def test_reps_suite_builds_invariants_once(monkeypatch):
     monkeypatch.setattr(chartab, "pointwise_stabilizer", counting_stabilizer)
     monkeypatch.setattr(witness, "check_witness_vector", counting_check)
     chartab.realize_irrep.cache_clear()  # fresh models hold no projectors yet
-    for cache in (witness._section_items, reptheory._admissible_pairs):
+    per_key = (
+        witness._section_items,
+        reptheory._admissible_pairs,
+        reptheory._is_centipede,
+        reptheory._cuspidal_size,
+    )
+    for cache in per_key:
         cache.cache_clear()
     assert verify.reps_suite(Config(seed=2))["passed"]
     # one model and one endpoint pair throughout the witness check
     assert len({id(m) for m in checks}) == 1 and len(checks) > 1000
     assert len(stabilizers) == 1
-    for cache in (witness._section_items, reptheory._admissible_pairs):
+    for cache in per_key:
         info = cache.cache_info()
         assert info.misses == info.currsize  # nothing computed twice
         assert info.hits > info.misses
@@ -105,6 +111,8 @@ CACHES = [
     verify._flip_window,
     witness._section_items,
     reptheory._admissible_pairs,
+    reptheory._is_centipede,
+    reptheory._cuspidal_size,
 ]
 
 

@@ -4,6 +4,7 @@ equivariance, vector preconditions, and finite support of the coboundary."""
 import numpy as np
 import pytest
 
+from arbocoh import verify
 from arbocoh.chartab import character_table, realize_irrep
 from arbocoh.errors import BadVector, NotACentipede
 from arbocoh.perm import shape_automorphism_group
@@ -263,3 +264,16 @@ def test_diameter_two_star_witness():
     assert np.allclose(out, v)
     out = witness_cochain(s, model, v, ref.gamma1, ref.gamma0, ref.embedding, 8)
     assert np.allclose(out, -v)
+
+
+# seeds at which the support loop of `verify reps` meets a geodesic
+# L(g, h) through the basepoint, whose carried reference ray climbs to o
+LINE_THROUGH_BASEPOINT_SEEDS = (
+    1, 7, 39, 59, 61, 147, 154, 167, 168, 171, 186, 247, 336, 344, 351, 389, 397,
+)
+
+
+@pytest.mark.parametrize("seed", LINE_THROUGH_BASEPOINT_SEEDS)
+def test_witness_check_passes_on_lines_through_the_basepoint(seed):
+    check = verify._witness_check(np.random.default_rng(seed), 10**6)
+    assert check["passed"], check["mismatches"]
