@@ -4,11 +4,11 @@ Tables are computed by the class-algebra method of Dixon (Numer. Math. 10,
 1967) and Schneider (J. Symb. Comput. 9, 1990).  The structure constants
 a_ijl of the class sums give commuting integer matrices B_i, with
 B_i[j, l] = a_ijl, whose common eigenvectors are the central characters
-w_l = n_l chi(C_l) / chi(1) (n_l the class sizes).  One random
-positive-integer combination M = sum_i c_i B_i separates the eigenspaces,
-and float64 numpy.linalg.eig solves it; each eigenvector, scaled to 1 at
-the identity class, gives a row whose degree follows from the second
-orthogonality relation.
+w_l = n_l chi(C_l) / chi(1) (n_l the class sizes).  One combination
+M = sum_i c_i B_i, with positive integers c_i from a seeded stdlib
+random.Random, separates the eigenspaces, and float64 numpy.linalg.eig
+solves it; each eigenvector, scaled to 1 at the identity class, gives a
+row whose degree follows from the second orthogonality relation.
 
 Aut(S) of a finite tree is an iterated wreath product of symmetric groups,
 so its characters are integers.  The rows are rounded to integers and the
@@ -37,6 +37,7 @@ random averaged (hence commuting) Hermitian operator.
 from __future__ import annotations
 
 import functools
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,10 +162,10 @@ def character_table(G: PermGroup) -> CharacterTable:
         return CharacterTable(G, ids, np.ones((1, 1), dtype=np.int64), (1,))
 
     A = _class_constants(G, ids)  # A[i, j, l] = a_ijl
-    rng = np.random.default_rng(_TABLE_SEED)
+    rng = random.Random(_TABLE_SEED)
     last_err = None
     for _ in range(_TRIES):
-        M = np.tensordot(rng.integers(1, 10**6, size=k), A, axes=1).astype(float)
+        M = np.tensordot([rng.randrange(1, 10**6) for _ in range(k)], A, axes=1).astype(float)
         E, V = np.linalg.eig(M)
         gaps = np.abs(E[:, None] - E[None, :]) + np.diag(np.full(k, np.inf))
         if gaps.min() < _SEP_TOL * (np.abs(E).max() + 1):

@@ -19,13 +19,22 @@ exactly when I is a path.  verify.brute_force_maximal_subtrees searches
 every connected subset of I instead and is the oracle for this closed
 form, in `verify groups` and in the tests.
 
-Embeddings into the word tree and the canonical sections of the witness
-module share one backtracking placement search, place_tree.
+Embeddings place I alone, with place_tree, the one backtracking search
+(the canonical sections of the witness module share it).  An internal
+vertex has all q+1 neighbours in its image, so in a ball of radius r it
+lies within r - 1; its leaves take the neighbours that I does not use,
+and the leaves of distinct internal vertices take disjoint words.  Each
+image is then found |Aut(I)| times rather than |Aut(s)| times, and its
+least placement puts the sorted leaves of each internal vertex on the
+sorted free neighbours of its image.  A median is a full-degree vertex
+of an image exactly when it is in the image of I, so the hit count
+places I with each internal vertex in turn at the median.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from . import treecode
 from .errors import (
@@ -179,14 +188,6 @@ class EmbeddedSubtree:
     def image_words(self) -> frozenset:
         return frozenset(w for _, w in self.placement)
 
-    def image_degree(self, word) -> int:
-        pl = dict(self.placement)
-        adj = 0
-        for a, b in self.shape.edges:
-            if pl[a] == word or pl[b] == word:
-                adj += 1
-        return adj
-
 
 # -- completeness and taxonomy ----------------------------------------------
 
@@ -194,10 +195,7 @@ class EmbeddedSubtree:
 def validate_complete(s: Shape) -> bool:
     """True iff s is a single vertex or every degree is 1 or q+1."""
     s.check_tree()
-    if len(s.vertices) == 1:
-        return True
-    ok = {1, s.q + 1}
-    return all(len(nbrs) in ok for nbrs in s.adjacency().values())
+    return len(s.vertices) == 1 or all(len(n) in (1, s.q + 1) for n in s.adjacency().values())
 
 
 def _require_complete(s: Shape):
@@ -212,15 +210,12 @@ def maximal_proper_complete_subtrees(s: Shape) -> list:
     if len(s.vertices) <= 2:
         raise TooSmall("vertex and edge shapes have no maximal proper complete subtrees")
     internal = set(s.internal_vertices())
+    adj = s.adjacency()
     if len(internal) == 1:
         out = [frozenset(e) for e in s.edges]
     else:
-        adj = s.adjacency()
-        out = []
-        for leaf in internal:
-            if sum(n in internal for n in adj[leaf]) == 1:
-                rest = internal - {leaf}
-                out.append(frozenset(rest.union(*(adj[v] for v in rest))))
+        rests = [internal - {x} for x in internal if sum(n in internal for n in adj[x]) == 1]
+        out = [frozenset(r.union(*(adj[v] for v in r))) for r in rests]
     return sorted(out, key=lambda fs: tuple(sorted(fs)))
 
 
@@ -233,10 +228,7 @@ def heads(s: Shape) -> list:
     out = []
     for sub in maximal_proper_complete_subtrees(s):
         rest = sorted(set(s.vertices) - sub)
-        hull = set()
-        for v in rest:
-            hull.update(s.path(rest[0], v))
-        out.append(frozenset(hull))
+        out.append(frozenset().union(*(s.path(rest[0], v) for v in rest)))
     return sorted(out, key=lambda fs: tuple(sorted(fs)))
 
 
@@ -297,53 +289,65 @@ def place_tree(order, parent_of, roots, host_nbrs, visit) -> None:
 
 def enumerate_embeddings(s: Shape, anchor: Vertex, radius: int) -> list:
     """All placements of s inside the ball around anchor, one per vertex-set
-    image, in deterministic order (sorted by image word set).
-
-    One representative placement per image: the lexicographically smallest
-    mapping over the shape's sorted vertex ids.
-    """
+    image, sorted by the sorted image words.  Each is the least placement
+    of its image as a tuple over the sorted vertex ids; see the module
+    docstring for how they are found."""
     _require_complete(s)
     q = s.q
-    ball = set(ball_words(anchor.word, radius, q))
-    ball_nbrs = {w: [x for x in word_neighbors(w, q) if x in ball] for w in ball}
+    ball = ball_words(anchor.word, radius, q)
     adj = s.adjacency()
-    start = max(s.vertices, key=lambda v: (len(adj[v]), v))
-    order, parent_of = treecode.bfs(adj, start)
-    cols = [order.index(v) for v in s.vertices]
-    found = {}
+    core = set(s.internal_vertices())
+    if core:  # each internal vertex needs its q+1 neighbours in the ball
+        ball = [w for w in ball if word_distance(w, anchor.word) < radius]
+    else:  # a vertex or an edge is placed whole
+        core = set(s.vertices)
+    host = set(ball)
+    host_nbrs = {w: [x for x in word_neighbors(w, q) if x in host] for w in ball}
+    order, parent_of = treecode.bfs({u: [n for n in adj[u] if n in core] for u in core}, min(core))
+    col = {v: i for i, v in enumerate(s.vertices)}
+    cols = [(col[u], [col[x] for x in adj[u] if x not in core]) for u in order]
+    best = {}
 
     def keep_least(placed):
         key = frozenset(placed)
-        cand = tuple([placed[c] for c in cols])
-        if key not in found or cand < found[key]:
-            found[key] = cand
+        cand = [None] * len(col)
+        for (c, leaf_cols), w in zip(cols, placed):
+            cand[c] = w
+            free = [x for x in word_neighbors(w, q) if x not in key]
+            for lc, x in zip(leaf_cols, free):
+                cand[lc] = x
+        cand = tuple(cand)
+        best[key] = min(best.get(key, cand), cand)
 
-    place_tree(order, parent_of, ball, ball_nbrs.__getitem__, keep_least)
-    return [
-        EmbeddedSubtree(s, dict(zip(s.vertices, found[key])))
-        for key in sorted(found, key=lambda fs: tuple(sorted(fs)))
-    ]
+    place_tree(order, parent_of, ball, host_nbrs.__getitem__, keep_least)
+    return [EmbeddedSubtree(s, dict(zip(s.vertices, c))) for c in sorted(best.values(), key=sorted)]
 
 
 def hits(e: EmbeddedSubtree, g0: RayPrefix, g1: RayPrefix, g2: RayPrefix) -> bool:
     """True iff the median of the triple is a full-degree vertex of the
     embedded image, i.e. the subtree passes through the median."""
-    m = median(g0, g1, g2)
-    if m.word not in e.image_words():
-        return False
-    return e.image_degree(m.word) == e.shape.q + 1
+    m = median(g0, g1, g2).word
+    pl = e.mapping()
+    return sum(m in (pl[a], pl[b]) for a, b in e.shape.edges) == e.shape.q + 1
 
 
 def count_hitting(s: Shape, g0: RayPrefix, g1: RayPrefix, g2: RayPrefix) -> int:
     """Number of unlabeled embeddings of s whose image passes through the
-    median of the triple, by exhaustive search in a ball of radius
-    diameter+1 around the median.  Constant over triples."""
+    median of the triple at a full-degree vertex: the distinct images of
+    I(s) with some internal vertex at the median.  Constant over triples."""
     cls = classify_shape(s)
     if cls.tag in ("vertex", "edge"):
         raise NotCuspidalShape(f"hit counts need diameter >= 2, got a {cls.tag}")
     m = median(g0, g1, g2)
-    embs = enumerate_embeddings(s, m, s.diameter() + 1)
-    return sum(hits(e, g0, g1, g2) for e in embs)
+    adj = s.adjacency()
+    internal = set(s.internal_vertices())
+    adj_i = {u: [n for n in adj[u] if n in internal] for u in internal}
+    images = set()
+    for u in adj_i:
+        order, parent_of = treecode.bfs(adj_i, u)
+        place_tree(order, parent_of, [m.word], partial(word_neighbors, q=s.q),
+                   lambda placed: images.add(frozenset(placed)))
+    return len(images)
 
 
 # -- canonical shape builders -------------------------------------------------

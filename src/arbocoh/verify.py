@@ -356,17 +356,12 @@ def random_flip_instance(rng, q, depth):
     if rng.integers(0, 2) == 0:
         return rays, None
     kind = int(rng.integers(0, 3))
-    shape = _flip_shape(kind, q)
     for _ in range(20):
         embs = _flip_window(kind, q, random_word(rng, q, int(rng.integers(0, 4))))
         if not embs:
             continue
         e = embs[int(rng.integers(0, len(embs)))]
-        if len(shape.vertices) <= 2:
-            cls_hit = False  # vertex/edge shapes never pass through a median
-        else:
-            cls_hit = hits(e, rays[0], rays[1], rays[2])
-        if not cls_hit:
+        if not hits(e, rays[0], rays[1], rays[2]):
             return rays, e
     return rays, None
 
@@ -651,8 +646,7 @@ def _witness_check(rng, bound, n_instances=100, n_triples=3, depth=10):
         # rays must reach well below the embedding window around the median
         rays = random_rays(rng, 2, 3, depth + 10)
         m = median(*rays)
-        embs = enumerate_embeddings(s, m, 6)
-        for e in embs:
+        for e in enumerate_embeddings(s, m, 6):
             if hits(e, *rays):
                 continue
             val = (

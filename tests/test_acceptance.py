@@ -168,11 +168,14 @@ def test_criterion_5_flip_suite():
 
 
 def test_criterion_6_hitting_count_constancy():
-    with _Criterion(6, "hit counts constant over 50 triples per shape", 60):
+    with _Criterion(6, "hit counts constant over 50 triples per shape, and exact", 60):
         rng = np.random.default_rng(1)
         from arbocoh.shapes import count_hitting
 
-        expected = {"star": 1, "cent3": 3}
+        # sum over internal u of (q+1)_{deg u} prod_{x != u} (q)_{deg x - 1},
+        # over |Aut(I)|, for the internal tree I; test_shapes checks this
+        # closed form against count_hitting on the catalog
+        expected = {"star": 1, "cent3": 3, "cent4": 9, "y": 4}
         shapes = {
             "star": star_shape(2),
             "cent3": centipede_shape(2, 3),
@@ -184,8 +187,7 @@ def test_criterion_6_hitting_count_constancy():
                 count_hitting(s, *random_rays(rng, 2, 3, 12)) for _ in range(50)
             }
             assert len(counts) == 1, f"{name}: counts varied: {counts}"
-            if name in expected:
-                assert counts == {expected[name]}
+            assert counts == {expected[name]}
 
 
 def test_criterion_7_character_table_validity():

@@ -1,16 +1,22 @@
 """Complete subtrees: validation, maximal subtrees, heads, classification,
-embeddings, and hit counts, cross-checked against subset brute force."""
+embeddings, and hit counts, cross-checked against subset brute force, the
+labelled placement search and the closed-form hit count."""
 
 import dataclasses
 import hashlib
 import itertools
+import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arbocoh.errors import NotATree, NotCuspidalShape, TooSmall
+from arbocoh import treecode, verify
+from arbocoh.catalog import enumerate_complete_shapes
+from arbocoh.errors import InvalidShape, NotATree, NotCuspidalShape, TooSmall
+from arbocoh.perm import shape_automorphism_group
 from arbocoh.shapes import (
     EmbeddedSubtree,
     Shape,
@@ -24,12 +30,13 @@ from arbocoh.shapes import (
     heads,
     hits,
     maximal_proper_complete_subtrees,
+    place_tree,
     star_shape,
     validate_complete,
     vertex_shape,
     y_shape,
 )
-from arbocoh.tree import RayPrefix, Vertex
+from arbocoh.tree import RayPrefix, Vertex, ball_words, median, word_neighbors
 from arbocoh.verify import brute_force_maximal_subtrees, random_isometry, random_rays
 
 
@@ -71,8 +78,6 @@ def test_validate_complete_examples():
 
 
 def test_incomplete_shape_rejected_by_taxonomy():
-    from arbocoh.errors import InvalidShape
-
     path3 = Shape(2, ["a", "b", "c"], [["a", "b"], ["b", "c"]])
     with pytest.raises(InvalidShape):
         classify_shape(path3)
@@ -160,11 +165,11 @@ def test_centipede_exactly_when_internal_tree_is_a_path():
 
 
 @st.composite
-def internal_trees(draw):
-    """A complete shape from a random internal tree: q in {2, 3, 4} and at
-    most 12 internal vertices, each of degree <= q+1 inside the tree."""
-    q = draw(st.sampled_from([2, 3, 4]))
-    n = draw(st.integers(1, 12))
+def internal_trees(draw, qs=(2, 3, 4), max_internal=12):
+    """A complete shape from a random internal tree: q in qs and at most
+    max_internal internal vertices, each of degree <= q+1 inside the tree."""
+    q = draw(st.sampled_from(qs))
+    n = draw(st.integers(1, max_internal))
     deg = [0] * n
     edges = []
     for v in range(1, n):
@@ -276,6 +281,176 @@ def test_placements_pinned(name, shape):
         len(secs), hashlib.sha256(repr(secs).encode()).hexdigest(),
     )
     assert got == PLACEMENTS_PINNED[name]
+
+
+# -- independent oracle: the labelled placement search -------------------------
+
+
+def labelled_embeddings(s: Shape, anchor: Vertex, radius: int) -> list:
+    """enumerate_embeddings by placing every vertex of s, leaves included,
+    so each image is found |Aut(s)| times, and keeping the least placement
+    of each image; independent of the library's internal-tree method."""
+    q = s.q
+    ball = set(ball_words(anchor.word, radius, q))
+    ball_nbrs = {w: [x for x in word_neighbors(w, q) if x in ball] for w in ball}
+    adj = s.adjacency()
+    start = max(s.vertices, key=lambda v: (len(adj[v]), v))
+    order, parent_of = treecode.bfs(adj, start)
+    cols = [order.index(v) for v in s.vertices]
+    found = {}
+
+    def keep_least(placed):
+        key = frozenset(placed)
+        cand = tuple([placed[c] for c in cols])
+        if key not in found or cand < found[key]:
+            found[key] = cand
+
+    place_tree(order, parent_of, ball, ball_nbrs.__getitem__, keep_least)
+    return [
+        EmbeddedSubtree(s, dict(zip(s.vertices, found[key])))
+        for key in sorted(found, key=lambda fs: tuple(sorted(fs)))
+    ]
+
+
+def labelled_hit_count(s: Shape, rays) -> int:
+    """count_hitting by the labelled search: the images through the median
+    at a full-degree vertex.  An internal vertex is not a leaf, so every
+    vertex of s lies within diameter - 1 of it, and the ball of that radius
+    around the median holds every such image."""
+    return sum(
+        hits(e, *rays) for e in labelled_embeddings(s, median(*rays), s.diameter() - 1)
+    )
+
+
+def relabelled(s: Shape, seed: int) -> Shape:
+    """The same tree under random vertex ids, so that their sorted order
+    no longer follows the tree."""
+    rng = random.Random(seed)
+    ids = rng.sample(range(100 * len(s.vertices)), len(s.vertices))
+    new = {v: f"x{i}" for v, i in zip(s.vertices, ids)}
+    return Shape(s.q, [new[v] for v in s.vertices], [(new[a], new[b]) for a, b in s.edges])
+
+
+def closed_form_hit_count(s: Shape) -> int:
+    """sum over u in I of N_u, divided by |Aut(I)|, with I the internal tree
+    and N_u = (q+1)_{deg u} prod_{x != u} (q)_{deg x - 1} the placements
+    of I with u at a fixed vertex, (n)_k the falling factorial and degrees
+    taken in I."""
+    internal = s.internal_vertices()
+    edges = [e for e in s.edges if e[0] in internal and e[1] in internal]
+    deg = {u: sum(u in e for e in edges) for u in internal}
+    total = sum(
+        math.perm(s.q + 1, deg[u])
+        * math.prod(math.perm(s.q, deg[x] - 1) for x in internal if x != u)
+        for u in internal
+    )
+    aut = shape_automorphism_group(Shape(s.q, internal, edges)).order
+    assert total % aut == 0
+    return total // aut
+
+
+# every catalog shape of diameter <= 4 at q=2 D<=5, q=3 D<=4 and q=4 D<=3
+SMALL_CATALOG = [
+    s
+    for q, d in ((2, 5), (3, 4), (4, 3))
+    for s in enumerate_complete_shapes(q, d)
+    if s.diameter() <= 4
+]
+BASEPOINT_TRIPLE = (RayPrefix((0,) * 6), RayPrefix((1,) + (0,) * 5), RayPrefix((2,) + (0,) * 5))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_flip_windows_match_labelled_search(q):
+    """Every window the flip suite draws: 3 kinds at each anchor of depth
+    0..3, radius 2."""
+    for make in verify._FLIP_SHAPES:
+        s = make(q)
+        for anchor in ball_words((), 3, q):
+            got = enumerate_embeddings(s, Vertex(anchor), 2)
+            want = labelled_embeddings(s, Vertex(anchor), 2)
+            assert [e.placement for e in got] == [e.placement for e in want]
+
+
+@pytest.mark.parametrize("index", range(len(SMALL_CATALOG)))
+def test_catalog_embeddings_match_labelled_search(index):
+    """Relabelled catalog shapes at three anchors and radii 0..3 (radius 3
+    only up to 14 vertices: the q=3 radius-2 ball takes the labelled search
+    about a second there)."""
+    s = relabelled(SMALL_CATALOG[index], index)
+    for anchor in [(), (1,), (0, 1)]:
+        for radius in range(4 if len(s.vertices) <= 14 else 3):
+            got = enumerate_embeddings(s, Vertex(anchor), radius)
+            want = labelled_embeddings(s, Vertex(anchor), radius)
+            assert [e.placement for e in got] == [e.placement for e in want]
+
+
+@st.composite
+def small_placements(draw):
+    """A vertex, an edge or a complete shape with at most 4 internal
+    vertices, at q in {2, 3}, under random vertex ids; an anchor of depth
+    <= 3 and a radius 0..3."""
+    qs = st.sampled_from([2, 3])
+    s = draw(st.one_of(
+        st.builds(vertex_shape, qs), st.builds(edge_shape, qs), internal_trees((2, 3), 4)
+    ))
+    s = relabelled(s, draw(st.integers(0, 2**32)))
+    depth = draw(st.integers(0, 3))
+    anchor = tuple(draw(st.integers(0, s.q if i == 0 else s.q - 1)) for i in range(depth))
+    return s, Vertex(anchor), draw(st.integers(0, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_placements())
+def test_embeddings_match_labelled_search_property(case):
+    s, anchor, radius = case
+    got = enumerate_embeddings(s, anchor, radius)
+    want = labelled_embeddings(s, anchor, radius)
+    assert [e.placement for e in got] == [e.placement for e in want]
+
+
+@pytest.mark.parametrize("index", range(len(SMALL_CATALOG)))
+def test_hit_counts_match_labelled_search(index):
+    """At the triple whose median is the basepoint, and at a random triple
+    for the shapes the labelled search places in milliseconds."""
+    s = relabelled(SMALL_CATALOG[index], index)
+    if s.diameter() < 2:
+        with pytest.raises(NotCuspidalShape):
+            count_hitting(s, *BASEPOINT_TRIPLE)
+        return
+    assert median(*BASEPOINT_TRIPLE) == Vertex(())
+    triples = [BASEPOINT_TRIPLE]
+    if len(s.vertices) <= 14:
+        triples.append(random_rays(np.random.default_rng(index), s.q, 3, 8))
+    for rays in triples:
+        assert count_hitting(s, *rays) == labelled_hit_count(s, rays)
+
+
+@pytest.mark.parametrize("q,d", [(2, 7), (3, 5), (4, 4), (5, 3)])
+def test_hit_counts_match_closed_form_on_catalog(q, d):
+    rays = random_rays(np.random.default_rng(q), q, 3, 10)
+    for s in enumerate_complete_shapes(q, d):
+        if s.diameter() >= 2:
+            assert count_hitting(s, *rays) == closed_form_hit_count(s)
+
+
+def test_hit_counts_exact_values():
+    """The shapes of acceptance criterion 6, and the frontier shapes whose
+    labelled search took seconds per triple."""
+    ball3 = complete_shape_from_internal(3, "cabde", [("c", x) for x in "abde"])
+    expected = [
+        (star_shape(2), 1),
+        (centipede_shape(2, 3), 3),
+        (centipede_shape(2, 4), 9),
+        (y_shape(2), 4),
+        (y_shape(3), 16),
+        (centipede_shape(3, 5), 72),
+        (ball3, 5),
+    ]
+    rng = np.random.default_rng(4)
+    for s, count in expected:
+        assert closed_form_hit_count(s) == count
+        for rays in [BASEPOINT_TRIPLE, *(random_rays(rng, s.q, 3, 12) for _ in range(3))]:
+            assert count_hitting(s, *rays) == count
 
 
 def test_hits_examples():
