@@ -5,22 +5,30 @@ A complete subtree of diameter d >= 2 is determined by its internal tree
 maximum degree at most q+1; leaves are then attached to fill every
 internal vertex up to degree q+1.  Unlabeled internal trees are generated
 by leaf growth with deduplication by treecode.canonical_code, whose codes
-also fix the order of each growth level.
+also fix the order of each growth level.  The growth is exponential in the
+diameter, so one enumeration grows at most GROWTH_BUDGET trees and raises
+CatalogTooLarge past it (q=2 at diameter 9, the largest catalog that fits,
+grows about 21,000).
 """
 
 from __future__ import annotations
 
+from .errors import CatalogTooLarge
 from .shapes import complete_shape_from_internal, edge_shape, vertex_shape
 from .treecode import canonical_code, diameter
+
+GROWTH_BUDGET = 40_000  # trees grown by leaf attachment in one enumeration
 
 
 def enumerate_trees(max_vertices: int, max_degree: int = 0, max_diameter: int = -1) -> list:
     """All unlabeled trees with 1..max_vertices vertices, as adjacency
     dicts on integer vertices.  Growth by leaf attachment with
     canonical-code dedup; degree and diameter bounds prune the search
-    (neither can decrease when a leaf is attached)."""
+    (neither can decrease when a leaf is attached).  Raises CatalogTooLarge
+    once more than GROWTH_BUDGET trees have been grown."""
     out = [{0: []}]
     level = [{0: []}]
+    grown_count = 0
     for _ in range(1, max_vertices):
         seen = {}
         for adj in level:
@@ -28,6 +36,11 @@ def enumerate_trees(max_vertices: int, max_degree: int = 0, max_diameter: int = 
             for v in range(n):
                 if max_degree and len(adj[v]) >= max_degree:
                     continue
+                grown_count += 1
+                if grown_count > GROWTH_BUDGET:
+                    raise CatalogTooLarge(
+                        f"tree enumeration grew more than {GROWTH_BUDGET} trees"
+                    )
                 grown = {u: list(ns) for u, ns in adj.items()}
                 grown[v].append(n)
                 grown[n] = [v]

@@ -57,6 +57,10 @@ class NotCuspidalShape(ArbocohError):
     """Operation requires a shape of diameter >= 2."""
 
 
+class CatalogTooLarge(ArbocohError):
+    """A shape enumeration would grow more trees than its work budget."""
+
+
 # -- flip ------------------------------------------------------------------
 
 class SubtreeHitsTriple(ArbocohError):

@@ -18,6 +18,13 @@ certified prefixes of gamma_i and gamma_j exactly) and matches all other
 children in canonical sorted order, making it a deterministic involution.
 Everything outside the two branches, in particular S and every other ray,
 is fixed pointwise.
+
+Gromov products are integer arithmetic on common prefix lengths
+(tree.lcp_product): find_flip keeps the table of pairwise ray lcps its
+distinctness test builds, adds lcp(m, ray) once per ray, and reads the J0
+filter and the best pair from them.  Only the domain words whose walk
+from m' starts along a spine are walked; every other word is mapped to
+itself.
 """
 
 from __future__ import annotations
@@ -29,8 +36,8 @@ from .shapes import EmbeddedSubtree
 from .tree import (
     TreeIsometry,
     Vertex,
-    gromov_product,
     lcp_len,
+    lcp_product,
     median,
     vertex_to_ray_path,
     word_neighbors,
@@ -65,13 +72,15 @@ def _missing_pair(rays, s, m):
     """Lexicographically smallest pair (a, b) in {0,1,2} such that every
     subtree vertex has zero Gromov product with both rays at the median."""
     image = [] if s is None else [Vertex(w) for w in sorted(s.image_words())]
+    mr = [lcp_len(m.word, rays[a].word) for a in range(3)]
+    mx = {x: lcp_len(m.word, x.word) for x in image}
+
+    def product(a, x):
+        return lcp_product(rays[a], x, m, lcp_len(rays[a].word, x.word), mr[a], mx[x])
+
     for a in range(3):
         for b in range(a + 1, 3):
-            if all(
-                gromov_product(rays[a], x, m) == 0
-                and gromov_product(rays[b], x, m) == 0
-                for x in image
-            ):
+            if all(product(a, x) == 0 and product(b, x) == 0 for x in image):
                 return a, b
     raise SubtreeHitsTriple("the subtree hits the leading ray triple")
 
@@ -95,6 +104,17 @@ class _BranchSwap:
         # vertex -> (image, previous vertex, its image, spine position or
         # -1 once off the spine, side); side None: the branch is fixed
         self._states = {m_prime: (m_prime, None, None, 0, None)}
+        # the first steps of the two spines from m'
+        self._heads = (spine_a[1], spine_b[1])
+        self._up_moves = m_prime[:-1] in self._heads
+
+    def moves(self, u) -> bool:
+        """Whether the walk from m' to u starts along a spine; every other
+        vertex, m' included, is fixed."""
+        m = self.m
+        if u[: len(m)] == m:  # m' or below it: the first step is a child
+            return len(u) > len(m) and u[: len(m) + 1] in self._heads
+        return self._up_moves  # the first step is m's parent
 
     def image(self, u):
         states, m = self._states, self.m
@@ -151,29 +171,29 @@ def find_flip(q: int, rays, s, depth: int) -> FlipWitness:
     for k, r in enumerate(rays):
         if r.depth < depth:
             raise InsufficientDepth(f"ray {k} shallower than requested depth {depth}")
+    lcp = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(a + 1, n):
-            if lcp_len(rays[a].word, rays[b].word) >= depth:
+            lcp[a][b] = lcp[b][a] = lcp_len(rays[a].word, rays[b].word)
+            if lcp[a][b] >= depth:
                 raise NotDistinct(f"rays {a} and {b} agree to depth {depth}")
 
     m = median(rays[0], rays[1], rays[2])
     pa, pb = _missing_pair(rays, s, m)
 
-    j0 = []
-    for k in range(n):
-        if k in (pa, pb):
-            j0.append(k)
-        elif (
-            gromov_product(rays[k], rays[pa], m) > 0
-            or gromov_product(rays[k], rays[pb], m) > 0
-        ):
-            j0.append(k)
+    # every ray reaches below depth > |m| and no two agree to depth, so no
+    # product of two rays at m can raise
+    mr = [lcp_len(m.word, r.word) for r in rays]
 
+    def product(a, b):
+        return lcp_product(rays[a], rays[b], m, lcp[a][b], mr[a], mr[b])
+
+    j0 = [k for k in range(n) if k in (pa, pb) or product(k, pa) > 0 or product(k, pb) > 0]
     best = None
     for ii in j0:
         for jj in j0:
             if ii < jj:
-                g = gromov_product(rays[ii], rays[jj], m)
+                g = product(ii, jj)
                 if best is None or g > best[0]:
                     best = (g, ii, jj)
     _, i, j = best
@@ -190,7 +210,7 @@ def find_flip(q: int, rays, s, depth: int) -> FlipWitness:
     if s is not None:
         for w in s.image_words():
             dom.update(w[:k] for k in range(len(w) + 1))
-    mapping = {u: swap.image(u) for u in sorted(dom)}
+    mapping = {u: swap.image(u) if swap.moves(u) else u for u in sorted(dom)}
     for u, v in list(mapping.items()):
         if v not in mapping:
             mapping[v] = swap.image(v)
@@ -234,20 +254,24 @@ def check_flip_witness(q: int, rays, s, w: FlipWitness) -> list:
             break
 
     m2 = Vertex(spine_i[0])
+    ri, rj = rays[w.i], rays[w.j]
+    m2i, m2j = lcp_len(m2.word, ri.word), lcp_len(m2.word, rj.word)
     for k, ray in enumerate(rays):
         if k in (w.i, w.j):
             continue
+        mk = lcp_len(m2.word, ray.word)
         if (
-            gromov_product(ray, rays[w.i], m2) != 0
-            or gromov_product(ray, rays[w.j], m2) != 0
+            lcp_product(ray, ri, m2, lcp_len(ray.word, ri.word), mk, m2i) != 0
+            or lcp_product(ray, rj, m2, lcp_len(ray.word, rj.word), mk, m2j) != 0
         ):
             fails.append(f"ray {k} meets a swapped branch at the secondary median")
     if s is not None:
         for word in sorted(s.image_words()):
             x = Vertex(word)
+            mx = lcp_len(m2.word, word)
             if (
-                gromov_product(rays[w.i], x, m2) != 0
-                or gromov_product(rays[w.j], x, m2) != 0
+                lcp_product(ri, x, m2, lcp_len(ri.word, word), m2i, mx) != 0
+                or lcp_product(rj, x, m2, lcp_len(rj.word, word), m2j, mx) != 0
             ):
                 fails.append(f"subtree vertex {list(word)} meets a swapped branch")
     return fails

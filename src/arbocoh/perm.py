@@ -23,7 +23,9 @@ GroupTooLarge past DEFAULT_ORDER_BOUND = 10^6 elements.
 shape_automorphism_group computes Aut(S) of a finite tree from the rooted
 subtree codes of `treecode`, hung from the tree centre: sibling subtrees
 with equal codes yield swap generators, and an isomorphic centre-edge
-split yields the flip.  The result is verified against a brute-force
+split yields the flip.  The same codes give |Aut(S)| as a product of
+factorials, so an order over the bound raises GroupTooLarge before any
+element is enumerated.  The result is verified against a brute-force
 search in the tests and in `verify groups`.
 """
 
@@ -325,12 +327,22 @@ def shape_automorphism_group(s: Shape, bound: int = DEFAULT_ORDER_BOUND) -> Perm
 @functools.lru_cache(maxsize=_AUT_CACHE_SIZE)
 def _automorphism_group(s: Shape, bound: int) -> PermGroup:
     s.check_tree()
+    gens, order = _aut_generators(s)
+    if order > bound:
+        raise GroupTooLarge(f"|Aut(S)| = {order} exceeds bound {bound}")
+    return closure(gens, degree=len(s.vertices), bound=bound)
+
+
+def _aut_generators(s: Shape) -> tuple:
+    """Generators of Aut(s) on the sorted vertex ids, and |Aut(s)|: the
+    product of m! over every run of m siblings with equal codes, times 2
+    for an isomorphic centre-edge split."""
     ids = list(s.vertices)
     index = {v: i for i, v in enumerate(ids)}
     n = len(ids)
     adj = s.adjacency()
     if n == 1:
-        return closure([], degree=1, bound=bound)
+        return [], 1
 
     center = treecode.center(adj)
     # the tree hung from its centre: one root, or both ends of the centre edge
@@ -339,6 +351,7 @@ def _automorphism_group(s: Shape, bound: int) -> PermGroup:
     for root, parent in halves:
         code.update(treecode.rooted_codes(adj, root, parent))
     gens = []
+    order = 1
 
     def swap_gen(x, px, y, py):
         """The involution exchanging the subtrees at x and y."""
@@ -348,17 +361,22 @@ def _automorphism_group(s: Shape, bound: int) -> PermGroup:
         gens.append(Permutation.from_dict(n, {index[a]: index[b] for a, b in moves.items()}))
 
     for root, parent in halves:
-        order, parent_of = treecode.bfs(adj, root, parent)
-        for u in order:
+        visit, parent_of = treecode.bfs(adj, root, parent)
+        for u in visit:
             kids = sorted((v for v in adj[u] if v != parent_of[u]), key=lambda v: (code[v], v))
+            run = 1
             for x, y in zip(kids, kids[1:]):
                 if code[x] == code[y]:
                     swap_gen(x, u, y, u)
+                    run += 1
+                    order *= run
+                else:
+                    run = 1
     if len(center) == 2 and code[center[0]] == code[center[1]]:
         a, b = center
         swap_gen(a, b, b, a)
-
-    return closure(gens, degree=n, bound=bound)
+        order *= 2
+    return gens, order
 
 
 shape_automorphism_group.cache_info = _automorphism_group.cache_info

@@ -18,8 +18,9 @@ A RayPrefix with word w stands for the cylinder of boundary points whose
 ray from o passes through w.  Operations that consume ray prefixes verify
 that the prefix actually determines the answer and raise InsufficientDepth
 otherwise -- they never guess how a ray continues below its frontier.
-Past those checks the Gromov product is the closed form
-(d(x,a) + d(x,b) - d(a,b)) / 2 on the prefix words.
+Past those checks the Gromov product is integer arithmetic on common
+prefix lengths, (a, b)_x = lcp(a, b) + |x| - lcp(x, a) - lcp(x, b)
+(lcp_product), so a caller holding a table of lcps pays no word walk.
 
 Measures and kernels are exact: cylinder masses and Radon-Nikodym ratios
 are Fractions, Busemann values are ints.
@@ -27,11 +28,15 @@ are Fractions, Busemann values are ints.
 Finite partial automorphisms are TreeIsometry objects: an injective,
 adjacency-preserving map on a finite connected subtree.  Any such map
 extends to a full automorphism of the tree; extend_isometry realizes a
-canonical (lexicographically smallest) such extension on a ball.
+canonical (lexicographically smallest) such extension on a ball.  An
+isometry drawn on BFS codes keeps them (TreeIsometry.from_codes): a word
+is converted only when it is applied, its inverse swaps the two code
+arrays, and the word dict is built on first use of mapping.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
@@ -167,7 +172,8 @@ def _require_vertex_above(x: Word, w: Word) -> None:
 
 def gromov_product(a, b, base: Vertex) -> int:
     """(a, b)_base: half of d(a,base)+d(b,base)-d(a,b), which on a tree is
-    the distance from base to the geodesic joining a and b.
+    the distance from base to the geodesic joining a and b; computed as
+    lcp(a, b) + |base| - lcp(base, a) - lcp(base, b) by lcp_product.
 
     a and b may each be a Vertex or a RayPrefix.  Identical ray prefixes
     raise NotDistinct (the +infinity convention is the caller's business);
@@ -175,30 +181,40 @@ def gromov_product(a, b, base: Vertex) -> int:
     geodesic leaves a vertex or the other ray, or when base hangs below a
     ray frontier.
     """
-    wa, wb = a.word, b.word
+    wa, wb, x = a.word, b.word, base.word
+    return lcp_product(a, b, base, lcp_len(wa, wb), lcp_len(x, wa), lcp_len(x, wb))
+
+
+def lcp_product(a, b, base: Vertex, ab: int, xa: int, xb: int) -> int:
+    """gromov_product(a, b, base) from the common prefix lengths
+    ab = lcp(a, b), xa = lcp(base, a) and xb = lcp(base, b): the same
+    checks and errors, in the same order, then
+    (a, b)_x = lcp(a, b) + |x| - lcp(x, a) - lcp(x, b)."""
+    wa, wb, x = a.word, b.word, base.word
     if isinstance(a, Vertex) and isinstance(b, Vertex):
         frontiers = ()
     elif isinstance(a, Vertex):
-        _require_vertex_above(wa, wb)
-        frontiers = (wb,)
+        if ab == len(wb) < len(wa):
+            _require_vertex_above(wa, wb)
+        frontiers = ((wb, xb),)
     elif isinstance(b, Vertex):
-        _require_vertex_above(wb, wa)
-        frontiers = (wa,)
+        if ab == len(wa) < len(wb):
+            _require_vertex_above(wb, wa)
+        frontiers = ((wa, xa),)
     else:
-        if wa == wb:
+        if ab == len(wa) == len(wb):
             raise NotDistinct("identical ray prefixes do not determine a geodesic")
-        if _is_proper_prefix(wa, wb) or _is_proper_prefix(wb, wa):
+        if ab == min(len(wa), len(wb)):
             raise InsufficientDepth(
                 f"prefixes {list(wa)}, {list(wb)} do not show where the rays diverge"
             )
-        frontiers = (wa, wb)
-    x = base.word
-    for f in frontiers:
-        if _is_proper_prefix(f, x):
+        frontiers = ((wa, xa), (wb, xb))
+    for f, xf in frontiers:
+        if xf == len(f) < len(x):
             raise InsufficientDepth(
                 f"base {base} hangs below the frontier {list(f)} of the geodesic"
             )
-    return (word_distance(x, wa) + word_distance(x, wb) - word_distance(wa, wb)) // 2
+    return ab + len(x) - xa - xb
 
 
 def median(g0: RayPrefix, g1: RayPrefix, g2: RayPrefix) -> Vertex:
@@ -324,21 +340,81 @@ def rank_words(depth, rank, q: int) -> list:
     return words
 
 
+def _words_of_codes(offsets, codes, q: int) -> list:
+    """The words of the given BFS codes, in input order."""
+    codes = np.asarray(codes)
+    offsets = np.asarray(offsets)
+    depth = np.searchsorted(offsets, codes, side="right") - 1
+    return rank_words(depth, codes - offsets[depth], q)
+
+
+def _word_of_code(offsets: list, code: int, q: int) -> Word:
+    """_words_of_codes for one code, on a list of offsets."""
+    d = bisect.bisect_right(offsets, code) - 1
+    rank = code - offsets[d]
+    labels = []
+    for _ in range(d - 1):
+        rank, lab = divmod(rank, q)
+        labels.append(lab)
+    if d:
+        labels.append(rank)
+    return tuple(labels[::-1])
+
+
 class TreeIsometry:
     """A finite partial automorphism: an injective, adjacency-preserving map
-    on a finite connected subtree, given as a word -> word dict.
+    on a finite connected subtree, given as a word -> word dict or, from
+    from_codes, as two arrays of BFS codes.
 
     Such a map preserves all distances on its domain and extends to a full
     automorphism of the tree.  Instances are immutable after construction.
     """
 
-    __slots__ = ("q", "mapping")
+    __slots__ = ("q", "_mapping", "_codes", "_index")
 
     def __init__(self, q: int, mapping: dict, validate: bool = True):
         self.q = q
-        self.mapping = dict(mapping)
+        self._mapping = dict(mapping)
+        self._codes = self._index = None
         if validate:
             self._validate()
+
+    @classmethod
+    def from_codes(cls, q: int, offsets, dom, img) -> "TreeIsometry":
+        """The map taking the word of BFS code dom[k] to the word of code
+        img[k]; offsets come from sphere_offsets and reach the deepest
+        word of either array, and dom None stands for the whole ball
+        0..len(img)-1.  Not validated: the caller has checked the map."""
+        f = cls.__new__(cls)
+        f.q, f._mapping, f._index = q, None, None
+        f._codes = (np.asarray(offsets).tolist(), dom, img)
+        return f
+
+    @property
+    def mapping(self) -> dict:
+        """The word -> word dict; a coded isometry builds it on first use."""
+        if self._mapping is None:
+            offsets, dom, img = self._codes
+            words = _words_of_codes(offsets, np.arange(len(img)) if dom is None else dom, self.q)
+            self._mapping = dict(zip(words, _words_of_codes(offsets, img, self.q)))
+        return self._mapping
+
+    def _position(self, w):
+        """Index of w in the code arrays, or None outside the domain."""
+        offsets, dom, img = self._codes
+        if len(w) + 1 >= len(offsets) or not _valid_word(w, self.q):
+            return None
+        c = offsets[len(w)] + word_rank(w, self.q)
+        if dom is None:
+            return c if c < len(img) else None
+        if self._index is None:
+            self._index = {code: k for k, code in enumerate(dom.tolist())}
+        return self._index.get(c)
+
+    def _in_domain(self, w) -> bool:
+        if self._codes is None:
+            return w in self._mapping
+        return self._position(w) is not None
 
     def _validate(self):
         """Check labels, injectivity, adjacency and connectivity.  The
@@ -410,10 +486,17 @@ class TreeIsometry:
         return Vertex(min(self.mapping, key=lambda w: (len(w), w)))
 
     def apply_word(self, w: Word) -> Word:
-        try:
-            return self.mapping[w]
-        except KeyError:
-            raise OutOfDomain(f"{list(w)} not in isometry domain") from None
+        if self._codes is None:
+            try:
+                return self._mapping[w]
+            except KeyError:
+                pass
+        else:
+            k = self._position(w)
+            if k is not None:
+                offsets, _, img = self._codes
+                return _word_of_code(offsets, int(img[k]), self.q)
+        raise OutOfDomain(f"{list(w)} not in isometry domain")
 
     def apply_vertex(self, v: Vertex) -> Vertex:
         return Vertex(self.apply_word(v.word))
@@ -432,12 +515,16 @@ class TreeIsometry:
         w = r.word
         if not w:
             return RayPrefix(())
-        imgs = [self.apply_word(w[:t]) for t in range(len(w) + 1)]
-        if imgs[-2] != imgs[-1][:-1]:
+        # every prefix must lie in the domain; only the last two images count
+        for t in range(len(w) - 1):
+            if not self._in_domain(w[:t]):
+                raise OutOfDomain(f"{list(w[:t])} not in isometry domain")
+        prev, img = self.apply_word(w[:-1]), self.apply_word(w)
+        if prev != img[:-1]:
             raise InsufficientDepth(
                 "image cylinder is not a root cylinder; deepen the prefix"
             )
-        return RayPrefix(imgs[-1])
+        return RayPrefix(img)
 
     def apply(self, p):
         if isinstance(p, Vertex):
@@ -447,7 +534,12 @@ class TreeIsometry:
         raise TypeError(f"cannot apply isometry to {type(p).__name__}")
 
     def inverse(self) -> "TreeIsometry":
-        return TreeIsometry(self.q, {v: w for w, v in self.mapping.items()})
+        if self._codes is None:
+            return TreeIsometry(self.q, {v: w for w, v in self._mapping.items()})
+        offsets, dom, img = self._codes
+        return TreeIsometry.from_codes(
+            self.q, offsets, img, np.arange(len(img)) if dom is None else dom
+        )
 
     def compose(self, other: "TreeIsometry") -> "TreeIsometry":
         """self after other, on the largest domain where that is defined."""
@@ -466,7 +558,8 @@ class TreeIsometry:
         )
 
     def __repr__(self):
-        return f"TreeIsometry(q={self.q}, |domain|={len(self.mapping)})"
+        size = len(self._mapping) if self._codes is None else len(self._codes[2])
+        return f"TreeIsometry(q={self.q}, |domain|={size})"
 
 
 def identity_isometry(q: int, words=((),)) -> TreeIsometry:

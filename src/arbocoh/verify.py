@@ -156,8 +156,9 @@ def random_isometry_on(rng, q, words, move=0):
 def _random_on_domain(rng, q, depth, rank, move, words=None):
     """The isometry on the domain given by BFS codes (depth, rank), sorted
     by code and closed under parents; words are the domain words when the
-    caller has them.  Images are computed one depth layer at a time, or
-    word by word on domains smaller than _LOOP_DOMAIN, with the same draws."""
+    caller has them.  Images are computed one depth layer at a time and
+    kept as codes (TreeIsometry.from_codes), or word by word on domains
+    smaller than _LOOP_DOMAIN, with the same draws."""
     n, top = len(depth), int(depth[-1])
     if n < _LOOP_DOMAIN:
         if words is None:
@@ -196,10 +197,10 @@ def _random_on_domain(rng, q, depth, rank, move, words=None):
         img_r[lo:hi] = np.where(up, parent_rank(e, r, q), np.where(e > 0, r * q + t - 1, t))
         skip[lo:hi] = np.where(up, np.where(e == 1, r, 1 + r % q), 0)
     _check_image(q, par, img_d, img_r)
-
-    if words is None:
-        words = rank_words(depth, rank, q)
-    return TreeIsometry(q, dict(zip(words, rank_words(img_d, img_r, q))), validate=False)
+    # a full ball has codes 0..n-1: a word's code is its position
+    return TreeIsometry.from_codes(
+        q, offsets, None if code[-1] == n - 1 else code, offsets[img_d] + img_r
+    )
 
 
 def _random_by_word(rng, q, words, move):

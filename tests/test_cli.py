@@ -5,10 +5,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import arbocoh
+from arbocoh.catalog import enumerate_complete_shapes
 from arbocoh.cli import main
 from arbocoh.reptheory import enumerate_nondegenerate
 from arbocoh.shapes import centipede_shape, star_shape
@@ -298,18 +300,51 @@ def test_input_errors_exit_2(argv, tmp_path):
             ["--seed", "1", "verify", "reps"],
             "cfa1ca4e3219a1b2bbc839383191af3dd3d39f455e8e930e4e567f82ad42cbf7",
         ),
+        (
+            ["--seed", "0", "verify", "flip"],
+            "575ceac77e5aaa13d13858614cbf6501d1a3d18d890c2cf5429669abd902c848",
+        ),
+        (
+            ["--seed", "3", "verify", "geometry"],
+            "5d3204219069b4bb89240ce7a59ac20c027c648256b4a73dba9e84816266dc98",
+        ),
+        (
+            ["--seed", "1", "verify", "spherical"],
+            "fe941920addf18b9850d20c34d9596089e58490e71b706b18a3eabe14f490f6d",
+        ),
+        (
+            ["--depth", "3", "flip-demo", "--q", "2", "--rays", "3"],
+            "01d9d649d9e07ba381f0234733203c3a3c62957b78dac161695ee638cdcef6e6",
+        ),
     ],
 )
 def test_pinned_reports(capsys, argv, digest):
     # sha256 of stdout: the first three computed before BFS-coded
     # isometries, the closed-form Gromov product and kept branch-swap walk
     # states; the next six before the element-object view of groups and
-    # character tables was dropped; the last four (the benchmark's own
+    # character tables was dropped; the next four (the benchmark's own
     # seeds) before the verify suites cached their invariant work, the
-    # seed-1 reps report again once its witness check ran to its end
+    # seed-1 reps report again once its witness check ran to its end; the
+    # last four before flip products came from one lcp table, fixed words
+    # skipped the branch-swap walk and drawn isometries kept their codes
     code, out = run(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_oversized_catalog_fails_fast(capsys):
+    """The q=2 catalog to diameter 12 would grow trees for hours: the
+    enumeration stops at its work budget with a JSON error and exit 1."""
+    start = time.perf_counter()
+    code, out = run(capsys, ["shapes-enumerate", "--q", "2", "--max-diameter", "12"])
+    assert code == 1
+    assert json.loads(out)["error"] == "CatalogTooLarge"
+    assert time.perf_counter() - start < 20
+
+
+def test_catalog_budget_covers_the_largest_catalog():
+    # q=2 to diameter 9 grows about 21,000 trees, within the budget
+    assert len(enumerate_complete_shapes(2, 9)) == 1839
 
 
 def test_module_entry_point():

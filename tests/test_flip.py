@@ -1,15 +1,26 @@
 """Branch-swap witnesses: postconditions, involution, and error cases."""
 
+import hashlib
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arbocoh import flip
 from arbocoh.config import Config
-from arbocoh.errors import InsufficientDepth, NotDistinct, SubtreeHitsTriple, TooManyRays
+from arbocoh.errors import (
+    ArbocohError,
+    InsufficientDepth,
+    NotDistinct,
+    SubtreeHitsTriple,
+    TooManyRays,
+)
 from arbocoh.flip import check_flip_witness, find_flip
 from arbocoh.shapes import edge_shape, enumerate_embeddings, star_shape
-from arbocoh.tree import RayPrefix, Vertex, word_path
-from arbocoh.verify import flip_suite, random_flip_instance, random_rays
+from arbocoh.tree import RayPrefix, Vertex, gromov_product, word_path
+from arbocoh.verify import flip_suite, random_flip_instance, random_rays, random_word
 
 
 def _ray(labels, depth=12):
@@ -169,15 +180,15 @@ def _walk_from_m_prime(self, u):
     return b
 
 
-def _flip_outcomes(instances):
+def _flip_outcomes(instances, depth=12):
     out = []
     for q, rays, s in instances:
         try:
-            w = find_flip(q, rays, s, 12)
+            w = find_flip(q, rays, s, depth)
         except Exception as exc:
             out.append((type(exc), str(exc)))
         else:
-            out.append((w.i, w.j, w.h.mapping, w.certified_depth))
+            out.append((w.i, w.j, list(w.h.mapping.items()), w.certified_depth))
     return out
 
 
@@ -191,3 +202,107 @@ def test_kept_walk_states_match_per_call_walk(monkeypatch):
     kept = _flip_outcomes(instances)
     monkeypatch.setattr(flip._BranchSwap, "image", _walk_from_m_prime)
     assert _flip_outcomes(instances) == kept
+
+
+def _walk_every_word(self, u):
+    """_BranchSwap.moves for the oracle that walks every domain word."""
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4]), st.integers(3, 12))
+def test_skipping_fixed_words_matches_walking_every_word(seed, q, depth):
+    rng = np.random.default_rng(seed)
+    instances = []
+    for _ in range(10):
+        try:
+            rays, s = random_flip_instance(rng, q, depth)
+        except TooManyRays:
+            continue
+        instances.append((q, rays, s))
+    skipped = _flip_outcomes(instances, depth)
+    with mock.patch.object(flip._BranchSwap, "moves", _walk_every_word):
+        walked = _flip_outcomes(instances, depth)
+    assert skipped == walked
+
+
+def _by_gromov_product(a, b, base, *lcps):
+    """lcp_product as the oracle: the general gromov_product, which walks
+    the words for its own lcps."""
+    return gromov_product(a, b, base)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ArbocohError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _flip_and_check(q, rays, s, depth, extra, s2):
+    """find_flip's outcome, and check_flip_witness's on the same rays plus
+    one that repeats or cuts a swapped ray, with a second subtree."""
+    w = _outcome(lambda: find_flip(q, rays, s, depth))
+    if not isinstance(w, flip.FlipWitness):
+        return w, None
+    cut_i, cut_j = RayPrefix(rays[w.i].word[:1]), RayPrefix(rays[w.j].word[:1])
+    more = [[rays[w.i]], [cut_i], [cut_j], []][extra]
+    return w, _outcome(lambda: check_flip_witness(q, rays + more, s2, w))
+
+
+def _subtree_near(rng, q, words):
+    """A random star or edge embedded around one of the words, cut or
+    extended by a label, or None."""
+    if not rng.integers(0, 3):
+        return None
+    anchor = words[int(rng.integers(0, len(words)))]
+    anchor = anchor[: int(rng.integers(0, len(anchor) + 1))]
+    anchor += tuple(int(x) for x in rng.integers(0, q, size=int(rng.integers(0, 2))))
+    shape = (star_shape, edge_shape)[int(rng.integers(0, 2))](q)
+    embs = enumerate_embeddings(shape, Vertex(anchor), 2)
+    return embs[int(rng.integers(0, len(embs)))] if embs else None
+
+
+def _shallow_instance(rng):
+    """Shallow rays, subtrees that may hang below them, and a ray for the
+    check that repeats or cuts one of the swapped rays: the inputs on
+    which the Gromov products of find_flip and check_flip_witness raise."""
+    q = int(rng.integers(2, 4))
+    depth = int(rng.integers(1, 5))
+    n = int(rng.integers(3, 7))
+    rays = [RayPrefix(random_word(rng, q, depth + int(rng.integers(0, 3)))) for _ in range(n)]
+    words = [r.word for r in rays[:3]] + [random_word(rng, q, 3)]
+    s = _subtree_near(rng, q, words)
+    extra = int(rng.integers(0, 4))
+    return q, rays, s, depth, extra, _subtree_near(rng, q, words)
+
+
+def _canonical(outcome):
+    w, checked = outcome
+    if isinstance(w, flip.FlipWitness):
+        w = (w.i, w.j, sorted(w.h.mapping.items()), w.certified_depth)
+    return repr((w, checked))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_lcp_table_products_match_gromov_product(seed):
+    """find_flip and check_flip_witness give the same witnesses, reports
+    and errors, messages included, as with every product computed by
+    gromov_product from the words."""
+    rng = np.random.default_rng(seed)
+    instances = [_shallow_instance(rng) for _ in range(40)]
+    got = [_flip_and_check(*inst) for inst in instances]
+    with mock.patch.object(flip, "lcp_product", _by_gromov_product):
+        want = [_flip_and_check(*inst) for inst in instances]
+    assert got == want
+
+
+def test_shallow_instance_outcomes_pinned():
+    """Witnesses, check reports and errors on 600 shallow instances, as
+    sha256 of their canonical form: computed before the products came
+    from lcp tables, so the order of every check and each message stays."""
+    rng = np.random.default_rng(20)
+    text = "\n".join(_canonical(_flip_and_check(*_shallow_instance(rng))) for _ in range(600))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "82562daf2a7219be5bca68dc57c573b747c67182a98ced9f07760a6f92e732ca"

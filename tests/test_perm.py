@@ -2,13 +2,17 @@
 automorphism groups (checked against brute force and the order-8 dihedral
 presentation)."""
 
+import time
+
 import numpy as np
 import pytest
 
+from arbocoh.catalog import enumerate_complete_shapes
 from arbocoh.errors import GroupTooLarge
 from arbocoh.perm import (
     DEFAULT_ORDER_BOUND,
     Permutation,
+    _aut_generators,
     all_subgroups,
     closure,
     conjugacy_classes,
@@ -234,3 +238,32 @@ def test_aj_matches_ball_isometry_restrictions():
         for p in a_j.elements
     }
     assert restrictions == abstract
+
+
+def _catalog_shapes():
+    for q, d in ((2, 6), (3, 4), (4, 3)):
+        for i, s in enumerate(enumerate_complete_shapes(q, d)):
+            yield pytest.param(s, id=f"q{q}d{d}#{i}")
+
+
+@pytest.mark.parametrize("s", _catalog_shapes())
+def test_aut_order_from_codes_matches_closure(s):
+    """|Aut(S)| as a product of factorials of equal sibling runs (times 2
+    for a symmetric centre edge) equals the order the closure enumerates."""
+    _gens, order = _aut_generators(s)
+    assert order == shape_automorphism_group(s).order
+
+
+def test_aut_order_over_bound_fails_before_enumeration():
+    """centipede(8,6) has |Aut| = 8!^2 7!^3 * 2 (about 4.2e20): it raises
+    from the codes alone, with no closure."""
+    start = time.perf_counter()
+    with pytest.raises(GroupTooLarge, match="416258056205107200000"):
+        shape_automorphism_group(centipede_shape(8, 6))
+    with pytest.raises(GroupTooLarge):
+        shape_automorphism_group(star_shape(9))  # 10! > 10^6
+    assert time.perf_counter() - start < 1.0
+    # at the bound itself the group is still built
+    assert shape_automorphism_group(star_shape(3), 24).order == 24
+    with pytest.raises(GroupTooLarge):
+        shape_automorphism_group(star_shape(3), 23)

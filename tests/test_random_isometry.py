@@ -1,14 +1,18 @@
 """Random isometry germs drawn on BFS codes: equal to the per-vertex draw,
 draw for draw, on both sides of the size below which they are drawn word
-by word, and the array validation that replaces the dict one.  Random
-words drawn in bulk equal the scalar draws."""
+by word, and the array validation that replaces the dict one.  A drawn
+isometry that keeps its codes behaves as the dict-built one in every
+operation.  Random words drawn in bulk equal the scalar draws."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arbocoh import verify
+from arbocoh.errors import ArbocohError, InsufficientDepth
 from arbocoh.shapes import centipede_shape, star_shape
-from arbocoh.tree import TreeIsometry, ball_words, word_neighbors, word_rank
+from arbocoh.tree import RayPrefix, TreeIsometry, Vertex, ball_words, word_neighbors, word_rank
 from arbocoh.verify import _check_image, random_isometry, random_isometry_on, random_word
 from arbocoh.witness import reference_configuration
 
@@ -227,3 +231,69 @@ def test_threshold_splits_the_suite_domains():
     # the radius-7 balls of `verify geometry` layer by layer
     reps_closure = _ancestor_closure(_witness_words(centipede_shape(2, 4), 10))
     assert len(reps_closure) < verify._LOOP_DOMAIN <= len(ball_words((), 7, 2))
+
+
+def _ray_by_prefixes(f, r):
+    """apply_ray as it read every prefix image: the oracle."""
+    w = r.word
+    if not w:
+        return RayPrefix(())
+    imgs = [f.apply_word(w[:t]) for t in range(len(w) + 1)]
+    if imgs[-2] != imgs[-1][:-1]:
+        raise InsufficientDepth("image cylinder is not a root cylinder; deepen the prefix")
+    return RayPrefix(imgs[-1])
+
+
+def _outcome(call):
+    try:
+        return ("ok", call())
+    except ArbocohError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+# ball radii from which random_isometry keeps its codes (64 words and up)
+_CODED_RADIUS = {2: 5, 3: 4, 4: 3}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([2, 3, 4]),
+    st.integers(0, 2),
+    st.integers(0, 1),
+    st.integers(0, 2),
+)
+def test_coded_isometry_matches_dict_built(seed, q, extra, move, move2):
+    radius = _CODED_RADIUS[q] + extra
+    words = ball_words((), radius, q)
+    r_dict, r_code = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = [_per_vertex_draw(r_dict, q, words, m) for m in (move, move2)]
+    got = [random_isometry(r_code, q, radius, m) for m in (move, move2)]
+    # the codes are kept, also by the inverse
+    assert all(f._codes is not None and f.inverse()._codes is not None for f in got)
+
+    rng = np.random.default_rng(seed + 1)
+    probes = words + [  # words just outside the ball, and bad labels
+        random_word(rng, q, radius + 1) for _ in range(20)
+    ] + [(q + 1,), (0, q), (q, 0, -1)]
+    rays = [RayPrefix(random_word(rng, q, int(rng.integers(0, radius + 5)))) for _ in range(40)]
+    rays += [RayPrefix((q + 1, 0, 0)), RayPrefix((0, q) + (0,) * radius)]
+    for g, f in zip(got, want):
+        for h, k in ((g, f), (g.inverse(), f.inverse())):
+            imgs = list(k.mapping.values())
+            for w in probes + imgs + [v + (0,) for v in imgs[-5:]]:
+                assert _outcome(lambda: h.apply_word(w)) == _outcome(lambda: k.apply_word(w))
+                assert _outcome(lambda: h.apply_vertex(Vertex(w))) == _outcome(
+                    lambda: k.apply_vertex(Vertex(w))
+                )
+            for r in rays + [RayPrefix(v) for v in imgs[-5:]]:
+                want_ray = _outcome(lambda: _ray_by_prefixes(k, r))
+                assert _outcome(lambda: h.apply_ray(r)) == want_ray
+                assert _outcome(lambda: k.apply_ray(r)) == want_ray
+            assert list(h.mapping.items()) == list(k.mapping.items())
+            assert h == k and k == h
+            assert repr(h) == repr(k)
+    assert got[0] != got[1] or want[0] == want[1]
+    for a, b in ((0, 1), (1, 0)):
+        assert got[a].compose(got[b]) == want[a].compose(want[b])
+        assert got[a].compose(got[a].inverse()).mapping == want[a].compose(want[a].inverse()).mapping

@@ -124,6 +124,52 @@ def test_gromov_closed_form_matches_path_min(args):
         assert gromov_product(*args) == want
 
 
+def _distance_form_gromov(a, b, base):
+    """The Gromov product as it was computed before the lcp form: prefix
+    checks, then (d(x,a) + d(x,b) - d(a,b)) / 2 on the words."""
+
+    def proper_prefix(u, w):
+        return len(u) < len(w) and w[: len(u)] == u
+
+    wa, wb = a.word, b.word
+    if isinstance(a, Vertex) and isinstance(b, Vertex):
+        frontiers = ()
+    elif isinstance(a, Vertex):
+        if proper_prefix(wb, wa):
+            raise InsufficientDepth(f"ray prefix {list(wb)} too shallow: vertex {list(wa)} hangs below it")
+        frontiers = (wb,)
+    elif isinstance(b, Vertex):
+        if proper_prefix(wa, wb):
+            raise InsufficientDepth(f"ray prefix {list(wa)} too shallow: vertex {list(wb)} hangs below it")
+        frontiers = (wa,)
+    else:
+        if wa == wb:
+            raise NotDistinct("identical ray prefixes do not determine a geodesic")
+        if proper_prefix(wa, wb) or proper_prefix(wb, wa):
+            raise InsufficientDepth(
+                f"prefixes {list(wa)}, {list(wb)} do not show where the rays diverge"
+            )
+        frontiers = (wa, wb)
+    x = base.word
+    for f in frontiers:
+        if proper_prefix(f, x):
+            raise InsufficientDepth(f"base {base} hangs below the frontier {list(f)} of the geodesic")
+    return (word_distance(x, wa) + word_distance(x, wb) - word_distance(wa, wb)) // 2
+
+
+@settings(max_examples=600, deadline=None)
+@given(gromov_inputs())
+def test_lcp_form_matches_distance_form(args):
+    try:
+        want = _distance_form_gromov(*args)
+    except (NotDistinct, InsufficientDepth) as exc:
+        with pytest.raises(type(exc)) as got:
+            gromov_product(*args)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+    else:
+        assert gromov_product(*args) == want
+
+
 def test_gromov_product_identical_rays_rejected():
     r = RayPrefix((0, 1))
     with pytest.raises(NotDistinct):
