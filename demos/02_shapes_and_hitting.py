@@ -9,38 +9,31 @@ closed form in the internal tree I of full-degree vertices: the
 placements of I with some vertex u at the median, summed over u, divided
 by |Aut(I)|.  A vertex of degree d in I at the median takes d of its q+1
 neighbours in order, and every other one d - 1 of the q neighbours left
-to it, which gives the falling factorials below.
+to it.  count_hitting computes that closed form, and |Aut(I)| comes from
+I hung from its centre (treecode.aut_order); the demo prints |Aut(I)|
+and the placements count * |Aut(I)| beside each count.
 """
-
-import math
 
 import numpy as np
 
 from arbocoh import (
-    Shape,
     centipede_shape,
     classify_shape,
     count_hitting,
     heads,
     maximal_proper_complete_subtrees,
-    shape_automorphism_group,
     star_shape,
     y_shape,
 )
 from arbocoh.shapes import complete_shape_from_internal
+from arbocoh.treecode import aut_order
 from arbocoh.verify import random_rays
 
 
-def closed_form_count(s):
-    internal = s.internal_vertices()
-    edges = [e for e in s.edges if e[0] in internal and e[1] in internal]
-    deg = {u: sum(u in e for e in edges) for u in internal}
-    placements = sum(
-        math.perm(s.q + 1, deg[u])
-        * math.prod(math.perm(s.q, deg[x] - 1) for x in internal if x != u)
-        for u in internal
-    )
-    return placements // shape_automorphism_group(Shape(s.q, internal, edges)).order
+def internal_tree(s):
+    """The adjacency of I(s), the tree of full-degree vertices."""
+    internal = set(s.internal_vertices())
+    return {u: [n for n in ns if n in internal] for u, ns in s.adjacency().items() if u in internal}
 
 
 shapes = {}
@@ -70,7 +63,8 @@ for q, named in shapes.items():
     rng = np.random.default_rng(0)
     for name, s in named.items():
         counts = {count_hitting(s, *random_rays(rng, q, 3, 12)) for _ in range(8)}
+        aut_i = aut_order(internal_tree(s))
         print(f"  {name:26s} copies through a random median: {sorted(counts)}"
-              f"  closed form: {closed_form_count(s)}")
+              f"  |Aut(I)| = {aut_i:3d}  placements of I = {min(counts) * aut_i}")
     print()
 print("(the star admits exactly 1 copy through any median, the 3-centipede q+1)")

@@ -121,9 +121,7 @@ class CharacterTable:
             "order": self.group.order,
             "degrees": list(self.degrees),
             "classes": [{"size": n, "representative": r} for n, r in zip(self.class_sizes(), reps)],
-            "characters": [
-                [[float(v.real), float(v.imag)] for v in row] for row in self.characters
-            ],
+            "characters": self.characters.tolist(),
         }
 
 

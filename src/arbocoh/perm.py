@@ -20,13 +20,12 @@ user input and generators; a user-built one is checked to be a bijection,
 and products and inverses skip that check.  Enumeration stops with
 GroupTooLarge past DEFAULT_ORDER_BOUND = 10^6 elements.
 
-shape_automorphism_group computes Aut(S) of a finite tree from the rooted
-subtree codes of `treecode`, hung from the tree centre: sibling subtrees
-with equal codes yield swap generators, and an isomorphic centre-edge
-split yields the flip.  The same codes give |Aut(S)| as a product of
-factorials, so an order over the bound raises GroupTooLarge before any
-element is enumerated.  The result is verified against a brute-force
-search in the tests and in `verify groups`.
+shape_automorphism_group generates Aut(S) by the swaps of each run of
+equal sibling subtrees and the centre flip of `treecode.hang`, the tree
+hung from its centre; `treecode.aut_order` reads |Aut(S)| off the same
+runs, so an order over the bound raises GroupTooLarge before any element
+is enumerated.  Both are verified against a brute-force search in the
+tests and in `verify groups`.
 """
 
 from __future__ import annotations
@@ -334,49 +333,24 @@ def _automorphism_group(s: Shape, bound: int) -> PermGroup:
 
 
 def _aut_generators(s: Shape) -> tuple:
-    """Generators of Aut(s) on the sorted vertex ids, and |Aut(s)|: the
-    product of m! over every run of m siblings with equal codes, times 2
-    for an isomorphic centre-edge split."""
-    ids = list(s.vertices)
-    index = {v: i for i, v in enumerate(ids)}
-    n = len(ids)
+    """Generators of Aut(s) on the sorted vertex ids, read off the tree
+    hung from its centre: one swap per consecutive pair in each run of
+    equal sibling subtrees, then the centre flip; and |Aut(s)|."""
+    index = {v: i for i, v in enumerate(s.vertices)}
     adj = s.adjacency()
-    if n == 1:
-        return [], 1
+    c, code, runs, flips = treecode.hang(adj)
 
-    center = treecode.center(adj)
-    # the tree hung from its centre: one root, or both ends of the centre edge
-    halves = [(center[0], None)] if len(center) == 1 else [tuple(center), tuple(center[::-1])]
-    code = {}
-    for root, parent in halves:
-        code.update(treecode.rooted_codes(adj, root, parent))
-    gens = []
-    order = 1
-
-    def swap_gen(x, px, y, py):
+    def swap(x, px, y, py):
         """The involution exchanging the subtrees at x and y."""
         moves = {}
         _map_subtrees(adj, code, x, px, y, py, moves)
         moves.update({b: a for a, b in moves.items()})
-        gens.append(Permutation.from_dict(n, {index[a]: index[b] for a, b in moves.items()}))
+        return Permutation.from_dict(len(index), {index[a]: index[b] for a, b in moves.items()})
 
-    for root, parent in halves:
-        visit, parent_of = treecode.bfs(adj, root, parent)
-        for u in visit:
-            kids = sorted((v for v in adj[u] if v != parent_of[u]), key=lambda v: (code[v], v))
-            run = 1
-            for x, y in zip(kids, kids[1:]):
-                if code[x] == code[y]:
-                    swap_gen(x, u, y, u)
-                    run += 1
-                    order *= run
-                else:
-                    run = 1
-    if len(center) == 2 and code[center[0]] == code[center[1]]:
-        a, b = center
-        swap_gen(a, b, b, a)
-        order *= 2
-    return gens, order
+    gens = [swap(x, u, y, u) for u, sibs in runs for x, y in zip(sibs, sibs[1:])]
+    if flips:
+        gens.append(swap(c[0], c[1], c[1], c[0]))
+    return gens, treecode.aut_order(adj)
 
 
 shape_automorphism_group.cache_info = _automorphism_group.cache_info

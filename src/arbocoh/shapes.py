@@ -27,14 +27,17 @@ and the leaves of distinct internal vertices take disjoint words.  Each
 image is then found |Aut(I)| times rather than |Aut(s)| times, and its
 least placement puts the sorted leaves of each internal vertex on the
 sorted free neighbours of its image.  A median is a full-degree vertex
-of an image exactly when it is in the image of I, so the hit count
-places I with each internal vertex in turn at the median.
+of an image exactly when it is in the image of I, so a hit count needs
+no search: with u at the median, u takes deg u of its q+1 neighbours and
+every other x in I takes deg x - 1 of the q left to it (degrees in I).
+So sum_u (q+1)_{deg u} prod_{x != u} (q)_{deg x - 1} falling factorials
+count each image |Aut(I)| times, read off I hung from its centre.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import partial
 
 from . import treecode
 from .errors import (
@@ -333,21 +336,20 @@ def hits(e: EmbeddedSubtree, g0: RayPrefix, g1: RayPrefix, g2: RayPrefix) -> boo
 
 def count_hitting(s: Shape, g0: RayPrefix, g1: RayPrefix, g2: RayPrefix) -> int:
     """Number of unlabeled embeddings of s whose image passes through the
-    median of the triple at a full-degree vertex: the distinct images of
-    I(s) with some internal vertex at the median.  Constant over triples."""
+    median of the triple at a full-degree vertex, in closed form (see the
+    module docstring): the same for every triple."""
     cls = classify_shape(s)
     if cls.tag in ("vertex", "edge"):
         raise NotCuspidalShape(f"hit counts need diameter >= 2, got a {cls.tag}")
-    m = median(g0, g1, g2)
-    adj = s.adjacency()
+    median(g0, g1, g2)  # the triple must still have a median
     internal = set(s.internal_vertices())
-    adj_i = {u: [n for n in adj[u] if n in internal] for u in internal}
-    images = set()
-    for u in adj_i:
-        order, parent_of = treecode.bfs(adj_i, u)
-        place_tree(order, parent_of, [m.word], partial(word_neighbors, q=s.q),
-                   lambda placed: images.add(frozenset(placed)))
-    return len(images)
+    adj_i = {u: [n for n in ns if n in internal] for u, ns in s.adjacency().items() if u in internal}
+    deg = {u: len(ns) for u, ns in adj_i.items()}
+    placements = sum(math.perm(s.q + 1, deg[u]) * math.prod(
+        math.perm(s.q, deg[x] - 1) for x in deg if x != u) for u in deg)
+    images, rest = divmod(placements, treecode.aut_order(adj_i))
+    assert rest == 0, "each image of I(s) is placed |Aut(I)| times"
+    return images
 
 
 # -- canonical shape builders -------------------------------------------------

@@ -7,12 +7,20 @@ The canonical code of an unrooted tree roots it at its centre, found by
 peeling leaves layer by layer: "(...)" for a single centre vertex, and
 "[" + the two sorted half codes + "]" for a centre edge.
 
+`hang` walks a tree hung from its centre once, for the codes, the runs
+of equal sibling subtrees and whether the centre edge flips.  Aut is
+built from the permutations of each run and the flip (Jordan, 1869), so
+|Aut| = prod m! over the runs, times 2 for a flip (`aut_order`).
+
 These strings fix the order of the shape catalog, and so the index of
 each catalog shape, and they match the subtrees that give the Aut(S)
 generators, so their exact form is part of the library's output.
 """
 
 from __future__ import annotations
+
+import math
+from itertools import groupby
 
 
 def bfs(adj, root, parent=None) -> tuple:
@@ -46,37 +54,58 @@ def diameter(adj) -> int:
 def center(adj) -> list:
     """The one or two central vertices, sorted, by peeling leaves."""
     deg = {v: len(ns) for v, ns in adj.items()}
-    layer = sorted(v for v, d in deg.items() if d <= 1)
-    alive = set(adj)
-    while len(alive) > 2:
+    layer = [v for v, d in deg.items() if d <= 1]
+    alive = len(adj)
+    while alive > 2:
+        alive -= len(layer)
         nxt = []
         for v in layer:
-            alive.discard(v)
             for n in adj[v]:
-                if n in alive:
-                    deg[n] -= 1
-                    if deg[n] == 1:
-                        nxt.append(n)
-        layer = sorted(nxt)
-    return sorted(alive)
+                deg[n] -= 1
+                if deg[n] == 1:
+                    nxt.append(n)
+        layer = nxt
+    return sorted(layer)
 
 
-def rooted_codes(adj, root, parent=None) -> dict:
-    """Code of the subtree below each vertex, with the tree hung from root
-    and the branch through parent cut off."""
-    order, parent_of = bfs(adj, root, parent)
-    code = {}
-    for u in reversed(order):
-        kids = sorted(code[n] for n in adj[u] if n != parent_of[u])
-        code[u] = "(" + "".join(kids) + ")"
-    return code
+def hang(adj) -> tuple:
+    """The tree hung from its centre as (centre, code, runs, flips): the
+    sorted centre vertices, the code of the subtree below each vertex,
+    (parent, sorted siblings) for each run of two or more children with
+    equal codes, in breadth-first visit order (one half of a centre edge,
+    then the other), and whether the two halves have equal codes."""
+    c = center(adj)
+    halves = [(c[0], None)] if len(c) == 1 else [(c[0], c[1]), (c[1], c[0])]
+    code, runs = {}, []
+    for root, parent in halves:
+        order, parent_of = bfs(adj, root, parent)
+        twins = []  # vertices with two children of one code, bottom up
+        for u in reversed(order):
+            if len(adj[u]) == 1:  # a leaf: its one neighbour is its parent
+                code[u] = "()"
+                continue
+            p = parent_of[u]
+            kids = sorted([code[n] for n in adj[u] if n != p])
+            code[u] = "(" + "".join(kids) + ")"
+            if len(set(kids)) < len(kids):
+                twins.append(u)
+        for u in reversed(twins):
+            kids = sorted((code[n], n) for n in adj[u] if n != parent_of[u])
+            for _, run in groupby(kids, key=lambda kid: kid[0]):
+                sibs = [n for _, n in run]
+                if len(sibs) > 1:
+                    runs.append((u, sibs))
+    return c, code, runs, len(c) == 2 and code[c[0]] == code[c[1]]
+
+
+def aut_order(adj) -> int:
+    """Order of the automorphism group of a tree: m! for each run of m
+    equal sibling subtrees, times 2 when the centre edge flips."""
+    _, _, runs, flips = hang(adj)
+    return math.prod(math.factorial(len(sibs)) for _, sibs in runs) * (2 if flips else 1)
 
 
 def canonical_code(adj) -> str:
     """Canonical code of an unlabeled tree; see the module docstring."""
-    c = center(adj)
-    if len(c) == 1:
-        return rooted_codes(adj, c[0])[c[0]]
-    a, b = c
-    halves = sorted((rooted_codes(adj, a, b)[a], rooted_codes(adj, b, a)[b]))
-    return "[" + "".join(halves) + "]"
+    c, code, _, _ = hang(adj)
+    return code[c[0]] if len(c) == 1 else "[" + "".join(sorted(code[v] for v in c)) + "]"

@@ -11,6 +11,7 @@ import functools
 
 import numpy as np
 
+from . import treecode
 from .catalog import enumerate_complete_shapes
 from .chartab import character_table, invariant_dim, realize_irrep
 from .config import Config
@@ -403,11 +404,7 @@ def brute_force_automorphisms(s: Shape):
     ids = list(s.vertices)
     index = {v: i for i, v in enumerate(ids)}
     adj = s.adjacency()
-    order = [ids[0]]
-    for u in order:
-        for nb in adj[u]:
-            if nb not in order:
-                order.append(nb)
+    order, _ = treecode.bfs(adj, ids[0])
     out = []
 
     def extend(i, img):

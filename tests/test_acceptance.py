@@ -172,9 +172,10 @@ def test_criterion_6_hitting_count_constancy():
         rng = np.random.default_rng(1)
         from arbocoh.shapes import count_hitting
 
-        # sum over internal u of (q+1)_{deg u} prod_{x != u} (q)_{deg x - 1},
-        # over |Aut(I)|, for the internal tree I; test_shapes checks this
-        # closed form against count_hitting on the catalog
+        # count_hitting is the closed form sum over internal u of
+        # (q+1)_{deg u} prod_{x != u} (q)_{deg x - 1}, over |Aut(I)|, for the
+        # internal tree I; test_shapes checks it against the labelled
+        # placement search and an independent copy of the formula
         expected = {"star": 1, "cent3": 3, "cent4": 9, "y": 4}
         shapes = {
             "star": star_shape(2),

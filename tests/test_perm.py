@@ -2,11 +2,17 @@
 automorphism groups (checked against brute force and the order-8 dihedral
 presentation)."""
 
+import hashlib
+import json
+import random
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from arbocoh import treecode
 from arbocoh.catalog import enumerate_complete_shapes
 from arbocoh.errors import GroupTooLarge
 from arbocoh.perm import (
@@ -21,6 +27,7 @@ from arbocoh.perm import (
     shape_automorphism_group,
 )
 from arbocoh.shapes import (
+    Shape,
     centipede_shape,
     edge_shape,
     maximal_proper_complete_subtrees,
@@ -252,6 +259,54 @@ def test_aut_order_from_codes_matches_closure(s):
     for a symmetric centre edge) equals the order the closure enumerates."""
     _gens, order = _aut_generators(s)
     assert order == shape_automorphism_group(s).order
+
+
+def _relabelled(s: Shape, seed: int) -> Shape:
+    """The same tree under random vertex ids, so that their sorted order
+    no longer follows the tree."""
+    ids = random.Random(seed).sample(range(100 * len(s.vertices)), len(s.vertices))
+    new = {v: f"x{i}" for v, i in zip(s.vertices, ids)}
+    return Shape(s.q, [new[v] for v in s.vertices], [(new[a], new[b]) for a, b in s.edges])
+
+
+def test_aut_generators_pinned():
+    """sha256 of (|Aut(S)|, generator images) over every catalog shape at
+    (2, D<=7), (3, D<=5) and (4, D<=4), each also under random vertex ids.
+    The closure's element order, and so the class order and every printed
+    table, follow the generator list; the digest was taken before the
+    centre-hung walk moved into treecode."""
+    out = []
+    for q, d in ((2, 7), (3, 5), (4, 4)):
+        for i, s in enumerate(enumerate_complete_shapes(q, d)):
+            for t in (s, _relabelled(s, i)):
+                gens, order = _aut_generators(t)
+                out.append([order, [list(g.mapping) for g in gens]])
+    assert len(out) == 136
+    digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+    assert digest == "98898966ab8f420f6bdc8b9c49fdda4e27b0356f1cdef2e23e8d70b42e80839e"
+
+
+@st.composite
+def small_trees(draw):
+    """A random tree on at most 9 vertices, each attached to an earlier
+    one, under random vertex ids."""
+    n = draw(st.integers(1, 9))
+    parents = [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    ids = draw(st.lists(st.integers(0, 999), min_size=n, max_size=n, unique=True))
+    edges = [(f"v{ids[v]}", f"v{ids[p]}") for v, p in enumerate(parents, start=1)]
+    return Shape(2, [f"v{i}" for i in ids], edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_trees())
+def test_aut_structure_matches_brute_force(s):
+    """|Aut| read off the tree hung from its centre, and the closure of the
+    generators read off the same structure, against the backtracking
+    search over all vertex bijections."""
+    brute = brute_force_automorphisms(s)
+    gens, order = _aut_generators(s)
+    assert treecode.aut_order(s.adjacency()) == order == len(brute)
+    assert set(closure(gens, degree=len(s.vertices)).elements) == brute
 
 
 def test_aut_order_over_bound_fails_before_enumeration():

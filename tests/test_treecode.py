@@ -74,6 +74,21 @@ def test_rooted_codes_and_bfs():
     order, parent_of = treecode.bfs(adj, "s1", "s0")
     assert order[0] == "s1" and "s0" not in order
     assert all(parent_of[v] in order[: order.index(v)] for v in order[1:])
-    code = treecode.rooted_codes(adj, "s1", "s0")
-    assert code["s1"] == "((()())())"  # s2 with its two leaves, one leaf
-    assert set(code) == set(order)
+    # hung from its centre s1: two spine branches of two leaves, one leaf
+    c, code, runs, flips = treecode.hang(adj)
+    assert c == ["s1"] and not flips
+    assert code["s2"] == "(()())" and code["s1"] == "((()())(()())())"
+    assert set(code) == set(adj)
+    assert runs == [
+        ("s1", ["s0", "s2"]),
+        ("s0", ["s0.L0", "s0.L1"]),
+        ("s2", ["s2.L0", "s2.L1"]),
+    ]
+    assert treecode.aut_order(adj) == 8
+    # centipede(2, 3): a centre edge whose halves flip
+    adj = centipede_shape(2, 3).adjacency()
+    c, _, runs, flips = treecode.hang(adj)
+    assert c == ["s0", "s1"] and flips
+    assert [u for u, _ in runs] == ["s0", "s1"]
+    assert treecode.aut_order(adj) == 8
+    assert treecode.aut_order({0: []}) == 1 and treecode.aut_order({0: [1], 1: [0]}) == 2
