@@ -19,6 +19,7 @@ Descriptor JSON: {"tag": "spherical"|"special"|"cuspidal",
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import json
 import sys
@@ -26,12 +27,12 @@ import sys
 from . import verify as verify_mod
 from .catalog import enumerate_complete_shapes
 from .chartab import character_table
-from .config import Config, load_config
+from .config import MAX_DEPTH, Config, load_config
 from .errors import ArbocohError, InvalidDescriptor, InvalidInput, UnknownSuite
 from .flip import find_flip, check_flip_witness
 from .perm import DEFAULT_ORDER_BOUND, shape_automorphism_group
 from .reptheory import RepDescriptor, classify_bounded_cohomology, enumerate_nondegenerate
-from .shapes import Shape, classify_shape
+from .shapes import Shape, classify_shape, json_int
 from .spherical import eigen_residual, gram_psd_check, is_admissible, mu_of_z, phi_values
 from .tree import Vertex
 from .verify import random_rays, random_flip_instance
@@ -66,9 +67,12 @@ def emit(data, fmt: str, stream=None) -> None:
 
 def parse_complex(text: str) -> complex:
     try:
-        return complex(str(text).replace(" ", "").replace("i", "j"))
+        z = complex(str(text).replace(" ", "").replace("i", "j"))
     except ValueError:
         raise InvalidInput(f"not a complex number: {text!r}") from None
+    if not cmath.isfinite(z):
+        raise InvalidInput(f"not a finite complex number: {text!r}")
+    return z
 
 
 def format_complex(z: complex) -> str:
@@ -87,10 +91,10 @@ def descriptor_from_json(data: dict, bound: int = DEFAULT_ORDER_BOUND) -> RepDes
         if tag == "cuspidal":
             shape, irrep = Shape.from_json(data["shape"]), data["irrep"]
         elif tag == "spherical":
-            return RepDescriptor.spherical(int(data.get("q", 2)), parse_complex(data["z"]))
+            return RepDescriptor.spherical(json_int(data.get("q", 2)), parse_complex(data["z"]))
         else:
             sign = {"−": "-"}.get(data["sign"], data["sign"])
-            return RepDescriptor.special(int(data.get("q", 2)), sign)
+            return RepDescriptor.special(json_int(data.get("q", 2)), sign)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidDescriptor(f"malformed {tag} descriptor: {exc!r}") from None
     return RepDescriptor.cuspidal(shape, _resolve_row(shape, irrep, bound))
@@ -111,7 +115,7 @@ def _resolve_row(shape: Shape, irrep, bound: int) -> int:
 def _json_arg(text: str, what: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too many digits or too deep
         raise InvalidInput(f"{what} is not valid JSON: {exc}") from None
 
 
@@ -279,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--config", help="config JSON path (overrides ARBOCOH_CONFIG)")
     p.add_argument("--seed", type=int, help="seed for randomized suites")
-    p.add_argument("--depth", type=int, help="default ray-prefix depth")
+    p.add_argument("--depth", type=int, help=f"default ray-prefix depth, 1..{MAX_DEPTH}")
     p.add_argument("--format", choices=["json", "csv"], help="output format")
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -7,6 +7,11 @@ import os
 from dataclasses import dataclass
 
 
+# The deepest ray prefix a command accepts: find_flip keeps O(n depth^2)
+# prefix tuples for n rays, so its time and memory grow with depth squared.
+MAX_DEPTH = 256
+
+
 @dataclass(frozen=True)
 class Config:
     default_depth: int = 12
@@ -20,6 +25,8 @@ class Config:
                 raise ValueError(f"{name} must be an integer")
         if self.default_depth <= 0 or self.group_order_bound <= 0:
             raise ValueError("depths and bounds must be positive")
+        if self.default_depth > MAX_DEPTH:
+            raise ValueError(f"default_depth {self.default_depth} exceeds the maximum {MAX_DEPTH}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.output_format not in ("json", "csv"):

@@ -3,7 +3,10 @@
 A finite subtree of the (q+1)-regular tree is *complete* when it is a
 single vertex or every vertex has degree 1 or q+1.  Complete subtrees are
 described abstractly by Shape objects (opaque vertex ids plus edges) and
-concretely by EmbeddedSubtree placements into the word-encoded tree.
+concretely by EmbeddedSubtree placements into the word-encoded tree.  A
+Shape is immutable, so it builds its adjacency (read-only sorted neighbour
+tuples), its tree check, diameter, paths and internal vertices once, on
+first use, and every function here reads them from it.
 
 The taxonomy runs through the maximal proper complete subtrees: a complete
 subtree of diameter > 2 with exactly k of them is k-headed, a 2-headed one
@@ -15,9 +18,10 @@ vertices is J + N(J) for a connected nonempty J inside I, and a connected
 proper J that held every leaf of the tree I would be all of I.  So a star
 (|I| = 1) has its edges, and any other shape has one maximal subtree
 (I - {l}) + N(I - {l}) for each leaf l of I; the shape is a centipede
-exactly when I is a path.  verify.brute_force_maximal_subtrees searches
-every connected subset of I instead and is the oracle for this closed
-form, in `verify groups` and in the tests.
+exactly when I is a path, and classify_shape counts the heads as the
+leaves of I without building a subtree.  verify.brute_force_maximal_subtrees
+searches every connected subset of I instead and is the oracle for this
+closed form, in `verify groups` and in the tests.
 
 Embeddings place I alone, with place_tree, the one backtracking search
 (the canonical sections of the witness module share it).  An internal
@@ -38,6 +42,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
+from typing import NamedTuple
 
 from . import treecode
 from .errors import (
@@ -58,12 +65,24 @@ from .tree import (
 )
 
 
+class _Structure(NamedTuple):
+    """What a Shape computes about its graph, once, on first use."""
+
+    adj: MappingProxyType  # vertex -> sorted tuple of its neighbours
+    parent_of: dict  # hung from the first vertex (its component only)
+    depth: dict  # edge distance from the first vertex
+    diameter: int
+    internal: tuple  # the full-degree vertices, sorted
+
+
 @dataclass(frozen=True)
 class Shape:
     """An abstract finite tree with branching parameter q.
 
     vertices are opaque string ids; edges are unordered id pairs.  Stored in
-    canonical sorted order so equal shapes compare and hash equal.
+    canonical sorted order so equal shapes compare and hash equal.  The
+    adjacency and the tree facts derived from it are computed once, on
+    first use, and are not part of equality, hashing or pickling.
     """
 
     q: int
@@ -74,14 +93,15 @@ class Shape:
         if q < 2:
             raise ValueError(f"q must be >= 2, got {q}")
         vs = tuple(sorted(str(v) for v in vertices))
-        if len(set(vs)) != len(vs):
+        known = set(vs)
+        if len(known) != len(vs):
             raise ValueError("duplicate vertex ids")
         es = []
         for e in edges:
             a, b = (str(x) for x in e)
             if a == b:
                 raise NotATree(f"self-loop at {a}")
-            if a not in vs or b not in vs:
+            if a not in known or b not in known:
                 raise ValueError(f"edge ({a}, {b}) references unknown vertex")
             es.append((min(a, b), max(a, b)))
         es = tuple(sorted(set(es)))
@@ -91,40 +111,61 @@ class Shape:
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "edges", es)
 
-    # -- basic structure ----------------------------------------------------
+    def __getstate__(self):
+        """The three fields alone, so a shape whose structure is built
+        pickles to the bytes of a fresh one."""
+        return {"q": self.q, "vertices": self.vertices, "edges": self.edges}
 
-    def adjacency(self) -> dict:
+    @cached_property
+    def _structure(self) -> _Structure:
         adj = {v: [] for v in self.vertices}
-        for a, b in self.edges:
+        for a, b in self.edges:  # sorted edges append each list in order
             adj[a].append(b)
             adj[b].append(a)
-        return {v: sorted(n) for v, n in adj.items()}
+        adj = MappingProxyType({v: tuple(ns) for v, ns in adj.items()})
+        parent_of, depth, diam = {}, {}, 0
+        if adj:  # two sweeps for the diameter, the first one kept for paths
+            order, parent_of = treecode.bfs(adj, self.vertices[0])
+            depth = {order[0]: 0}
+            for u in order[1:]:
+                depth[u] = depth[parent_of[u]] + 1
+            diam = max(treecode.distances(adj, max(depth, key=depth.get)).values())
+        internal = tuple(v for v, ns in adj.items() if len(ns) == self.q + 1)
+        return _Structure(adj, parent_of, depth, diam, internal)
+
+    # -- basic structure ----------------------------------------------------
+
+    def adjacency(self) -> MappingProxyType:
+        """Read-only {vertex: sorted tuple of neighbours}, built once."""
+        return self._structure.adj
 
     def degree(self, v) -> int:
-        return sum(v in e for e in self.edges)
+        return len(self._structure.adj[v])
 
     def check_tree(self):
         """Raise NotATree unless connected and acyclic."""
         if len(self.edges) != len(self.vertices) - 1:
             raise NotATree("edge count is not vertex count minus one")
-        reached, _ = treecode.bfs(self.adjacency(), self.vertices[0])
-        if len(reached) != len(self.vertices):
+        if len(self._structure.depth) != len(self.vertices):
             raise NotATree("graph is disconnected")
 
     def internal_vertices(self) -> tuple:
-        adj = self.adjacency()
-        return tuple(v for v in self.vertices if len(adj[v]) == self.q + 1)
+        return self._structure.internal
 
     def diameter(self) -> int:
-        return treecode.diameter(self.adjacency())
+        return self._structure.diameter
 
     def path(self, a, b) -> list:
-        """The unique path between two vertices, endpoints included."""
-        _, parent_of = treecode.bfs(self.adjacency(), a)
-        out = [b]
-        while out[-1] != a:
-            out.append(parent_of[out[-1]])
-        return out[::-1]
+        """The unique path between two vertices, endpoints included: both
+        climb towards the first vertex until they meet."""
+        t = self._structure
+        up, down = [a], [b]
+        while up[-1] != down[-1]:
+            if t.depth[up[-1]] >= t.depth[down[-1]]:
+                up.append(t.parent_of[up[-1]])
+            else:
+                down.append(t.parent_of[down[-1]])
+        return up + down[-2::-1]
 
     def to_json(self) -> dict:
         return {
@@ -137,9 +178,17 @@ class Shape:
     def from_json(data: dict) -> "Shape":
         """Parse {q, vertices, edges}; malformed data raises InvalidInput."""
         try:
-            return Shape(int(data["q"]), data["vertices"], data["edges"])
+            return Shape(json_int(data["q"]), data["vertices"], data["edges"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInput(f"bad shape JSON: {exc!r}") from None
+
+
+def json_int(value) -> int:
+    """int(value), but a float must be integral (not 2.5, inf or nan), so
+    no JSON number is truncated; raises ValueError or TypeError."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -206,6 +255,12 @@ def _require_complete(s: Shape):
         raise InvalidShape("shape is not a complete subtree")
 
 
+def _internal_leaves(s: Shape) -> list:
+    """The leaves of the internal tree I(s): one neighbour inside I."""
+    internal, adj = set(s.internal_vertices()), s.adjacency()
+    return [x for x in s.internal_vertices() if sum(n in internal for n in adj[x]) == 1]
+
+
 def maximal_proper_complete_subtrees(s: Shape) -> list:
     """All proper complete subtrees maximal under inclusion, as frozensets
     of vertex ids sorted by their sorted ids; see the module docstring."""
@@ -217,7 +272,7 @@ def maximal_proper_complete_subtrees(s: Shape) -> list:
     if len(internal) == 1:
         out = [frozenset(e) for e in s.edges]
     else:
-        rests = [internal - {x} for x in internal if sum(n in internal for n in adj[x]) == 1]
+        rests = [internal - {x} for x in _internal_leaves(s)]
         out = [frozenset(r.union(*(adj[v] for v in r))) for r in rests]
     return sorted(out, key=lambda fs: tuple(sorted(fs)))
 
@@ -246,7 +301,7 @@ def classify_shape(s: Shape) -> ShapeClass:
     diam = s.diameter()
     if diam == 2:
         return ShapeClass("centipede", k=2)
-    h = len(maximal_proper_complete_subtrees(s))  # one head per subtree
+    h = len(_internal_leaves(s))  # one head per maximal subtree
     if h == 2:
         return ShapeClass("centipede", k=diam)
     return ShapeClass("multi_headed", n_heads=h, diam=diam)

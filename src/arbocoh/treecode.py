@@ -51,6 +51,15 @@ def diameter(adj) -> int:
     return max(distances(adj, max(ecc, key=ecc.get)).values())
 
 
+def eccentricities(adj) -> dict:
+    """Greatest distance from each vertex, by three breadth-first sweeps:
+    ecc(v) = max(d(a, v), d(b, v)) for the ends a, b of a diameter."""
+    start = distances(adj, next(iter(adj)))
+    from_a = distances(adj, max(start, key=start.get))
+    from_b = distances(adj, max(from_a, key=from_a.get))
+    return {v: max(d, from_b[v]) for v, d in from_a.items()}
+
+
 def center(adj) -> list:
     """The one or two central vertices, sorted, by peeling leaves."""
     deg = {v: len(ns) for v, ns in adj.items()}

@@ -433,7 +433,7 @@ def brute_force_maximal_subtrees(s: Shape) -> list:
     full-degree vertices, filtered to the proper ones no other contains.
     The oracle for the closed form of maximal_proper_complete_subtrees."""
     adj = s.adjacency()
-    internal = [v for v in s.vertices if len(adj[v]) == s.q + 1]
+    internal = s.internal_vertices()
     complete = {frozenset([v]) for v in s.vertices}
     complete.update(frozenset(e) for e in s.edges)
     for mask in range(1, 1 << len(internal)):

@@ -12,6 +12,7 @@ import pytest
 import arbocoh
 from arbocoh.catalog import enumerate_complete_shapes
 from arbocoh.cli import main
+from arbocoh.config import MAX_DEPTH, Config
 from arbocoh.reptheory import enumerate_nondegenerate
 from arbocoh.shapes import centipede_shape, star_shape
 
@@ -168,6 +169,12 @@ def test_config_file_and_env(tmp_path, monkeypatch, capsys):
     assert json.loads(out)["seed"] == 2
 
 
+def test_depth_maximum():
+    assert Config(default_depth=MAX_DEPTH).default_depth == MAX_DEPTH
+    with pytest.raises(ValueError, match="exceeds the maximum"):
+        Config(default_depth=MAX_DEPTH + 1)
+
+
 def test_config_tolerances_block_is_rejected(tmp_path, capsys):
     """The tolerances are constants of the verify suites; a config file
     that sets them is rejected like any unknown field."""
@@ -203,6 +210,7 @@ def test_flip_demo_impossible_rays_exit_1(argv):
 
 
 SPECIAL = '{"tag": "special", "sign": "+", "q": 2}'
+EDGE = '"vertices": ["a", "b"], "edges": [["a", "b"]]'
 
 
 @pytest.mark.parametrize(
@@ -219,11 +227,23 @@ SPECIAL = '{"tag": "special", "sign": "+", "q": 2}'
         ["shapes-enumerate", "--q", "1", "--max-diameter", "3"],
         ["--depth", "0", "flip-demo"],
         ["flip-demo", "--rays", "2"],
+        ["spectrum", '{"q": 1e400, %s}' % EDGE],
+        ["chartab", '{"q": 1e400, %s}' % EDGE],
+        ["classify", '{"tag": "cuspidal", "shape": {"q": 1e400, %s}, "irrep": 0}' % EDGE, "-n", "2"],
+        ["classify", '{"tag": "spherical", "z": "0.5", "q": 1e400}', "-n", "2"],
+        ["classify", '{"tag": "special", "sign": "+", "q": 1e400}', "-n", "2"],
+        ["spectrum", '{"q": 2.5, %s}' % EDGE],
+        ["classify", '{"tag": "special", "sign": "+", "q": 2.5}', "-n", "2"],
+        ["spherical-check", "--z", "1e400"],
+        ["--depth", str(MAX_DEPTH + 1), "flip-demo"],
     ],
     ids=[
         "empty-config", "missing-config", "bad-descriptor-json", "degree-0",
         "shape-without-vertices", "shape-not-an-object", "z-not-complex",
         "spherical-q1", "enumerate-q1", "depth-0", "two-rays",
+        "spectrum-q-overflow", "chartab-q-overflow", "cuspidal-q-overflow",
+        "spherical-q-overflow", "special-q-overflow", "shape-q-fraction",
+        "special-q-fraction", "z-overflow", "depth-over-max",
     ],
 )
 def test_input_errors_exit_2(argv, tmp_path):

@@ -1,0 +1,106 @@
+"""A small fuzz run of the CLI: malformed and oversized JSON and numbers
+for spectrum, chartab, classify and shapes-enumerate.  Every run must
+exit 0 to 3, print one JSON object (an {"error", "message"} object when
+it fails) and raise nothing."""
+
+import contextlib
+import io
+import json
+from unittest import mock
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from arbocoh import catalog, cli
+
+# JSON number texts, with those that used to end in a traceback (1e400)
+# or be truncated (2.5) first
+NUMBERS = st.one_of(
+    st.sampled_from(
+        ["1e400", "-1e400", "2.5", "2.0", "NaN", "Infinity", "1" * 5000,
+         "true", "null", '"3"', '"x"', "[]", "2", "3"]
+    ),
+    st.integers(-10, 10**30).map(str),
+    st.floats().map(json.dumps),
+)
+JUNK = st.one_of(
+    st.text(max_size=30),
+    st.sampled_from(["[" * 3000 + "]" * 3000, '{"q": 2', "[]", "null", "1e400", "{}"]),
+)
+
+
+@st.composite
+def shape_texts(draw):
+    """Shape JSON with up to 8 vertices: a tree or any edge list, any
+    number text for q, and sometimes a field left out."""
+    n = draw(st.integers(0, 8))
+    ids = [f"v{i}" for i in range(n)]
+    if n and draw(st.booleans()):  # a tree: each vertex hung on an earlier one
+        edges = [[ids[draw(st.integers(0, i - 1))], ids[i]] for i in range(1, n)]
+    else:
+        names = st.sampled_from(ids + ["w"])
+        edges = draw(st.lists(st.lists(names, max_size=3), max_size=n + 1))
+    fields = {"q": draw(NUMBERS), "vertices": json.dumps(ids), "edges": json.dumps(edges)}
+    drop = draw(st.sampled_from([None, None, "q", "vertices", "edges"]))
+    return "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items() if k != drop) + "}"
+
+
+@st.composite
+def argvs(draw):
+    shape = draw(st.one_of(shape_texts(), JUNK))
+    command = draw(st.sampled_from(["spectrum", "chartab", "classify", "shapes-enumerate"]))
+    if command in ("spectrum", "chartab"):
+        return [command, shape]
+    if command == "shapes-enumerate":
+        q = draw(st.one_of(st.integers(-5, 12), st.integers(-5, 10**12)))
+        d = draw(st.integers(-3, 30))
+        return [command, "--q", str(q), "--max-diameter", str(d)]
+    z = draw(st.sampled_from(['"1e400"', '"nan"', '"0.5+0.7i"', '"abc"', "0.5", "null"]))
+    sign = draw(st.sampled_from(['"+"', '"-"', '"x"', "1"]))
+    irrep = draw(st.one_of(NUMBERS, st.just('"deg1[1]"')))
+    descriptor = draw(st.sampled_from([
+        '{"tag": "cuspidal", "shape": %s, "irrep": %s}' % (shape, irrep),
+        '{"tag": "spherical", "z": %s, "q": %s}' % (z, draw(NUMBERS)),
+        '{"tag": "special", "sign": %s, "q": %s}' % (sign, draw(NUMBERS)),
+        shape,
+    ]))
+    return [command, descriptor, "-n", str(draw(st.integers(-1, 4)))]
+
+
+@pytest.fixture(scope="module")
+def config(tmp_path_factory):
+    """A group-order bound of 720, so no drawn shape needs a large table."""
+    path = tmp_path_factory.mktemp("fuzz") / "config.json"
+    path.write_text(json.dumps({"group_order_bound": 720}))
+    return str(path)
+
+
+EDGE = '"vertices": ["a", "b"], "edges": [["a", "b"]]'
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=argvs())
+@example(argv=["spectrum", '{"q": 1e400, %s}' % EDGE])
+@example(argv=["chartab", '{"q": 1e400, %s}' % EDGE])
+@example(argv=["spectrum", '{"q": 2.5, %s}' % EDGE])
+@example(argv=["classify", '{"tag": "cuspidal", "shape": {"q": 1e400, %s}, "irrep": 0}' % EDGE, "-n", "2"])
+@example(argv=["classify", '{"tag": "spherical", "z": "0.5", "q": 1e400}', "-n", "2"])
+@example(argv=["classify", '{"tag": "special", "sign": "+", "q": 2.5}', "-n", "2"])
+@example(argv=["spherical-check", "--z", "1e400"])
+@example(argv=["--depth", "100000", "flip-demo"])
+@example(argv=["shapes-enumerate", "--q", "1000000000000", "--max-diameter", "3"])
+def test_cli_fuzz(config, argv):
+    """The work budgets of the catalog are lowered, so that a catalog past
+    them fails in milliseconds; test_cli checks the budgets themselves."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.object(catalog, "GROWTH_BUDGET", 500), \
+            mock.patch.object(catalog, "VERTEX_BUDGET", 5000):
+        code = cli.main(["--config", config, *argv])
+    assert code in (0, 1, 2, 3)
+    data = json.loads(out.getvalue())
+    assert isinstance(data, dict)
+    if code:
+        assert set(data) == {"error", "message"}
+    assert "Traceback" not in err.getvalue()

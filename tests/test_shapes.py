@@ -2,10 +2,12 @@
 embeddings, and hit counts, cross-checked against subset brute force, the
 labelled placement search and the closed-form hit count."""
 
+import copy
 import dataclasses
 import hashlib
 import itertools
 import math
+import pickle
 import random
 
 import numpy as np
@@ -133,13 +135,24 @@ def test_maximal_subtrees_whole_catalog_against_brute_force():
                 assert len(heads(s)) == len(got)
 
 
+def _head_count(s: Shape) -> int:
+    """The head count classify_shape reads off the leaves of I(S)."""
+    cls = classify_shape(s)
+    return 2 if cls.tag == "centipede" else cls.n_heads
+
+
 @pytest.mark.parametrize("q,d", [(2, 7), (3, 5), (4, 4), (5, 3)])
 def test_closed_form_matches_subset_search_on_catalog(q, d):
+    """And every head count of classify_shape is the number of maximal
+    subtrees, by both methods."""
     from arbocoh.catalog import enumerate_complete_shapes
 
     for s in enumerate_complete_shapes(q, d):
         if len(s.vertices) > 2:
-            assert maximal_proper_complete_subtrees(s) == brute_force_maximal_subtrees(s)
+            got = maximal_proper_complete_subtrees(s)
+            assert got == brute_force_maximal_subtrees(s)
+            if s.diameter() > 2:
+                assert _head_count(s) == len(got)
 
 
 def _internal_is_path(s: Shape) -> bool:
@@ -183,7 +196,63 @@ def internal_trees(draw, qs=(2, 3, 4), max_internal=12):
 @settings(max_examples=60, deadline=None)
 @given(internal_trees())
 def test_closed_form_matches_subset_search_on_random_trees(s):
-    assert maximal_proper_complete_subtrees(s) == brute_force_maximal_subtrees(s)
+    got = maximal_proper_complete_subtrees(s)
+    assert got == brute_force_maximal_subtrees(s)
+    if s.diameter() > 2:
+        assert _head_count(s) == len(got)
+
+
+@pytest.mark.parametrize("q,d", [(2, 9), (3, 6), (4, 5)])
+def test_head_count_is_maximal_count_on_large_catalogs(q, d):
+    """Catalogs too large for the subset search, the shapes-catalog
+    benchmark's among them."""
+    from arbocoh.catalog import enumerate_complete_shapes
+
+    for s in enumerate_complete_shapes(q, d):
+        if s.diameter() > 2:
+            assert _head_count(s) == len(maximal_proper_complete_subtrees(s))
+
+
+def test_shape_structure_is_built_once_and_read_only():
+    s = y_shape(3)
+    adj = s.adjacency()
+    assert adj is s.adjacency()
+    assert all(isinstance(ns, tuple) and list(ns) == sorted(ns) for ns in adj.values())
+    with pytest.raises(TypeError):
+        adj["c"] = ()
+    with pytest.raises(TypeError):
+        del adj["c"]
+    assert s.internal_vertices() == ("b0", "b1", "b2", "c")
+    assert [s.degree(v) for v in s.internal_vertices()] == [4] * 4
+    for a, b in itertools.combinations(s.vertices, 2):
+        p = s.path(a, b)
+        assert p[0] == a and p[-1] == b and len(set(p)) == len(p)
+        assert all(y in adj[x] for x, y in zip(p, p[1:]))
+        assert s.path(b, a) == p[::-1]
+    assert max(len(s.path(a, b)) for a in s.vertices for b in s.vertices) - 1 == s.diameter()
+
+
+def test_shape_identity_unchanged_by_cached_structure():
+    """==, hash, repr and pickle see q, vertices and edges only, before and
+    after the structure is built; the pickle digests were taken before it
+    was cached."""
+    pinned = {
+        "cent": "17422eae56675bd6000d29496cc0f001326ec03380ef4feb9c55b28e06a2cda4",
+        "y": "1ca266324c28443c51467e213587e47feb1f7c41d63aa14ad4d87e2626d68faf",
+    }
+    for name, build in (("cent", lambda: centipede_shape(2, 4)), ("y", lambda: y_shape(3))):
+        used, fresh = build(), build()
+        used.diameter(), used.path(used.vertices[0], used.vertices[-1])
+        assert used == fresh and hash(used) == hash(fresh) == hash((used.q, used.vertices, used.edges))
+        assert repr(used) == repr(fresh) == f"Shape(q={used.q}, vertices={used.vertices!r}, edges={used.edges!r})"
+        for s in (used, fresh):
+            data = pickle.dumps(s, protocol=4)
+            assert hashlib.sha256(data).hexdigest() == pinned[name]
+            back = pickle.loads(data)
+            assert back == s and back.diameter() == s.diameter()
+            assert copy.deepcopy(s) == s
+    # an lru_cache keyed by shape hits for an equal shape built afresh
+    assert shape_automorphism_group(y_shape(2)) is shape_automorphism_group(y_shape(2))
 
 
 def test_maximal_subtrees_too_small():

@@ -40,6 +40,24 @@ def test_catalog_and_codes_pinned(q, d):
     assert _sha("\n".join(treecode.canonical_code(t) for t in trees)) == PINNED[f"trees q{q}"]
 
 
+# sha256 of the largest catalog that fits each q's work budget (and of two
+# small-diameter ones), as sorted-key JSON: taken before the diameter bound
+# pruned by eccentricity and before Shape cached its structure.
+PINNED_LARGE = {
+    (2, 9): "bf7fdbaceb00ae1ef4270ca046eebbc92226134faa56831e3f33fc60e7e4c54e",
+    (3, 7): "112686a82702ad45e8edc572baea7a9419956ef894e0d2da703d8fb43f69eb49",
+    (4, 6): "2d32739f700622bc6928aa7f3975ab3b0c77fc6803ff19b2092387e9771244c7",
+    (5, 4): "01de670d0b8018200488e0efcc0801dcb99b9b2dc9e5daa8da05c20a3ba3d1e3",
+    (6, 3): "8bdee915475cac8b81dba3754373c3bd3bf3fe39283b0b11b63a80e79a0b231c",
+}
+
+
+@pytest.mark.parametrize("q,d", sorted(PINNED_LARGE))
+def test_large_catalogs_pinned(q, d):
+    every = enumerate_complete_shapes(q, d)
+    assert _sha(json.dumps([s.to_json() for s in every], sort_keys=True)) == PINNED_LARGE[q, d]
+
+
 def test_code_forms():
     assert treecode.canonical_code({0: []}) == "()"
     assert treecode.canonical_code({0: [1], 1: [0]}) == "[()()]"
@@ -66,6 +84,7 @@ def test_center_distances_diameter_against_all_pairs():
         ecc = {v: max(dist[v].values()) for v in t}
         radius = min(ecc.values())
         assert treecode.diameter(t) == max(ecc.values())
+        assert treecode.eccentricities(t) == ecc
         assert treecode.center(t) == sorted(v for v in t if ecc[v] == radius)
 
 
