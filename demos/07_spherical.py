@@ -3,8 +3,9 @@
 phi_z is evaluated by an exact level sum; it satisfies the averaging
 recurrence to machine precision, is symmetric under z <-> 1-z, and is a
 positive definite radial kernel exactly on the admissible parameter set.
-The intertwiner on cylinder functions yields the invariant inner product
-making the twisted boundary action unitary.
+The intertwiner on cylinder functions, a scalar weight on each scale of
+cylinder means, yields the invariant inner product making the twisted
+boundary action unitary.
 """
 
 import math
@@ -52,7 +53,8 @@ print(f"  violating set for z=2 (a path of 6 vertices): "
 
 print("\n== intertwiner and unitary twisted action ==")
 iz = intertwiner_matrix(q, 0.3, 3)
-print(f"  I_z at depth 3, z=0.3: solve residual {iz.residual:.1e}, "
+weights = ", ".join(f"{lam.real:.6f}" for lam in iz.weights)
+print(f"  I_z at depth 3, z=0.3: weights lambda_0..3 = {weights}; "
       f"deep-probe residual {intertwiner_defining_residual(iz, 5):.1e}")
 z = 0.5 + 0.3j
 worst = 0.0

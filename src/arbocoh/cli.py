@@ -22,12 +22,13 @@ import argparse
 import cmath
 import dataclasses
 import json
+import math
 import sys
 
 from . import verify as verify_mod
 from .catalog import enumerate_complete_shapes
 from .chartab import character_table
-from .config import MAX_DEPTH, Config, load_config
+from .config import MAX_DEPTH, MAX_RAYS, MAX_SUBTREE_Q, Config, load_config
 from .errors import ArbocohError, InvalidDescriptor, InvalidInput, UnknownSuite
 from .flip import find_flip, check_flip_witness
 from .perm import DEFAULT_ORDER_BOUND, shape_automorphism_group
@@ -214,9 +215,12 @@ def cmd_flip_demo(args, cfg: Config) -> int:
     rng = np.random.default_rng(cfg.seed)
     q = args.q
     depth = args.depth or cfg.default_depth
-    _require(args.rays is None or args.rays >= 3, f"--rays must be >= 3, got {args.rays}")
-    if args.rays:
-        rays = random_rays(rng, q, args.rays, depth)
+    n = args.rays
+    _require(n is None or 3 <= n <= MAX_RAYS, f"--rays must be in 3..{MAX_RAYS}, got {n}")
+    _require(q < 2**63, f"--q must be below 2^63, the int64 range of the draws, got {q}")
+    _require(n or q <= MAX_SUBTREE_Q, f"without --rays, --q must be <= {MAX_SUBTREE_Q}, got {q}")
+    if n:
+        rays = random_rays(rng, q, n, depth)
         s = None
     else:
         rays, s = random_flip_instance(rng, q, depth)
@@ -245,6 +249,10 @@ def cmd_spherical_check(args, cfg: Config) -> int:
     _require(q >= 2, f"--q must be >= 2, got {q}")
     z = parse_complex(args.z)
     depth = args.depth or 8
+    # every power q^(z b) of phi_z (|b| <= depth), the Gram path (|b| <= 5) and
+    # mu(z) stays below e^700, with room for the checks' sums in floats
+    top = (abs(z.real) + 1) * max(depth, 5) * math.log(q)
+    _require(top < 700, f"q^z overflows a float at q={q}, z={args.z}, depth {depth}")
     phi = phi_values(q, z, depth)
     rows = [
         {"d": d, "re_phi": float(phi[d].real), "im_phi": float(phi[d].imag)}

@@ -11,6 +11,12 @@ from dataclasses import dataclass
 # prefix tuples for n rays, so its time and memory grow with depth squared.
 MAX_DEPTH = 256
 
+# The most rays flip-demo draws (time about quadratic in the count: at q=5
+# 3,000 rays took 4 s on a 2-core VM), and the largest q at which it places
+# a random subtree (q=100 took 2 s, q=300 27 s, q near 2^63 ran out of memory).
+MAX_RAYS = 1000
+MAX_SUBTREE_Q = 100
+
 
 @dataclass(frozen=True)
 class Config:

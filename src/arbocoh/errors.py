@@ -109,12 +109,6 @@ class BadVector(ArbocohError):
     """Witness vector violates its invariance precondition."""
 
 
-# -- spherical -------------------------------------------------------------
-
-class IllConditioned(ArbocohError):
-    """Intertwiner system residual exceeded tolerance."""
-
-
 # -- cli -------------------------------------------------------------------
 
 class UnknownSuite(ArbocohError):

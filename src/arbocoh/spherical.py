@@ -6,8 +6,8 @@ sums: the boundary integral of the z-th power of the Radon-Nikodym kernel
 splits over the levels at which a boundary ray leaves the geodesic to the
 evaluation vertex, and each level carries an exact rational mass times an
 integer power q^(z*b).  The same level decomposition gives exact cylinder
-integrals, from which the intertwiner exchanging the z and 1-z pairings is
-assembled as an (over-determined) linear system on cylinder coordinates.
+integrals, which check the intertwiner exchanging the z and 1-z pairings:
+that one is in closed form, a scalar on each scale of cylinder means.
 
 Positive definiteness is probed through Gram matrices of the radial kernel
 and through the inner product (f, g)_z = integral of (I_z f) conj(g); the
@@ -19,14 +19,13 @@ constant on every output cell.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import IllConditioned, InsufficientDepth, OutOfDomain
+from .errors import InsufficientDepth, OutOfDomain
 from .tree import (
     O,
     RayPrefix,
@@ -39,15 +38,19 @@ from .tree import (
     word_distance,
 )
 
-_INTERTWINER_CACHE_SIZE = 32  # per cache: intertwiners and inner pairings
 _ADMISSIBLE_TOL = 1e-12  # slack of the Re z and Im z tests of is_admissible
-_EXCHANGE_TOL = 1e-8  # largest residual of an intertwiner's linear system
 _MAX_EXTRA_DEPTH = 8  # refinements pi_z_apply tries beyond the input depth
 
 
 def mu_of_z(q: int, z: complex) -> complex:
     """Averaging-operator eigenvalue (q^z + q^(1-z)) / (q+1)."""
     return (q**complex(z) + q ** (1 - complex(z))) / (q + 1)
+
+
+def _off_lines(q: int, z: complex) -> float:
+    """Distance of Im z to the nearest integer multiple of pi/ln q."""
+    step = math.pi / math.log(q)
+    return abs(z.imag - round(z.imag / step) * step)
 
 
 def is_admissible(q: int, z: complex) -> bool:
@@ -57,9 +60,7 @@ def is_admissible(q: int, z: complex) -> bool:
     if abs(z.real - 0.5) <= _ADMISSIBLE_TOL:
         return True
     if -_ADMISSIBLE_TOL <= z.real <= 1 + _ADMISSIBLE_TOL:
-        step = math.pi / math.log(q)
-        k = round(z.imag / step)
-        return abs(z.imag - k * step) <= _ADMISSIBLE_TOL
+        return _off_lines(q, z) <= _ADMISSIBLE_TOL
     return False
 
 
@@ -186,39 +187,48 @@ def _depth_words(q: int, depth: int):
 def cylinder_poisson_integral(q: int, z: complex, x: Vertex, cyl) -> complex:
     """Exact integral of the z-th kernel power P^z(o, x, .) over the
     boundary cylinder at the given word."""
-    w = tuple(cyl)
-    xw = x.word
-    if len(w) == 0:
-        if len(xw) == 0:
-            return 1.0 + 0j
-        return sum(cylinder_poisson_integral(q, z, x, c) for c in word_children(w, q))
+    w, xw = tuple(cyl), x.word
     k = lcp_len(xw, w)
-    logq = math.log(q)
-    if k == len(xw):
-        mass = cylinder_measure(O, Vertex(w), q)
-        return float(mass) * cmath.exp(complex(z) * len(xw) * logq)
-    if k < len(w):
-        mass = cylinder_measure(O, Vertex(w), q)
-        return float(mass) * cmath.exp(complex(z) * (2 * k - len(xw)) * logq)
-    return sum(cylinder_poisson_integral(q, z, x, c) for c in word_children(w, q))
+    if k == len(w) < len(xw):  # x below the cylinder's root: split it
+        return sum(cylinder_poisson_integral(q, z, x, c) for c in word_children(w, q))
+    mass = float(cylinder_measure(O, Vertex(w), q)) if w else 1.0
+    return mass * cmath.exp(complex(z) * (2 * k - len(xw)) * math.log(q))
 
 
 @dataclass(frozen=True)
 class Intertwiner:
-    """Matrix exchanging the z and 1-z kernel pairings on depth-n cylinder
-    coordinates, with the residual of its defining linear system."""
+    """I_z on depth-n cylinder coordinates: the scalar weights[j] on each
+    scale E_j f - E_(j-1) f, E_j the mean over depth-j cylinders and
+    E_(-1) = 0 (Cartier 1973; Figa-Talamanca and Nebbia 1991, ch. 2-3)."""
 
     q: int
     z: complex
     depth: int
-    cylinders: tuple
-    matrix: np.ndarray
-    residual: float
+    weights: tuple
+
+    @property
+    def cylinders(self) -> tuple:
+        return tuple(_depth_words(self.q, self.depth))
+
+    def _apply(self, v: np.ndarray) -> np.ndarray:
+        """lambda_n v + sum_(j<n) (lambda_j - lambda_(j+1)) E_j v along axis
+        0, the sorted words: a depth-j cylinder is a run of them."""
+        lam, n = self.weights, self.depth
+        out = lam[n] * v
+        for j in range(n):
+            cells = 1 if j == 0 else (self.q + 1) * self.q ** (j - 1)
+            means = v.reshape(cells, -1, *v.shape[1:]).mean(axis=1)
+            out = out + (lam[j] - lam[j + 1]) * np.repeat(means, len(v) // cells, axis=0)
+        return out
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self._apply(np.eye(len(self.cylinders)))
 
     def apply(self, f: CylinderFunction) -> CylinderFunction:
         f = f.refine(self.depth)
-        out = self.matrix @ f.vector()
-        return CylinderFunction(self.q, self.depth, dict(zip(self.cylinders, out)))
+        out = self._apply(f.vector())
+        return CylinderFunction(self.q, self.depth, zip((w for w, _ in f.coeffs), out))
 
 
 def _pairing_matrix(q, z, probes, cylinders):
@@ -233,47 +243,24 @@ def _check_mu(q, z):
         raise ValueError(f"intertwiner needs mu(z) in (-1, 1), got {mu}")
 
 
-def _solve_exchange(q: int, a: complex, b: complex, n: int):
-    """Matrix X with W^a X = W^b on all probe vertices of the radius-n
-    ball, by least squares; returns (cylinders, X, residual)."""
-    cylinders = tuple(_depth_words(q, n))
-    probes = [w for d in range(n + 1) for w in _depth_words(q, d)]
-    Wa = _pairing_matrix(q, a, probes, cylinders)
-    Wb = _pairing_matrix(q, b, probes, cylinders)
-    X, *_ = np.linalg.lstsq(Wa, Wb, rcond=None)
-    residual = float(np.max(np.abs(Wa @ X - Wb)))
-    if residual > _EXCHANGE_TOL:
-        raise IllConditioned(f"intertwiner residual {residual} exceeds {_EXCHANGE_TOL}")
-    return cylinders, X, residual
-
-
-@functools.lru_cache(maxsize=_INTERTWINER_CACHE_SIZE)
 def intertwiner_matrix(q: int, z: complex, n: int) -> Intertwiner:
     """The operator exchanging the z and 1-z kernel pairings:
-    integral of P^z (I_z f) equals integral of P^(1-z) f at every probe."""
+    integral of P^z (I_z f) equals integral of P^(1-z) f at every probe.
+    Its weights are lambda_0 = 1 and lambda_j = r(z) q^((1-2z)(j-1)) for
+    j >= 1, with r(z) = (mu - q^(z-1)) / (mu - q^(-z))."""
     _check_mu(q, z)
     if n < 1:
         raise ValueError("depth must be >= 1")
-    cylinders, X, residual = _solve_exchange(q, complex(z), 1 - complex(z), n)
-    return Intertwiner(q, complex(z), n, cylinders, X, residual)
-
-
-@functools.lru_cache(maxsize=_INTERTWINER_CACHE_SIZE)
-def _inner_pairing(q: int, z: complex, n: int) -> Intertwiner:
-    """Operator of the invariant Hermitian form: solves
-    W^(conj z) X = W^(1-z).  For real z this is the intertwiner itself; on
-    the unitary principal series (Re z = 1/2) it is the identity and the
-    form reduces to the plain boundary L^2 product, which is the invariant
-    one there."""
-    _check_mu(q, z)
     z = complex(z)
-    cylinders, X, residual = _solve_exchange(q, z.conjugate(), 1 - z, n)
-    return Intertwiner(q, z, n, cylinders, X, residual)
+    mu = mu_of_z(q, z)
+    r = (mu - q ** (z - 1)) / (mu - q ** (-z))
+    weights = (1 + 0j,) + tuple(r * q ** ((1 - 2 * z) * (j - 1)) for j in range(1, n + 1))
+    return Intertwiner(q, z, n, weights)
 
 
 def intertwiner_defining_residual(iz: Intertwiner, probe_radius: int) -> float:
     """Residual of the defining identity over all probes in a (possibly
-    deeper) ball; an over-determination check."""
+    deeper) ball, from exact cylinder integrals of both kernel powers."""
     probes = [w for d in range(probe_radius + 1) for w in _depth_words(iz.q, d)]
     Wz = _pairing_matrix(iz.q, iz.z, probes, iz.cylinders)
     W1z = _pairing_matrix(iz.q, 1 - iz.z, probes, iz.cylinders)
@@ -283,15 +270,18 @@ def intertwiner_defining_residual(iz: Intertwiner, probe_radius: int) -> float:
 def inner_product_z(
     f: CylinderFunction, g: CylinderFunction, q: int, z: complex
 ) -> complex:
-    """The invariant inner product: integral of (A_z f) conj(g) against the
-    visual measure, A_z the pairing operator of _inner_pairing (equal to
-    I_z whenever z is real)."""
+    """The invariant inner product: integral of (A_z f) conj(g), where A_z
+    exchanges the conj z and 1-z pairings: the identity on Re z = 1/2, and
+    I_z on the lines Im z = k pi/ln q, where q^(conj z b) = q^(z b)."""
+    z = complex(z)
+    _check_mu(q, z)
     depth = max(f.depth, g.depth, 1)
-    az = _inner_pairing(q, z, depth)
-    fv = az.apply(f).vector()
+    f = f.refine(depth)
+    if abs(z.real - 0.5) > _off_lines(q, z):
+        f = intertwiner_matrix(q, z, depth).apply(f)
     gv = g.refine(depth).vector()
     mass = float(Fraction(1, q + 1) * Fraction(1, q) ** (depth - 1))
-    return complex(np.sum(fv * np.conj(gv)) * mass)
+    return complex(np.sum(f.vector() * np.conj(gv)) * mass)
 
 
 def pi_z_apply(f: TreeIsometry, phi: CylinderFunction, q: int, z: complex) -> CylinderFunction:

@@ -1,7 +1,7 @@
 """A small fuzz run of the CLI: malformed and oversized JSON and numbers
-for spectrum, chartab, classify and shapes-enumerate.  Every run must
-exit 0 to 3, print one JSON object (an {"error", "message"} object when
-it fails) and raise nothing."""
+for spectrum, chartab, classify, shapes-enumerate, spherical-check and
+flip-demo.  Every run must exit 0 to 3, print one JSON object (an
+{"error", "message"} object when it fails) and raise nothing."""
 
 import contextlib
 import io
@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arbocoh import catalog, cli
+from arbocoh.config import MAX_DEPTH
 
 # JSON number texts, with those that used to end in a traceback (1e400)
 # or be truncated (2.5) first
@@ -46,10 +47,33 @@ def shape_texts(draw):
     return "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items() if k != drop) + "}"
 
 
+# complex parameter texts: overflowing, not a number, and a + bi forms
+Z_TEXTS = st.one_of(
+    st.sampled_from(["1e400", "nan", "inf", "abc", "", "300", "-300", "120", "0.5+0.7i", "0.3+4.53i"]),
+    st.tuples(st.floats(-1000, 1000), st.floats(-1000, 1000)).map(lambda c: f"{c[0]}{c[1]:+}i"),
+)
+# a branching parameter: small, or up to far past int64 and the float range
+Q_TEXTS = st.one_of(st.integers(-3, 12), st.integers(-3, 10**400)).map(str)
+
+
+def optional_flag(name, values):
+    """[] or ["--name=value"]."""
+    return st.one_of(st.just([]), values.map(lambda v: [f"--{name}={v}"]))
+
+
 @st.composite
 def argvs(draw):
     shape = draw(st.one_of(shape_texts(), JUNK))
-    command = draw(st.sampled_from(["spectrum", "chartab", "classify", "shapes-enumerate"]))
+    command = draw(st.sampled_from(
+        ["spectrum", "chartab", "classify", "shapes-enumerate", "spherical-check", "flip-demo"]
+    ))
+    if command in ("spherical-check", "flip-demo"):
+        # "--flag=value", so that argparse reads "-0.5+1i" as a value
+        args = [*draw(optional_flag("depth", st.integers(-2, MAX_DEPTH + 2))), command]
+        args.append(f"--q={draw(Q_TEXTS)}")
+        if command == "spherical-check":
+            return [*args, f"--z={draw(Z_TEXTS)}"]
+        return [*args, *draw(optional_flag("rays", st.integers(-2, 10**6)))]
     if command in ("spectrum", "chartab"):
         return [command, shape]
     if command == "shapes-enumerate":
@@ -90,13 +114,18 @@ EDGE = '"vertices": ["a", "b"], "edges": [["a", "b"]]'
 @example(argv=["spherical-check", "--z", "1e400"])
 @example(argv=["--depth", "100000", "flip-demo"])
 @example(argv=["shapes-enumerate", "--q", "1000000000000", "--max-diameter", "3"])
+@example(argv=["spherical-check", "--q", "2", "--z", "300"])
+@example(argv=["flip-demo", "--q", "5", "--rays", "51"])
 def test_cli_fuzz(config, argv):
-    """The work budgets of the catalog are lowered, so that a catalog past
-    them fails in milliseconds; test_cli checks the budgets themselves."""
+    """The work budgets of the catalog and of flip-demo are lowered, so
+    that an input past them fails in milliseconds; test_cli checks the
+    budgets themselves."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             mock.patch.object(catalog, "GROWTH_BUDGET", 500), \
-            mock.patch.object(catalog, "VERTEX_BUDGET", 5000):
+            mock.patch.object(catalog, "VERTEX_BUDGET", 5000), \
+            mock.patch.object(cli, "MAX_RAYS", 50), \
+            mock.patch.object(cli, "MAX_SUBTREE_Q", 12):
         code = cli.main(["--config", config, *argv])
     assert code in (0, 1, 2, 3)
     data = json.loads(out.getvalue())

@@ -2,14 +2,19 @@
 invariant inner product, and the twisted boundary action."""
 
 import cmath
+import functools
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arbocoh.errors import InsufficientDepth
 from arbocoh.spherical import (
     CylinderFunction,
+    _depth_words,
     cylinder_poisson_integral,
     eigen_residual,
     gram_psd_check,
@@ -21,7 +26,15 @@ from arbocoh.spherical import (
     phi_values,
     pi_z_apply,
 )
-from arbocoh.tree import O, TreeIsometry, Vertex, extend_isometry, identity_isometry
+from arbocoh.tree import (
+    O,
+    RayPrefix,
+    TreeIsometry,
+    Vertex,
+    busemann,
+    extend_isometry,
+    identity_isometry,
+)
 from arbocoh.verify import random_isometry, random_word
 
 
@@ -102,8 +115,7 @@ def test_gram_psd_admissible_and_violation():
 def test_cylinder_poisson_integral_against_quadrature():
     """Exact cylinder integrals vs summing P^z over a fine cylinder
     partition (brute-force quadrature at depth 6)."""
-    from arbocoh.spherical import _depth_words
-    from arbocoh.tree import RayPrefix, busemann, cylinder_measure
+    from arbocoh.tree import cylinder_measure
 
     q, z = 2, 0.37 + 0.21j
     logq = math.log(q)
@@ -134,8 +146,91 @@ def test_intertwiner_identity_on_constants():
 def test_intertwiner_deep_probe_residual():
     for n in (1, 2, 3, 4):
         iz = intertwiner_matrix(2, 0.3, n)
-        assert iz.residual < 1e-8
         assert intertwiner_defining_residual(iz, n + 2) < 1e-8
+
+
+@functools.lru_cache(maxsize=None)
+def _exponents(q, n):
+    """B with P^z(o, x, .) = q^(z B[x, c]) on each depth-n cylinder c, for
+    every vertex x of the radius-n ball: Busemann functions of the tree."""
+    probes = [Vertex(w) for d in range(n + 1) for w in _depth_words(q, d)]
+    return np.array([[busemann(RayPrefix(c), O, x) for c in _depth_words(q, n)] for x in probes])
+
+
+def _least_squares_exchange(q, a, b, n):
+    """The oracle: X with W^a X = W^b on the radius-n ball, by least
+    squares, and the residual of that system.  W^s holds the integrals of
+    P^s over the cylinders; their common measure cancels."""
+    B = _exponents(q, n)
+    Wa, Wb = q ** (complex(a) * B), q ** (complex(b) * B)
+    X, *_ = np.linalg.lstsq(Wa, Wb, rcond=None)
+    return X, float(np.max(np.abs(Wa @ X - Wb)))
+
+
+def _grid_zs(q):
+    """Real z, z = 1/2, a point of Re z = 1/2 and one of Im z = pi/ln q."""
+    return (0.3, 0.5, 0.5 + 0.3j, 0.3 + 1j * math.pi / math.log(q))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_closed_form_matches_least_squares(q):
+    for n in (1, 2, 3, 4):
+        for z in _grid_zs(q):
+            X, residual = _least_squares_exchange(q, z, 1 - z, n)
+            assert residual < 1e-8
+            assert np.max(np.abs(intertwiner_matrix(q, z, n).matrix - X)) < 1e-12
+
+
+def _random_function(rng, q, n):
+    words = _depth_words(q, n)
+    return CylinderFunction(q, n, zip(words, rng.standard_normal((len(words), 2)) @ (1, 1j)))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_inner_product_against_least_squares(q):
+    """(f, g)_z = integral of (A f) conj(g) with W^(conj z) A = W^(1-z)
+    solved by least squares: A is the identity on Re z = 1/2 and I_z for
+    real z and on the lines Im z = k pi/ln q."""
+    rng = np.random.default_rng(q)
+    for n in (1, 2, 3):
+        mass = 1 / ((q + 1) * q ** (n - 1))
+        for z in (*_grid_zs(q), 0.7 - 2j * math.pi / math.log(q)):
+            A, _ = _least_squares_exchange(q, complex(z).conjugate(), 1 - z, n)
+            closed = np.eye(len(A)) if complex(z).real == 0.5 else intertwiner_matrix(q, z, n).matrix
+            assert np.max(np.abs(A - closed)) < 1e-12
+            f, g = _random_function(rng, q, n), _random_function(rng, q, n)
+            expected = np.sum((A @ f.vector()) * np.conj(g.vector())) * mass
+            assert abs(inner_product_z(f, g, q, z) - expected) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 5),
+    st.integers(1, 5),
+    st.sampled_from(["real", "critical", "line"]),
+    st.floats(0.05, 0.95),
+    st.floats(-3, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_intertwiner_inverse_is_one_minus_z(q, n, kind, x, y, seed):
+    """I_z I_(1-z) = Id, since lambda_j(z) lambda_j(1-z) = 1."""
+    z = {
+        "real": complex(x),
+        "critical": complex(0.5, y),
+        "line": complex(x, round(y) * math.pi / math.log(q)),
+    }[kind]
+    f = _random_function(np.random.default_rng(seed), q, n)
+    back = intertwiner_matrix(q, 1 - z, n).apply(intertwiner_matrix(q, z, n).apply(f))
+    assert np.max(np.abs(back.vector() - f.vector())) < 1e-9 * max(1, np.max(np.abs(f.vector())))
+
+
+def test_deep_intertwiner_is_cheap_and_preserves_the_integral():
+    start = time.perf_counter()
+    iz = intertwiner_matrix(2, 0.3, 8)
+    f = _random_function(np.random.default_rng(5), 2, 8)
+    out = iz.apply(f)
+    assert time.perf_counter() - start < 1.0
+    assert abs(np.mean(out.vector()) - np.mean(f.vector())) < 1e-12
 
 
 def test_intertwiner_rejects_bad_mu():
