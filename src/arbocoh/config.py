@@ -12,8 +12,9 @@ from dataclasses import dataclass
 MAX_DEPTH = 256
 
 # The most rays flip-demo draws (time about quadratic in the count: at q=5
-# 3,000 rays took 4 s on a 2-core VM), and the largest q at which it places
-# a random subtree (q=100 took 2 s, q=300 27 s, q near 2^63 ran out of memory).
+# 3,000 rays took 4 s on a 2-core VM), and the largest q at which
+# verify.random_flip_instance places a random subtree (q=100 took 2 s,
+# q=300 27 s, q near 2^63 ran out of memory).
 MAX_RAYS = 1000
 MAX_SUBTREE_Q = 100
 

@@ -6,14 +6,6 @@ label over 0..q-1 (the q downward edges at any other vertex).  Depth of a
 word equals its distance from o, and longest-common-prefix computations
 give all distances in O(depth).
 
-Array code works with the BFS code of a word instead: a word at depth d
-with labels (a_1, ..., a_d) has rank a_1 q^(d-1) + ... + a_d, its rank in
-lexicographic order among the (q+1) q^(d-1) words of its sphere, and code
-offset[d] + rank, its position in the breadth-first order of the ball
-around o (sphere_offsets).  The parent of a word at depth d >= 2 has rank
-rank // q, the parent of a depth-1 word is o, and the children of a word
-at depth d >= 1 have ranks rank*q + lab.
-
 A RayPrefix with word w stands for the cylinder of boundary points whose
 ray from o passes through w.  Operations that consume ray prefixes verify
 that the prefix actually determines the answer and raise InsufficientDepth
@@ -28,20 +20,14 @@ are Fractions, Busemann values are ints.
 Finite partial automorphisms are TreeIsometry objects: an injective,
 adjacency-preserving map on a finite connected subtree.  Any such map
 extends to a full automorphism of the tree; extend_isometry realizes a
-canonical (lexicographically smallest) such extension on a ball.  An
-isometry drawn on BFS codes keeps them (TreeIsometry.from_codes): a word
-is converted only when it is applied, its inverse swaps the two code
-arrays, and the word dict is built on first use of mapping.
+canonical (lexicographically smallest) such extension on a ball.
 """
 
 from __future__ import annotations
 
-import bisect
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import (
     DegenerateCylinder,
@@ -289,132 +275,20 @@ def ball_words(center: Word, radius: int, q: int) -> list:
     return out
 
 
-def sphere_offsets(q: int, depth: int) -> np.ndarray:
-    """offset[d] for d = 0..depth+1: the number of vertices closer to o
-    than d, so the ball of radius depth has codes 0..offset[depth+1]-1.
-    int64 while that fits with room to spare, Python ints beyond."""
-    sizes = [1] + [(q + 1) * q ** (d - 1) for d in range(1, depth + 1)]
-    dtype = np.int64 if sum(sizes) < 2**62 else object
-    out = np.zeros(depth + 2, dtype=dtype)
-    out[1:] = np.cumsum(np.array(sizes, dtype=dtype))
-    return out
-
-
-def word_rank(w: Word, q: int) -> int:
-    """Rank of w in its sphere: a_1 q^(d-1) + ... + a_d."""
-    r = 0
-    for lab in w:
-        r = r * q + lab
-    return r
-
-
-def parent_rank(depth, rank, q: int):
-    """Rank of the parent of the vertex (depth >= 1, rank), elementwise on
-    arrays: rank // q from depth 2 on, 0 (the basepoint) at depth 1."""
-    return np.where(depth >= 2, rank // q, 0)
-
-
-def rank_words(depth, rank, q: int) -> list:
-    """The words of the vertices (depth[i], rank[i]), in input order."""
-    depth = np.asarray(depth)
-    rank = np.asarray(rank)
-    if not len(depth):
-        return []
-    order = np.argsort(depth, kind="stable")
-    ds = depth[order]
-    cuts = (np.flatnonzero(ds[1:] != ds[:-1]) + 1).tolist()
-    words = []
-    for lo, hi in zip([0, *cuts], [*cuts, len(ds)]):
-        d = int(ds[lo])
-        if d == 0:
-            words.extend([()] * (hi - lo))
-            continue
-        powers = np.array([q**e for e in range(d - 1, -1, -1)], dtype=rank.dtype)
-        digits = rank[order[lo:hi], None] // powers
-        digits[:, 1:] %= q
-        words.extend(zip(*digits.T.tolist()))
-    if np.any(order != np.arange(len(order))):
-        slot = np.empty(len(order), dtype=np.int64)
-        slot[order] = np.arange(len(order))
-        words = [words[i] for i in slot.tolist()]
-    return words
-
-
-def _words_of_codes(offsets, codes, q: int) -> list:
-    """The words of the given BFS codes, in input order."""
-    codes = np.asarray(codes)
-    offsets = np.asarray(offsets)
-    depth = np.searchsorted(offsets, codes, side="right") - 1
-    return rank_words(depth, codes - offsets[depth], q)
-
-
-def _word_of_code(offsets: list, code: int, q: int) -> Word:
-    """_words_of_codes for one code, on a list of offsets."""
-    d = bisect.bisect_right(offsets, code) - 1
-    rank = code - offsets[d]
-    labels = []
-    for _ in range(d - 1):
-        rank, lab = divmod(rank, q)
-        labels.append(lab)
-    if d:
-        labels.append(rank)
-    return tuple(labels[::-1])
-
-
 class TreeIsometry:
     """A finite partial automorphism: an injective, adjacency-preserving map
-    on a finite connected subtree, given as a word -> word dict or, from
-    from_codes, as two arrays of BFS codes.
+    on a finite connected subtree, given as a word -> word dict.
 
     Such a map preserves all distances on its domain and extends to a full
     automorphism of the tree.  Instances are immutable after construction.
     """
 
-    __slots__ = ("q", "_mapping", "_codes", "_index")
+    __slots__ = ("q", "mapping")
 
-    def __init__(self, q: int, mapping: dict, validate: bool = True):
+    def __init__(self, q: int, mapping: dict):
         self.q = q
-        self._mapping = dict(mapping)
-        self._codes = self._index = None
-        if validate:
-            self._validate()
-
-    @classmethod
-    def from_codes(cls, q: int, offsets, dom, img) -> "TreeIsometry":
-        """The map taking the word of BFS code dom[k] to the word of code
-        img[k]; offsets come from sphere_offsets and reach the deepest
-        word of either array, and dom None stands for the whole ball
-        0..len(img)-1.  Not validated: the caller has checked the map."""
-        f = cls.__new__(cls)
-        f.q, f._mapping, f._index = q, None, None
-        f._codes = (np.asarray(offsets).tolist(), dom, img)
-        return f
-
-    @property
-    def mapping(self) -> dict:
-        """The word -> word dict; a coded isometry builds it on first use."""
-        if self._mapping is None:
-            offsets, dom, img = self._codes
-            words = _words_of_codes(offsets, np.arange(len(img)) if dom is None else dom, self.q)
-            self._mapping = dict(zip(words, _words_of_codes(offsets, img, self.q)))
-        return self._mapping
-
-    def _position(self, w):
-        """Index of w in the code arrays, or None outside the domain."""
-        offsets, dom, img = self._codes
-        if len(w) + 1 >= len(offsets) or not _valid_word(w, self.q):
-            return None
-        c = offsets[len(w)] + word_rank(w, self.q)
-        if dom is None:
-            return c if c < len(img) else None
-        if self._index is None:
-            self._index = {code: k for k, code in enumerate(dom.tolist())}
-        return self._index.get(c)
-
-    def _in_domain(self, w) -> bool:
-        if self._codes is None:
-            return w in self._mapping
-        return self._position(w) is not None
+        self.mapping = dict(mapping)
+        self._validate()
 
     def _validate(self):
         """Check labels, injectivity, adjacency and connectivity.  The
@@ -486,17 +360,10 @@ class TreeIsometry:
         return Vertex(min(self.mapping, key=lambda w: (len(w), w)))
 
     def apply_word(self, w: Word) -> Word:
-        if self._codes is None:
-            try:
-                return self._mapping[w]
-            except KeyError:
-                pass
-        else:
-            k = self._position(w)
-            if k is not None:
-                offsets, _, img = self._codes
-                return _word_of_code(offsets, int(img[k]), self.q)
-        raise OutOfDomain(f"{list(w)} not in isometry domain")
+        try:
+            return self.mapping[w]
+        except KeyError:
+            raise OutOfDomain(f"{list(w)} not in isometry domain") from None
 
     def apply_vertex(self, v: Vertex) -> Vertex:
         return Vertex(self.apply_word(v.word))
@@ -517,7 +384,7 @@ class TreeIsometry:
             return RayPrefix(())
         # every prefix must lie in the domain; only the last two images count
         for t in range(len(w) - 1):
-            if not self._in_domain(w[:t]):
+            if w[:t] not in self.mapping:
                 raise OutOfDomain(f"{list(w[:t])} not in isometry domain")
         prev, img = self.apply_word(w[:-1]), self.apply_word(w)
         if prev != img[:-1]:
@@ -534,12 +401,7 @@ class TreeIsometry:
         raise TypeError(f"cannot apply isometry to {type(p).__name__}")
 
     def inverse(self) -> "TreeIsometry":
-        if self._codes is None:
-            return TreeIsometry(self.q, {v: w for w, v in self._mapping.items()})
-        offsets, dom, img = self._codes
-        return TreeIsometry.from_codes(
-            self.q, offsets, img, np.arange(len(img)) if dom is None else dom
-        )
+        return TreeIsometry(self.q, {v: w for w, v in self.mapping.items()})
 
     def compose(self, other: "TreeIsometry") -> "TreeIsometry":
         """self after other, on the largest domain where that is defined."""
@@ -558,8 +420,7 @@ class TreeIsometry:
         )
 
     def __repr__(self):
-        size = len(self._mapping) if self._codes is None else len(self._codes[2])
-        return f"TreeIsometry(q={self.q}, |domain|={size})"
+        return f"TreeIsometry(q={self.q}, |domain|={len(self.mapping)})"
 
 
 def identity_isometry(q: int, words=((),)) -> TreeIsometry:

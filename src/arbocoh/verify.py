@@ -14,8 +14,8 @@ import numpy as np
 from . import treecode
 from .catalog import enumerate_complete_shapes
 from .chartab import character_table, invariant_dim, realize_irrep
-from .config import Config
-from .errors import TooManyRays, UnknownSuite
+from .config import MAX_SUBTREE_Q, Config
+from .errors import InvalidInput, TooManyRays, UnknownSuite
 from .flip import check_flip_witness, find_flip
 from .perm import (
     DEFAULT_ORDER_BOUND,
@@ -56,18 +56,15 @@ from .tree import (
     RayPrefix,
     TreeIsometry,
     Vertex,
+    ball_words,
     busemann,
     cylinder_measure,
     distance,
     gromov_product,
     median,
-    parent_rank,
     poisson_kernel,
-    rank_words,
-    sphere_offsets,
     word_children,
     word_neighbors,
-    word_rank,
 )
 from .witness import (
     induced_reference_permutation,
@@ -79,7 +76,6 @@ from .witness import (
 # -- randomness helpers -------------------------------------------------------
 
 
-_LOOP_DOMAIN = 64  # smaller isometry domains are drawn word by word
 _DISTINCT_FLOOR = 1e-3  # least chance of a distinct ray batch worth drawing for
 _RAY_BATCHES = 20_000  # batches drawn before random_rays gives up
 _ORTHOGONALITY_TOL = 1e-9  # character-table orthogonality residuals
@@ -126,92 +122,34 @@ def random_rays(rng, q, n, depth):
 
 
 def random_isometry(rng, q, radius, move=0):
-    """Random automorphism germ on the radius ball: the basepoint goes to a
-    random word of the given length, children assigned in random order.
-
-    Draw order: random_word(rng, q, move) for the image of the basepoint,
-    then one rng.permutation per domain word in BFS order (size q+1 at the
-    basepoint, q everywhere else, leaves included).  The k-th child of a
-    word takes the permutation's k-th entry among the neighbours of the
-    word's image, parent first and then children by label, with the
-    image of the word's parent left out."""
-    sizes = [1] + [(q + 1) * q ** (d - 1) for d in range(1, radius + 1)]
-    depth = np.repeat(np.arange(radius + 1), sizes)
-    rank = np.concatenate([np.arange(n) for n in sizes])
-    return _random_on_domain(rng, q, depth, rank, move)
+    """Random automorphism germ on the radius ball around the basepoint,
+    drawn as random_isometry_on draws it."""
+    return random_isometry_on(rng, q, ball_words((), radius, q), move)
 
 
 def random_isometry_on(rng, q, words, move=0):
-    """Random automorphism germ defined on the ancestor closure of the
-    given words (cheap when the words are few but deep), drawn as
-    random_isometry draws it."""
-    dom = set()
+    """Random automorphism germ on the ancestor closure of the given words:
+    the basepoint goes to a random word of the given length, children are
+    assigned in random order.
+
+    Draw order: random_word(rng, q, move) for the image of the basepoint,
+    then one permutation per domain word in (depth, word) order, of size
+    q+1 at the basepoint and q everywhere else, leaves included.  The size-q
+    ones come from one rng.permuted call, which draws exactly what one
+    rng.permutation(q) per word draws (the tests compare the two).  Child k
+    of a word (k-th in label order among its children in the domain) goes
+    to entry k of the word's permutation among the neighbours of the word's
+    image, parent first and then children by label, with the image of the
+    word's parent left out."""
+    dom = {()}
     for w in words:
-        dom.update(w[:k] for k in range(len(w) + 1))
-    ordered = sorted(dom, key=lambda w: (len(w), w))
-    depth = np.array([len(w) for w in ordered])
-    rank = np.array([word_rank(w, q) for w in ordered], dtype=object)
-    return _random_on_domain(rng, q, depth, rank, move, ordered)
-
-
-def _random_on_domain(rng, q, depth, rank, move, words=None):
-    """The isometry on the domain given by BFS codes (depth, rank), sorted
-    by code and closed under parents; words are the domain words when the
-    caller has them.  Images are computed one depth layer at a time and
-    kept as codes (TreeIsometry.from_codes), or word by word on domains
-    smaller than _LOOP_DOMAIN, with the same draws."""
-    n, top = len(depth), int(depth[-1])
-    if n < _LOOP_DOMAIN:
-        if words is None:
-            words = rank_words(depth, rank, q)
-        return _random_by_word(rng, q, words, move)
-    offsets = sphere_offsets(q, top + move)
-    rank = rank.astype(offsets.dtype)
-    code = offsets[depth] + rank
-    # for words 1..n-1: the parent's index, and the position among the
-    # parent's children in the domain
-    par = np.searchsorted(code, offsets[depth[1:] - 1] + parent_rank(depth[1:], rank[1:], q))
-    sib = np.arange(n - 1) - np.searchsorted(par, par)
-
-    root = random_word(rng, q, move)
-    perms = np.zeros((n, q + 1), dtype=np.int64)
-    perms[0] = rng.permutation(q + 1)
-    # permuted shuffles row after row with the draws of one
-    # rng.permutation(q) per row (the tests compare the two)
-    perms[1:, :q] = rng.permuted(np.tile(np.arange(q), (n - 1, 1)), axis=1)
-    pick = perms[par, sib]
-
-    # image of each word as (depth, rank), and the index of its parent's
-    # image among the neighbours of its own image (q+1: none, at the root)
-    img_d = np.zeros(n, dtype=np.int64)
-    img_r = np.zeros(n, dtype=rank.dtype)
-    skip = np.zeros(n, dtype=np.int64)
-    img_d[0], img_r[0], skip[0] = len(root), word_rank(root, q), q + 1
-    bounds = np.searchsorted(depth, np.arange(top + 2))
-    for d in range(1, top + 1):
-        lo, hi = bounds[d], bounds[d + 1]
-        p, j = par[lo - 1:hi - 1], pick[lo - 1:hi - 1]
-        t = j + (j >= skip[p])  # neighbour index: 0 = parent, 1 + lab = child
-        e, r = img_d[p], img_r[p]
-        up = (e > 0) & (t == 0)
-        img_d[lo:hi] = np.where(up, e - 1, e + 1)
-        img_r[lo:hi] = np.where(up, parent_rank(e, r, q), np.where(e > 0, r * q + t - 1, t))
-        skip[lo:hi] = np.where(up, np.where(e == 1, r, 1 + r % q), 0)
-    _check_image(q, par, img_d, img_r)
-    # a full ball has codes 0..n-1: a word's code is its position
-    return TreeIsometry.from_codes(
-        q, offsets, None if code[-1] == n - 1 else code, offsets[img_d] + img_r
-    )
-
-
-def _random_by_word(rng, q, words, move):
-    """_random_on_domain one word at a time, for small domains: child k of
-    a word (k-th in label order among its children in the domain) goes to
-    entry k of the word's permutation among the neighbours of the word's
-    image, parent first, with the image of the word's parent left out."""
+        while w not in dom:
+            dom.add(w)
+            w = w[:-1]
+    words = sorted(dom, key=lambda w: (len(w), w))
     root = random_word(rng, q, move)
     perms = [rng.permutation(q + 1).tolist()]
-    perms += [rng.permutation(q).tolist() for _ in range(len(words) - 1)]
+    perms += rng.permuted(np.tile(np.arange(q), (len(words) - 1, 1)), axis=1).tolist()
     index = {w: i for i, w in enumerate(words)}
     images, parents, placed = [root], [-1], [0] * len(words)
     for w in words[1:]:
@@ -223,25 +161,6 @@ def _random_by_word(rng, q, words, move):
         parents.append(p)
         placed[p] += 1
     return TreeIsometry(q, dict(zip(words, images)))
-
-
-def _check_image(q, par, img_d, img_r):
-    """Array form of TreeIsometry validation for a map on a domain closed
-    under parents (par[i-1] is the parent of word i): images in range,
-    pairwise distinct, and each adjacent to its parent's image."""
-    if img_d.min() < 0 or img_r.min() < 0:
-        raise ValueError("image code out of range")
-    offsets = sphere_offsets(q, int(img_d.max()))
-    if np.any(img_r >= offsets[img_d + 1] - offsets[img_d]):
-        raise ValueError("image code out of range")
-    code = np.sort(offsets[img_d] + img_r)
-    if np.any(code[1:] == code[:-1]):
-        raise ValueError("mapping is not injective")
-    cd, cr, pd, pr = img_d[1:], img_r[1:], img_d[par], img_r[par]
-    down = (cd == pd + 1) & (parent_rank(cd, cr, q) == pr)
-    up = (pd == cd + 1) & (parent_rank(pd, pr, q) == cr)
-    if not np.all(down | up):
-        raise ValueError("adjacency broken: image not adjacent to parent image")
 
 
 def _check(name, passed, **detail):
@@ -300,14 +219,16 @@ def geometry_suite(cfg: Config, n_instances: int = 500) -> dict:
 
     for k in range(60):
         q = 2 if k % 2 == 0 else 3
-        f = random_isometry(rng, q, 7, move=int(rng.integers(0, 3)))
+        move = int(rng.integers(0, 3))
         u = Vertex(random_word(rng, q, int(rng.integers(0, 5))))
         v = Vertex(random_word(rng, q, int(rng.integers(0, 5))))
         base = Vertex(random_word(rng, q, int(rng.integers(0, 4))))
+        rays = random_rays(rng, q, 3, 5)
+        # f is drawn only on the words it is applied to, and their ancestors
+        f = random_isometry_on(rng, q, [u.word, v.word, base.word] + [r.word for r in rays], move)
         if distance(f.apply_vertex(u), f.apply_vertex(v)) != distance(u, v):
             bad_isom += 1
             continue
-        rays = random_rays(rng, q, 3, 5)
         try:
             imgs = [f.apply_ray(r) for r in rays]
             if gromov_product(imgs[0], imgs[1], f.apply_vertex(base)) != gromov_product(
@@ -352,7 +273,10 @@ def _flip_window(kind, q, anchor):
 
 def random_flip_instance(rng, q, depth):
     """Rays plus a random embedded subtree missing the leading triple (or
-    None)."""
+    None).  Raises InvalidInput, before any draw, for q above
+    MAX_SUBTREE_Q: the subtree windows grow faster than q^2."""
+    if q > MAX_SUBTREE_Q:
+        raise InvalidInput(f"random subtrees are drawn for q <= {MAX_SUBTREE_Q}, got q = {q}")
     n = int(rng.integers(3, 8))
     rays = random_rays(rng, q, n, depth)
     if rng.integers(0, 2) == 0:

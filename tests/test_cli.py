@@ -240,6 +240,10 @@ EDGE = '"vertices": ["a", "b"], "edges": [["a", "b"]]'
         ["flip-demo", "--q", "5", "--rays", str(MAX_RAYS + 1)],
         ["flip-demo", "--q", str(2**63), "--rays", "3"],
         ["flip-demo", "--q", str(MAX_SUBTREE_Q + 1)],
+        ["verify"],
+        ["spectrum", "-:"],
+        ["no-such-command"],
+        ["--seed", "x", "verify", "groups"],
     ],
     ids=[
         "empty-config", "missing-config", "bad-descriptor-json", "degree-0",
@@ -249,6 +253,7 @@ EDGE = '"vertices": ["a", "b"], "edges": [["a", "b"]]'
         "spherical-q-overflow", "special-q-overflow", "shape-q-fraction",
         "special-q-fraction", "z-overflow", "depth-over-max",
         "phi-overflow", "rays-over-max", "flip-q-over-int64", "subtree-q-over-max",
+        "verify-without-suite", "shape-read-as-flag", "unknown-command", "seed-not-int",
     ],
 )
 def test_input_errors_exit_2(argv, tmp_path):
@@ -268,6 +273,14 @@ def test_input_errors_exit_2(argv, tmp_path):
     assert out.returncode == 2
     assert json.loads(out.stdout)["error"] in ("InvalidInput", "InvalidDescriptor")
     assert "Traceback" not in out.stderr
+
+
+def test_help_exits_0(capsys):
+    # -h is the one command line that prints usage text and no JSON
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: arbocoh")
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,8 @@
 """A small fuzz run of the CLI: malformed and oversized JSON and numbers
 for spectrum, chartab, classify, shapes-enumerate, spherical-check and
-flip-demo.  Every run must exit 0 to 3, print one JSON object (an
-{"error", "message"} object when it fails) and raise nothing."""
+flip-demo, and texts argparse reads as flags.  Every run must exit 0 to
+3, print one JSON object (an {"error", "message"} object when it fails)
+and raise nothing."""
 
 import contextlib
 import io
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arbocoh import catalog, cli
+from arbocoh import catalog, cli, verify
 from arbocoh.config import MAX_DEPTH
 
 # JSON number texts, with those that used to end in a traceback (1e400)
@@ -116,6 +117,7 @@ EDGE = '"vertices": ["a", "b"], "edges": [["a", "b"]]'
 @example(argv=["shapes-enumerate", "--q", "1000000000000", "--max-diameter", "3"])
 @example(argv=["spherical-check", "--q", "2", "--z", "300"])
 @example(argv=["flip-demo", "--q", "5", "--rays", "51"])
+@example(argv=["spectrum", "-:"])
 def test_cli_fuzz(config, argv):
     """The work budgets of the catalog and of flip-demo are lowered, so
     that an input past them fails in milliseconds; test_cli checks the
@@ -125,7 +127,7 @@ def test_cli_fuzz(config, argv):
             mock.patch.object(catalog, "GROWTH_BUDGET", 500), \
             mock.patch.object(catalog, "VERTEX_BUDGET", 5000), \
             mock.patch.object(cli, "MAX_RAYS", 50), \
-            mock.patch.object(cli, "MAX_SUBTREE_Q", 12):
+            mock.patch.object(verify, "MAX_SUBTREE_Q", 12):
         code = cli.main(["--config", config, *argv])
     assert code in (0, 1, 2, 3)
     data = json.loads(out.getvalue())

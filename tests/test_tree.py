@@ -330,6 +330,37 @@ def test_apply_ray_non_root_image_rejected():
         swap.apply_ray(RayPrefix((0,)))
 
 
+def _ray_by_prefixes(f, r):
+    """apply_ray read off the image of every prefix: the oracle."""
+    w = r.word
+    if not w:
+        return RayPrefix(())
+    imgs = [f.apply_word(w[:t]) for t in range(len(w) + 1)]
+    if imgs[-2] != imgs[-1][:-1]:
+        raise InsufficientDepth("image cylinder is not a root cylinder; deepen the prefix")
+    return RayPrefix(imgs[-1])
+
+
+def _outcome(call):
+    try:
+        return ("ok", call())
+    except (InsufficientDepth, OutOfDomain) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def test_apply_ray_matches_every_prefix_image():
+    # rays inside, across and past the domain, of drawn isometries and
+    # their inverses; the inverse's domain is not a ball around o
+    rng = np.random.default_rng(11)
+    for q, radius in ((2, 4), (3, 3), (4, 2)):
+        for move in range(3):
+            f = random_isometry(rng, q, radius, move)
+            for h in (f, f.inverse()):
+                for _ in range(30):
+                    r = RayPrefix(random_word(rng, q, int(rng.integers(0, radius + 3))))
+                    assert _outcome(lambda: h.apply_ray(r)) == _outcome(lambda: _ray_by_prefixes(h, r))
+
+
 def test_apply_ray_image_branch_contains_all_extensions():
     """The image cylinder word is a prefix of the image of every deeper
     vertex below the ray prefix: the returned cylinder is the exact image

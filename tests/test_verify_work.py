@@ -2,13 +2,15 @@
 each invariant is computed once per key, every cache is bounded and hands
 out values no caller can change, and random_rays keeps its draws."""
 
+import time
+
 import numpy as np
 import pytest
 
 from arbocoh import chartab, reptheory, verify, witness
 from arbocoh.chartab import character_table, realize_irrep
-from arbocoh.config import Config
-from arbocoh.errors import TooManyRays
+from arbocoh.config import MAX_SUBTREE_Q, Config
+from arbocoh.errors import InvalidInput, TooManyRays
 from arbocoh.perm import shape_automorphism_group
 from arbocoh.shapes import centipede_shape
 from arbocoh.tree import RayPrefix
@@ -40,6 +42,18 @@ def test_improbable_batch_raises_before_any_draw():
     state = rng.bit_generator.state
     with pytest.raises(TooManyRays, match="probability below"):
         verify.random_rays(rng, 2, 500, 12)
+    assert rng.bit_generator.state == state
+
+
+def test_subtree_q_over_bound_raises_before_any_draw():
+    # past the bound the subtree windows took 27 s at q=300; the library
+    # call refuses at once, whoever calls it
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    start = time.perf_counter()
+    with pytest.raises(InvalidInput, match=f"q <= {MAX_SUBTREE_Q}"):
+        verify.random_flip_instance(rng, MAX_SUBTREE_Q + 1, 12)
+    assert time.perf_counter() - start < 1
     assert rng.bit_generator.state == state
 
 
