@@ -5,6 +5,10 @@ spherical-check, verify.  Global flags: --config PATH, --seed N, --depth N,
 --format json|csv; the ARBOCOH_CONFIG environment variable supplies a
 default config path.
 
+main can be called any number of times in one process: it builds its
+parser once, on the first call, and reads the config file and
+ARBOCOH_CONFIG afresh on every call.
+
 Output is byte-deterministic for identical inputs and config: dict keys
 are emitted in a fixed order, floats are rounded to 12 significant digits
 before serialization, and every randomized report embeds its seed.
@@ -21,9 +25,11 @@ from __future__ import annotations
 import argparse
 import cmath
 import dataclasses
+import functools
 import json
 import math
 import sys
+import weakref
 
 from . import verify as verify_mod
 from .catalog import enumerate_complete_shapes
@@ -107,10 +113,26 @@ def _resolve_row(shape: Shape, irrep, bound: int) -> int:
     if isinstance(irrep, int) or (isinstance(irrep, str) and irrep.lstrip("-").isdigit()):
         return int(irrep)
     table = character_table(shape_automorphism_group(shape, bound))
-    for row in range(table.n_rows):
-        if _fingerprint(table.degrees[row], table.characters[row]) == irrep:
-            return row
-    raise InvalidDescriptor(f"no character row with fingerprint {irrep!r}")
+    row = _rows_by_fingerprint(table).get(irrep) if isinstance(irrep, str) else None
+    if row is None:
+        raise InvalidDescriptor(f"no character row with fingerprint {irrep!r}")
+    return row
+
+
+# table -> {fingerprint: row}; an entry lives as long as its table
+_ROW_OF_FINGERPRINT = weakref.WeakKeyDictionary()
+
+
+def _rows_by_fingerprint(table) -> dict:
+    """Each fingerprint of a character table with its first row, built
+    once per table."""
+    rows = _ROW_OF_FINGERPRINT.get(table)
+    if rows is None:
+        rows = {}
+        for row in range(table.n_rows):
+            rows.setdefault(_fingerprint(table.degrees[row], table.characters[row]), row)
+        _ROW_OF_FINGERPRINT[table] = rows
+    return rows
 
 
 def _json_arg(text: str, what: str):
@@ -217,7 +239,6 @@ def cmd_flip_demo(args, cfg: Config) -> int:
     depth = args.depth or cfg.default_depth
     n = args.rays
     _require(n is None or 3 <= n <= MAX_RAYS, f"--rays must be in 3..{MAX_RAYS}, got {n}")
-    _require(q < 2**63, f"--q must be below 2^63, the int64 range of the draws, got {q}")
     if n:
         rays = random_rays(rng, q, n, depth)
         s = None
@@ -292,7 +313,10 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidInput(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by
+    every later main call in the process: parsing leaves no state on it."""
     p = _Parser(
         prog="arbocoh",
         description="bounded-cohomology dimensions for tree automorphism groups",

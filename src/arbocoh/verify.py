@@ -98,9 +98,13 @@ def random_rays(rng, q, n, depth):
     batch after batch until one has distinct (depth-1)-prefixes.  Raises
     TooManyRays when q < 2, when n exceeds the P = (q+1) q^(depth-2)
     distinct prefixes, when a batch is distinct with probability
-    prod(1 - i/P) below _DISTINCT_FLOOR, or after _RAY_BATCHES batches."""
+    prod(1 - i/P) below _DISTINCT_FLOOR, or after _RAY_BATCHES batches.
+    Raises InvalidInput, before any draw, for q >= 2^63: the letters are
+    drawn as int64."""
     if q < 2:
         raise TooManyRays(f"branching parameter q = {q} < 2 admits no divergent rays")
+    if q >= 2**63:
+        raise InvalidInput(f"rays are drawn as int64 letters, for q < 2^63, got q = {q}")
     prefixes = (q + 1) * q ** (depth - 2) if depth >= 2 else 1
     if n > prefixes:
         raise TooManyRays(

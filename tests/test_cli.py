@@ -283,79 +283,79 @@ def test_help_exits_0(capsys):
     assert capsys.readouterr().out.startswith("usage: arbocoh")
 
 
-@pytest.mark.parametrize(
-    "argv, digest",
-    [
-        (
-            ["--seed", "2", "verify", "geometry"],
-            "a1846956af7d16591f343e60c850c9f7d80f7e4400587d45a105ce0384068837",
-        ),
-        (
-            ["--seed", "2", "verify", "flip"],
-            "3003f0a0df3cdfe0fcae04a431182e0af3f87a00712cbbf3a8ca63520f6d2e3d",
-        ),
-        (
-            ["--seed", "7", "flip-demo", "--q", "3"],
-            "c88c1db458ed7b6427141f69a2df89e98601b0df7c2ad140b4668fd4330ec578",
-        ),
-        (
-            ["--seed", "2", "verify", "groups"],
-            "7ec4771b33e9686ac0f66dea2def088c4c5790999a5a3702945db63dea26fe9d",
-        ),
-        (
-            ["--seed", "2", "verify", "reps"],
-            "02e7d4e49958e51a5d4b0034df1fd814644899ce4e47951971e716e34a22ade9",
-        ),
-        (
-            ["chartab", json.dumps(star_shape(3).to_json())],
-            "8cd763cd5a28430d5d562dfdd2ad1a6d8ec50bccc5c8a89322adac7c3b61c421",
-        ),
-        (
-            ["chartab", json.dumps(centipede_shape(2, 4).to_json())],
-            "9edf2124cdf0067568ad6ac64374fe0d1fd62d821206df8143ffd13fcfd6ad45",
-        ),
-        (
-            ["spectrum", json.dumps(star_shape(6).to_json())],
-            "e9a1a7beb567c2cd31b41843d30a5ee2097fd6d579416339730c801aa566e965",
-        ),
-        (
-            ["spectrum", json.dumps(centipede_shape(4, 3).to_json())],
-            "4c39628fe9552509e3de7918b20433f247b00eed61ff868a418ca9a5d8a772a6",
-        ),
-        (
-            ["--seed", "1", "verify", "flip"],
-            "2f202a8c5d7a83f9c269bbd028d8cc0b3f3fc18cc03b13d25eed30aaa3f08dcb",
-        ),
-        (
-            ["--seed", "1", "verify", "geometry"],
-            "9ef98ceb29e49180bbc1b1b2a86378ecffea54d0126b0967bde96a1f1ce7f5b5",
-        ),
-        (
-            ["--seed", "2", "verify", "spherical"],
-            "41401e25fb2742c160a83777f6d0e677b0baeb5ba312bb9f8a237bf8d0406e38",
-        ),
-        (
-            ["--seed", "1", "verify", "reps"],
-            "cfa1ca4e3219a1b2bbc839383191af3dd3d39f455e8e930e4e567f82ad42cbf7",
-        ),
-        (
-            ["--seed", "0", "verify", "flip"],
-            "575ceac77e5aaa13d13858614cbf6501d1a3d18d890c2cf5429669abd902c848",
-        ),
-        (
-            ["--seed", "3", "verify", "geometry"],
-            "5d3204219069b4bb89240ce7a59ac20c027c648256b4a73dba9e84816266dc98",
-        ),
-        (
-            ["--seed", "1", "verify", "spherical"],
-            "64209f865435f5249d27f0de968aa5f96f2c07588a32a7d14804cc2fb661acfb",
-        ),
-        (
-            ["--depth", "3", "flip-demo", "--q", "2", "--rays", "3"],
-            "01d9d649d9e07ba381f0234733203c3a3c62957b78dac161695ee638cdcef6e6",
-        ),
-    ],
-)
+PINNED_REPORTS = [
+    (
+        ["--seed", "2", "verify", "geometry"],
+        "a1846956af7d16591f343e60c850c9f7d80f7e4400587d45a105ce0384068837",
+    ),
+    (
+        ["--seed", "2", "verify", "flip"],
+        "3003f0a0df3cdfe0fcae04a431182e0af3f87a00712cbbf3a8ca63520f6d2e3d",
+    ),
+    (
+        ["--seed", "7", "flip-demo", "--q", "3"],
+        "c88c1db458ed7b6427141f69a2df89e98601b0df7c2ad140b4668fd4330ec578",
+    ),
+    (
+        ["--seed", "2", "verify", "groups"],
+        "7ec4771b33e9686ac0f66dea2def088c4c5790999a5a3702945db63dea26fe9d",
+    ),
+    (
+        ["--seed", "2", "verify", "reps"],
+        "02e7d4e49958e51a5d4b0034df1fd814644899ce4e47951971e716e34a22ade9",
+    ),
+    (
+        ["chartab", json.dumps(star_shape(3).to_json())],
+        "8cd763cd5a28430d5d562dfdd2ad1a6d8ec50bccc5c8a89322adac7c3b61c421",
+    ),
+    (
+        ["chartab", json.dumps(centipede_shape(2, 4).to_json())],
+        "9edf2124cdf0067568ad6ac64374fe0d1fd62d821206df8143ffd13fcfd6ad45",
+    ),
+    (
+        ["spectrum", json.dumps(star_shape(6).to_json())],
+        "e9a1a7beb567c2cd31b41843d30a5ee2097fd6d579416339730c801aa566e965",
+    ),
+    (
+        ["spectrum", json.dumps(centipede_shape(4, 3).to_json())],
+        "4c39628fe9552509e3de7918b20433f247b00eed61ff868a418ca9a5d8a772a6",
+    ),
+    (
+        ["--seed", "1", "verify", "flip"],
+        "2f202a8c5d7a83f9c269bbd028d8cc0b3f3fc18cc03b13d25eed30aaa3f08dcb",
+    ),
+    (
+        ["--seed", "1", "verify", "geometry"],
+        "9ef98ceb29e49180bbc1b1b2a86378ecffea54d0126b0967bde96a1f1ce7f5b5",
+    ),
+    (
+        ["--seed", "2", "verify", "spherical"],
+        "41401e25fb2742c160a83777f6d0e677b0baeb5ba312bb9f8a237bf8d0406e38",
+    ),
+    (
+        ["--seed", "1", "verify", "reps"],
+        "cfa1ca4e3219a1b2bbc839383191af3dd3d39f455e8e930e4e567f82ad42cbf7",
+    ),
+    (
+        ["--seed", "0", "verify", "flip"],
+        "575ceac77e5aaa13d13858614cbf6501d1a3d18d890c2cf5429669abd902c848",
+    ),
+    (
+        ["--seed", "3", "verify", "geometry"],
+        "5d3204219069b4bb89240ce7a59ac20c027c648256b4a73dba9e84816266dc98",
+    ),
+    (
+        ["--seed", "1", "verify", "spherical"],
+        "64209f865435f5249d27f0de968aa5f96f2c07588a32a7d14804cc2fb661acfb",
+    ),
+    (
+        ["--depth", "3", "flip-demo", "--q", "2", "--rays", "3"],
+        "01d9d649d9e07ba381f0234733203c3a3c62957b78dac161695ee638cdcef6e6",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_REPORTS)
 def test_pinned_reports(capsys, argv, digest):
     # sha256 of stdout: the first three computed before BFS-coded
     # isometries, the closed-form Gromov product and kept branch-swap walk
@@ -372,6 +372,72 @@ def test_pinned_reports(capsys, argv, digest):
     code, out = run(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_one_parser_serves_every_call(capsys):
+    """main reuses one parser per process: each pinned report, asked for
+    twice with failing command lines before each, comes out byte for byte
+    as the first time."""
+    failing = [["spectrum", "-:"], ["verify"]]
+    first = {}
+    for _ in range(2):
+        for argv, digest in PINNED_REPORTS:
+            for bad in failing:
+                code, out = run(capsys, bad)
+                assert code == 2 and json.loads(out)["error"] == "InvalidInput"
+            code, out = run(capsys, argv)
+            assert code == 0
+            assert first.setdefault(tuple(argv), out) == out
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_parser_built_once_on_first_call():
+    """Importing the CLI builds no parser; the first main call builds the
+    one parser that every later call uses."""
+    src = os.path.dirname(os.path.dirname(arbocoh.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "ARBOCOH_CONFIG"}
+    env["PYTHONPATH"] = src
+    script = (
+        "import contextlib, io\n"
+        "from arbocoh import cli\n"
+        "assert cli.build_parser.cache_info().misses == 0\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['spherical-check', '--z', '0.5']) for _ in range(4)]\n"
+        "    codes.append(cli.main(['verify']))\n"
+        "assert codes == [0, 0, 0, 0, 2], codes\n"
+        "assert cli.build_parser.cache_info().misses == 1, cli.build_parser.cache_info()\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+
+
+def _fingerprint_of(degree, values) -> str:
+    # the fingerprint the spectrum command prints, as documented there
+    return f"deg{degree}[{','.join(f'{float(v):.6g}' for v in values)}]"
+
+
+@pytest.mark.parametrize("shape", [star_shape(6), centipede_shape(3, 3)], ids=["star6", "cent3_3"])
+def test_classify_by_fingerprint_matches_row_index(capsys, shape):
+    """Every character row, named by its fingerprint, classifies as the
+    row index does, degenerate rows (exit 2) included."""
+    shape_json = shape.to_json()
+    _, out = run(capsys, ["chartab", json.dumps(shape_json)])
+    table = json.loads(out)
+    assert len(table["degrees"]) == len(table["characters"]) >= 5
+    fingerprints = [_fingerprint_of(d, c) for d, c in zip(table["degrees"], table["characters"])]
+    assert len(set(fingerprints)) == len(fingerprints)
+
+    def classify(irrep):
+        desc = json.dumps({"tag": "cuspidal", "shape": shape_json, "irrep": irrep})
+        code, out = run(capsys, ["classify", desc, "-n", "2"])
+        data = json.loads(out)
+        return code, data.get("dim"), data.get("error")
+
+    results = [classify(row) for row in range(len(fingerprints))]
+    assert {code for code, _dim, _err in results} == {0, 2}
+    assert [classify(fp) for fp in fingerprints] == results
 
 
 def test_oversized_catalog_fails_fast(capsys):

@@ -57,6 +57,21 @@ def test_subtree_q_over_bound_raises_before_any_draw():
     assert rng.bit_generator.state == state
 
 
+@pytest.mark.parametrize("q", [2**63, 10**24])
+def test_ray_q_past_int64_raises_before_any_draw(q):
+    # the letters are drawn as int64: the library refuses q >= 2^63 itself
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(InvalidInput, match="q < 2\\^63"):
+        verify.random_rays(rng, q, 3, 12)
+    assert rng.bit_generator.state == state
+
+
+def test_ray_q_at_int64_limit_is_drawn():
+    rays = verify.random_rays(np.random.default_rng(0), 2**63 - 1, 3, 12)
+    assert len({r.word[:11] for r in rays}) == 3
+
+
 def test_batches_are_capped(monkeypatch):
     monkeypatch.setattr(verify, "_RAY_BATCHES", 1)
     # 6 rays among 24 prefixes: distinct with probability about 0.5
