@@ -29,7 +29,6 @@ import functools
 import json
 import math
 import sys
-import weakref
 
 from . import verify as verify_mod
 from .catalog import enumerate_complete_shapes
@@ -38,7 +37,7 @@ from .config import MAX_DEPTH, MAX_RAYS, Config, load_config
 from .errors import ArbocohError, InvalidDescriptor, InvalidInput, UnknownSuite
 from .flip import find_flip, check_flip_witness
 from .perm import DEFAULT_ORDER_BOUND, shape_automorphism_group
-from .reptheory import RepDescriptor, classify_bounded_cohomology, enumerate_nondegenerate
+from .reptheory import RepDescriptor, analysis, classify_bounded_cohomology, enumerate_nondegenerate
 from .shapes import Shape, classify_shape, json_int
 from .spherical import eigen_residual, gram_psd_check, is_admissible, mu_of_z, phi_values
 from .tree import Vertex
@@ -109,30 +108,16 @@ def descriptor_from_json(data: dict, bound: int = DEFAULT_ORDER_BOUND) -> RepDes
 
 def _resolve_row(shape: Shape, irrep, bound: int) -> int:
     """Row index from either an integer or a character fingerprint as
-    printed by the spectrum command."""
+    printed by the spectrum command; a JSON boolean is neither."""
+    if isinstance(irrep, bool):
+        raise InvalidDescriptor(f"irrep must be a row index or a fingerprint, got {irrep!r}")
     if isinstance(irrep, int) or (isinstance(irrep, str) and irrep.lstrip("-").isdigit()):
         return int(irrep)
     table = character_table(shape_automorphism_group(shape, bound))
-    row = _rows_by_fingerprint(table).get(irrep) if isinstance(irrep, str) else None
+    row = analysis(shape, table).row_of_fingerprint.get(irrep) if isinstance(irrep, str) else None
     if row is None:
         raise InvalidDescriptor(f"no character row with fingerprint {irrep!r}")
     return row
-
-
-# table -> {fingerprint: row}; an entry lives as long as its table
-_ROW_OF_FINGERPRINT = weakref.WeakKeyDictionary()
-
-
-def _rows_by_fingerprint(table) -> dict:
-    """Each fingerprint of a character table with its first row, built
-    once per table."""
-    rows = _ROW_OF_FINGERPRINT.get(table)
-    if rows is None:
-        rows = {}
-        for row in range(table.n_rows):
-            rows.setdefault(_fingerprint(table.degrees[row], table.characters[row]), row)
-        _ROW_OF_FINGERPRINT[table] = rows
-    return rows
 
 
 def _json_arg(text: str, what: str):
@@ -152,11 +137,6 @@ def _require(ok: bool, message: str) -> None:
         raise InvalidInput(message)
 
 
-def _fingerprint(degree: int, values) -> str:
-    parts = ",".join(f"{float(v):.6g}" for v in values)
-    return f"deg{degree}[{parts}]"
-
-
 # -- subcommands ----------------------------------------------------------------
 
 
@@ -172,16 +152,11 @@ def cmd_classify(args, cfg: Config) -> int:
 def cmd_spectrum(args, cfg: Config) -> int:
     shape = _shape_arg(args.shape)
     table = character_table(shape_automorphism_group(shape, cfg.group_order_bound))
-    rows = []
-    for row, degree, h2 in enumerate_nondegenerate(shape, cfg.group_order_bound):
-        rows.append(
-            {
-                "row": row,
-                "degree": degree,
-                "fingerprint": _fingerprint(degree, table.characters[row]),
-                "h2_dim": h2,
-            }
-        )
+    fingerprint = analysis(shape, table).fingerprint
+    rows = [
+        {"row": row, "degree": degree, "fingerprint": fingerprint(row), "h2_dim": h2}
+        for row, degree, h2 in enumerate_nondegenerate(shape, cfg.group_order_bound)
+    ]
     emit(
         {
             "shape": shape.to_json(),

@@ -28,7 +28,7 @@ class Config:
 
     def __post_init__(self):
         for name in ("default_depth", "group_order_bound", "seed"):
-            if not isinstance(getattr(self, name), int):
+            if type(getattr(self, name)) is not int:  # a bool is not one either
                 raise ValueError(f"{name} must be an integer")
         if self.default_depth <= 0 or self.group_order_bound <= 0:
             raise ValueError("depths and bounds must be positive")
@@ -52,7 +52,10 @@ def load_config(path: str | None = None) -> Config:
     if path is None:
         return Config()
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:  # ValueError covers every other undecodable text
+            raise ValueError(f"bad config file {path}: nested too deep") from None
     if not isinstance(data, dict):
         raise ValueError(f"bad config file {path}: not a JSON object")
     try:

@@ -15,11 +15,16 @@ for any admissible vertex pair (x, y) taken from complements of two
 distinct maximal proper complete subtrees; the difference is independent
 of the pair, and the classifier uses the lexicographically smallest one.
 
-Every subgroup involved (each A_j, Q and Qtilde) is enumerated once per
-(shape, table) and reduced to its class-count vector: entry l is the
-number of its elements in class l of Aut(S).  The fixed-space dimension
-of any row under that subgroup is then chi . counts divided exactly by
-its order, so testing all rows of a table, or classifying one row after
+Everything the classifier reads about one shape S and one character table
+of Aut(S) is one Analysis, which analysis(s, t) builds once per (shape,
+table) and keeps in one bounded cache.  Each part is computed on first
+use: the maximal proper complete subtrees S_j; each A_j, and each Q and
+Qtilde asked for, reduced to its class-count vector (entry l is the
+number of its elements in class l of Aut(S)); the admissible pairs; the
+centipede flag; and the fingerprint of each row, with the map from a
+fingerprint to its first row.  The fixed-space dimension of any row
+under one of those subgroups is chi . counts divided exactly by its
+order, so testing all rows of a table, or classifying one row after
 another, never scans the group again.
 """
 
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .chartab import CharacterTable, character_table, class_counts, dim_from_counts
 from .errors import (
@@ -77,79 +83,95 @@ class RepDescriptor:
         return RepDescriptor("cuspidal", shape=shape, irrep=irrep, q=shape.q)
 
 
-_HEADS_CACHE_SIZE = 64
-_PAIRS_CACHE_SIZE = 256  # every admissible pair of a 16-vertex shape
-_ADMISSIBLE_CACHE_SIZE = 64  # admissible pair sets, one per shape
-_SHAPE_CACHE_SIZE = 64  # per-shape answers of _is_centipede and _cuspidal_size
+_ANALYSIS_CACHE_SIZE = 64
 
 
-@functools.lru_cache(maxsize=_SHAPE_CACHE_SIZE)
-def _is_centipede(s: Shape) -> bool:
-    return classify_shape(s).tag == "centipede"
+class Analysis:
+    """What the classification reads about a shape s and a character table
+    t of Aut(s), each part computed on first use; build it with
+    analysis(s, t).  A table of a group on another number of points, or a
+    row outside the table, raises InvalidDescriptor."""
+
+    def __init__(self, s: Shape, t: CharacterTable):
+        if t.group.degree != len(s.vertices):
+            n = len(s.vertices)
+            raise InvalidDescriptor(f"the table is on {t.group.degree} points, the shape on {n}")
+        self.shape, self.table = s, t
+        self._stabilizers = {}  # (x, y) -> (Q, Qtilde) reduced
+
+    def _reduced(self, stabilizer, ids) -> tuple:
+        """A stabilizer of vertex ids as (class counts, order); the counts
+        are read-only because every caller shares them."""
+        points = [i for i, v in enumerate(self.shape.vertices) if v in ids]
+        H = stabilizer(self.table.group, points)
+        counts = class_counts(self.table, H)
+        counts.flags.writeable = False
+        return counts, H.order
+
+    @functools.cached_property
+    def subtrees(self) -> tuple:  # the S_j
+        return tuple(maximal_proper_complete_subtrees(self.shape))
+
+    @functools.cached_property
+    def heads(self) -> tuple:
+        """Each A_j as (class counts, order), in the order of subtrees."""
+        return tuple(self._reduced(pointwise_stabilizer, sub) for sub in self.subtrees)
+
+    @functools.cached_property
+    def pairs(self) -> frozenset:
+        return _admissible_pairs(self.shape, self.subtrees)
+
+    @functools.cached_property
+    def centipede(self) -> bool:
+        return classify_shape(self.shape).tag == "centipede"
+
+    @functools.cached_property
+    def row_of_fingerprint(self) -> MappingProxyType:
+        """Each fingerprint of the table with its first row, read-only."""
+        rows = {}
+        for row in range(self.table.n_rows):
+            rows.setdefault(self.fingerprint(row), row)
+        return MappingProxyType(rows)
+
+    def fingerprint(self, row: int) -> str:
+        """The row as spectrum prints it: deg<degree>[<values>], each value
+        to 6 significant digits."""
+        values = self.table.characters[self._row(row)]
+        return f"deg{self.table.degrees[row]}[{','.join(f'{float(v):.6g}' for v in values)}]"
+
+    def _row(self, row: int) -> int:
+        if not 0 <= row < self.table.n_rows:
+            raise InvalidDescriptor(f"row index {row} out of range")
+        return row
+
+    def nondegenerate(self, row: int) -> bool:
+        """No nonzero vector of the row is fixed by any A_j."""
+        self._row(row)
+        return not any(dim_from_counts(self.table, row, c, order) for c, order in self.heads)
+
+    def stabilizers(self, x: str, y: str) -> tuple:
+        """Q(x, y) and Qtilde(x, y) as (class counts, order), once per pair."""
+        if (x, y) not in self._stabilizers:
+            self._stabilizers[x, y] = tuple(
+                self._reduced(f, (x, y)) for f in (pointwise_stabilizer, setwise_stabilizer)
+            )
+        return self._stabilizers[x, y]
+
+    def h2(self, row: int, x: str, y: str) -> int:
+        """dim V^Q(x,y) - dim V^Qtilde(x,y) of a row."""
+        point, setwise = (dim_from_counts(self.table, row, *H) for H in self.stabilizers(x, y))
+        if point < setwise:
+            raise NonIntegralDimension(
+                f"setwise invariants exceed pointwise invariants by {setwise - point}"
+            )
+        return point - setwise
 
 
-@functools.lru_cache(maxsize=_SHAPE_CACHE_SIZE)
-def _cuspidal_size(s: Shape) -> bool:
-    """More than two vertices and diameter >= 2."""
-    return len(s.vertices) > 2 and s.diameter() >= 2
+analysis = functools.lru_cache(maxsize=_ANALYSIS_CACHE_SIZE)(Analysis)
 
 
-def _reduced(t: CharacterTable, H) -> tuple:
-    """(class counts, order) of a subgroup of t.group; the counts are
-    read-only because the caches below hand them to every caller."""
-    counts = class_counts(t, H)
-    counts.flags.writeable = False
-    return counts, H.order
-
-
-@functools.lru_cache(maxsize=_HEADS_CACHE_SIZE)
-def _head_stabilizers(s: Shape, t: CharacterTable) -> tuple:
-    """Each A_j reduced to (class counts, order), one per maximal proper
-    complete subtree of s."""
-    index = {v: i for i, v in enumerate(s.vertices)}
-    return tuple(
-        _reduced(t, pointwise_stabilizer(t.group, [index[v] for v in sub]))
-        for sub in maximal_proper_complete_subtrees(s)
-    )
-
-
-@functools.lru_cache(maxsize=_PAIRS_CACHE_SIZE)
-def _pair_stabilizers(s: Shape, t: CharacterTable, x: str, y: str) -> tuple:
-    """Q(x, y) and Qtilde(x, y) reduced to (class counts, order)."""
-    index = {v: i for i, v in enumerate(s.vertices)}
-    pts = [index[x], index[y]]
-    return (
-        _reduced(t, pointwise_stabilizer(t.group, pts)),
-        _reduced(t, setwise_stabilizer(t.group, pts)),
-    )
-
-
-def _nondegenerate(t: CharacterTable, row: int, heads) -> bool:
-    return not any(dim_from_counts(t, row, c, order) for c, order in heads)
-
-
-def _h2(t: CharacterTable, row: int, pair) -> int:
-    (c_point, n_point), (c_set, n_set) = pair
-    dim = dim_from_counts(t, row, c_point, n_point) - dim_from_counts(t, row, c_set, n_set)
-    if dim < 0:
-        raise NonIntegralDimension(
-            f"setwise invariants exceed pointwise invariants by {-dim}"
-        )
-    return dim
-
-
-def is_nondegenerate(s: Shape, t: CharacterTable, row: int) -> bool:
-    """No nonzero vectors fixed by any pointwise stabilizer of a maximal
-    proper complete subtree."""
-    if not _cuspidal_size(s):
-        raise TooSmall("non-degeneracy needs diameter >= 2")
-    return _nondegenerate(t, row, _head_stabilizers(s, t))
-
-
-@functools.lru_cache(maxsize=_ADMISSIBLE_CACHE_SIZE)
-def _admissible_pairs(s: Shape) -> frozenset:
-    """The admissible vertex pairs of s, computed once per shape."""
-    subs = maximal_proper_complete_subtrees(s)
+def _admissible_pairs(s: Shape, subs) -> frozenset:
+    """The pairs (x, y) with x outside some S_i and y outside another S_j."""
     return frozenset(
         (x, y)
         for x in s.vertices
@@ -159,33 +181,42 @@ def _admissible_pairs(s: Shape) -> frozenset:
     )
 
 
+def is_nondegenerate(s: Shape, t: CharacterTable, row: int) -> bool:
+    """No nonzero vectors fixed by any pointwise stabilizer of a maximal
+    proper complete subtree."""
+    if len(s.vertices) <= 2 or s.diameter() < 2:
+        raise TooSmall("non-degeneracy needs diameter >= 2")
+    return analysis(s, t).nondegenerate(row)
+
+
 def admissible_vertex_pairs(s: Shape) -> list:
     """All ordered pairs (x, y) of distinct vertex ids such that x avoids
     one maximal proper complete subtree and y avoids a different one,
     sorted."""
-    return sorted(_admissible_pairs(s))
+    return sorted(_admissible_pairs(s, maximal_proper_complete_subtrees(s)))
 
 
 def h2_dimension(s: Shape, t: CharacterTable, row: int, x, y) -> int:
     """dim V^Q(x,y) - dim V^Qtilde(x,y) for the pointwise/setwise
     stabilizers of {x, y} inside Aut(s)."""
-    if not _is_centipede(s):
+    a = analysis(s, t)
+    if not a.centipede:
         raise NotACentipede("the degree-2 formula applies to centipedes only")
-    if not is_nondegenerate(s, t, row):
+    if not a.nondegenerate(row):
         raise DegenerateIrrep(f"row {row} is degenerate on this shape")
     x, y = str(x), str(y)
-    if (x, y) not in _admissible_pairs(s):
+    if (x, y) not in a.pairs:
         raise BadVertexChoice(
             f"({x}, {y}) do not avoid two distinct maximal complete proper subtrees"
         )
-    return _h2(t, row, _pair_stabilizers(s, t, x, y))
+    return a.h2(row, x, y)
 
 
 def canonical_vertex_pair(s: Shape):
-    pairs = _admissible_pairs(s)
+    pairs = admissible_vertex_pairs(s)
     if not pairs:
         raise BadVertexChoice("shape admits no valid vertex pair")
-    return min(pairs)
+    return pairs[0]
 
 
 def classify_bounded_cohomology(
@@ -210,32 +241,22 @@ def classify_bounded_cohomology(
         s = d.shape
         if s is None or not validate_complete(s) or s.diameter() < 2:
             raise InvalidDescriptor("cuspidal descriptor needs a complete shape of diameter >= 2")
-        t = character_table(shape_automorphism_group(s, bound))
-        if not 0 <= d.irrep < t.n_rows:
-            raise InvalidDescriptor(f"row index {d.irrep} out of range")
-        if not is_nondegenerate(s, t, d.irrep):
+        a = analysis(s, character_table(shape_automorphism_group(s, bound)))
+        if not a.nondegenerate(d.irrep):
             raise InvalidDescriptor(f"row {d.irrep} is degenerate on this shape")
-        if n != 2:
+        if n != 2 or not a.centipede:
             return 0
-        if not _is_centipede(s):
-            return 0
-        x, y = canonical_vertex_pair(s)
-        return h2_dimension(s, t, d.irrep, x, y)
+        return a.h2(d.irrep, *min(a.pairs))
     raise InvalidDescriptor(f"unknown descriptor tag {d.tag!r}")
 
 
 def enumerate_nondegenerate(s: Shape, bound: int = DEFAULT_ORDER_BOUND):
     """All non-degenerate rows of Aut(s) with their degree and degree-2
     dimension: list of (row, degree, h2_dim); bound caps |Aut(s)|."""
-    if not _cuspidal_size(s):
+    if len(s.vertices) <= 2 or s.diameter() < 2:
         raise TooSmall("enumeration needs diameter >= 2")
     t = character_table(shape_automorphism_group(s, bound))
-    heads = _head_stabilizers(s, t)
-    pair = None
-    if _is_centipede(s):
-        pair = _pair_stabilizers(s, t, *canonical_vertex_pair(s))
-    out = []
-    for row in range(t.n_rows):
-        if _nondegenerate(t, row, heads):
-            out.append((row, t.degrees[row], _h2(t, row, pair) if pair else 0))
-    return out
+    a = analysis(s, t)
+    rows = [row for row in range(t.n_rows) if a.nondegenerate(row)]
+    pair = min(a.pairs) if a.centipede else None
+    return [(row, t.degrees[row], a.h2(row, *pair) if pair else 0) for row in rows]

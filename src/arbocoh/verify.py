@@ -492,13 +492,11 @@ def reps_suite(cfg: Config) -> dict:
         for k in (2, 3, 4):
             s = centipede_shape(q, k)
             t = character_table(shape_automorphism_group(s, bound))
+            pairs = admissible_vertex_pairs(s)
             for row in range(t.n_rows):
                 if not is_nondegenerate(s, t, row):
                     continue
-                dims = {
-                    h2_dimension(s, t, row, x, y)
-                    for x, y in admissible_vertex_pairs(s)
-                }
+                dims = {h2_dimension(s, t, row, x, y) for x, y in pairs}
                 if len(dims) != 1:
                     h2_bad.append(f"q={q} k={k} row={row}: {sorted(dims)}")
     checks.append(_check("h2_pair_independent", not h2_bad, mismatches=h2_bad))

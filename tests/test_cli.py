@@ -10,9 +10,12 @@ import time
 import pytest
 
 import arbocoh
+from arbocoh import reptheory
 from arbocoh.catalog import enumerate_complete_shapes
+from arbocoh.chartab import character_table
 from arbocoh.cli import main
 from arbocoh.config import MAX_DEPTH, MAX_RAYS, MAX_SUBTREE_Q, Config
+from arbocoh.perm import shape_automorphism_group
 from arbocoh.reptheory import enumerate_nondegenerate
 from arbocoh.shapes import centipede_shape, star_shape
 
@@ -211,6 +214,16 @@ def test_flip_demo_impossible_rays_exit_1(argv):
 
 SPECIAL = '{"tag": "special", "sign": "+", "q": 2}'
 EDGE = '"vertices": ["a", "b"], "edges": [["a", "b"]]'
+STAR = json.dumps(star_shape(2).to_json())
+# config files by placeholder: JSON booleans are not integers, and a
+# nesting too deep to decode is not a config
+CONFIGS = {
+    "{empty}": "",
+    "{bound-true}": '{"group_order_bound": true}',
+    "{seed-false}": '{"seed": false}',
+    "{depth-true}": '{"default_depth": true}',
+    "{nested}": "[" * 3000 + "]" * 3000,
+}
 
 
 @pytest.mark.parametrize(
@@ -244,6 +257,12 @@ EDGE = '"vertices": ["a", "b"], "edges": [["a", "b"]]'
         ["spectrum", "-:"],
         ["no-such-command"],
         ["--seed", "x", "verify", "groups"],
+        ["classify", '{"tag": "cuspidal", "shape": %s, "irrep": true}' % STAR, "-n", "2"],
+        ["classify", '{"tag": "cuspidal", "shape": %s, "irrep": false}' % STAR, "-n", "2"],
+        ["--config", "{bound-true}", "spectrum", STAR],
+        ["--config", "{seed-false}", "spectrum", STAR],
+        ["--config", "{depth-true}", "spectrum", STAR],
+        ["--config", "{nested}", "verify", "groups"],
     ],
     ids=[
         "empty-config", "missing-config", "bad-descriptor-json", "degree-0",
@@ -254,14 +273,17 @@ EDGE = '"vertices": ["a", "b"], "edges": [["a", "b"]]'
         "special-q-fraction", "z-overflow", "depth-over-max",
         "phi-overflow", "rays-over-max", "flip-q-over-int64", "subtree-q-over-max",
         "verify-without-suite", "shape-read-as-flag", "unknown-command", "seed-not-int",
+        "irrep-true", "irrep-false", "config-bound-true", "config-seed-false",
+        "config-depth-true", "config-nested-too-deep",
     ],
 )
 def test_input_errors_exit_2(argv, tmp_path):
     """Bad outside input ends in exit code 2 and a JSON error, never a
     traceback."""
-    empty = tmp_path / "empty.json"
-    empty.write_text("")
-    paths = {"{empty}": str(empty), "{missing}": str(tmp_path / "missing.json")}
+    paths = {"{missing}": str(tmp_path / "missing.json")}
+    for i, (key, text) in enumerate(CONFIGS.items()):
+        paths[key] = str(tmp_path / f"config{i}.json")
+        (tmp_path / f"config{i}.json").write_text(text)
     argv = [paths.get(a, a) for a in argv]
     src = os.path.dirname(os.path.dirname(arbocoh.__file__))
     env = {k: v for k, v in os.environ.items() if k != "ARBOCOH_CONFIG"}
@@ -438,6 +460,32 @@ def test_classify_by_fingerprint_matches_row_index(capsys, shape):
     results = [classify(row) for row in range(len(fingerprints))]
     assert {code for code, _dim, _err in results} == {0, 2}
     assert [classify(fp) for fp in fingerprints] == results
+
+
+def test_fingerprint_map_built_once_per_table(capsys, monkeypatch):
+    """spectrum formats only the rows it prints; the first classify by
+    fingerprint maps every row of the table once, and the later classify
+    calls of that table reuse the map and the spectrum's analysis."""
+    formatted = []
+    real = reptheory.Analysis.fingerprint
+
+    def counting(self, row):
+        formatted.append(row)
+        return real(self, row)
+
+    monkeypatch.setattr(reptheory.Analysis, "fingerprint", counting)
+    reptheory.analysis.cache_clear()
+    s = star_shape(6)
+    code, out = run(capsys, ["spectrum", json.dumps(s.to_json())])
+    rows = json.loads(out)["rows"]
+    assert code == 0 and formatted == [r["row"] for r in rows]
+    for r in rows:
+        desc = json.dumps({"tag": "cuspidal", "shape": s.to_json(), "irrep": r["fingerprint"]})
+        code, out = run(capsys, ["classify", desc, "-n", "2"])
+        assert code == 0 and json.loads(out)["dim"] == r["h2_dim"]
+    n_rows = character_table(shape_automorphism_group(s)).n_rows
+    assert len(rows) > 1 and len(formatted) == len(rows) + n_rows
+    assert reptheory.analysis.cache_info().misses == 1
 
 
 def test_oversized_catalog_fails_fast(capsys):

@@ -1,12 +1,13 @@
 """A small fuzz run of the CLI: malformed and oversized JSON and numbers
 for spectrum, chartab, classify, shapes-enumerate, spherical-check and
-flip-demo, and texts argparse reads as flags.  Every run must exit 0 to
-3, print one JSON object (an {"error", "message"} object when it fails)
-and raise nothing."""
+flip-demo, texts argparse reads as flags, config files, and verify suite
+names.  Every run must exit 0 to 3, print one JSON object (an {"error",
+"message"} object when it fails) and raise nothing."""
 
 import contextlib
 import io
 import json
+import os
 from unittest import mock
 
 import pytest
@@ -135,3 +136,65 @@ def test_cli_fuzz(config, argv):
     if code:
         assert set(data) == {"error", "message"}
     assert "Traceback" not in err.getvalue()
+
+
+def run_main(argv) -> tuple:
+    """(exit code, the one JSON object printed), with nothing on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert err.getvalue() == ""
+    data = json.loads(out.getvalue())
+    assert isinstance(data, dict)
+    return code, data
+
+
+# texts that are no suite name, none read as a flag; an unknown suite is
+# refused before any suite runs
+SUITE_NAMES = st.one_of(JUNK, NUMBERS).filter(
+    lambda s: s not in verify.SUITES and s != "all" and not s.startswith("-")
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(suite=SUITE_NAMES)
+@example(suite="")
+@example(suite="ALL")
+@example(suite="geometry ")
+def test_verify_fuzz(config, suite):
+    code, data = run_main(["--config", config, "verify", suite])
+    assert code == 3
+    assert data == {"error": "UnknownSuite", "message": f"no suite named {suite!r}"}
+
+
+CONFIG_FIELDS = ("default_depth", "group_order_bound", "output_format", "seed")
+
+
+@st.composite
+def config_texts(draw):
+    """A config file: each of the four fields left out or set to a number
+    or junk text, sometimes with an unknown key; or no object at all."""
+    values = st.one_of(NUMBERS, JUNK, st.sampled_from(['"json"', '"csv"']))
+    fields = {k: draw(values) for k in CONFIG_FIELDS if draw(st.booleans())}
+    if draw(st.booleans()):
+        fields[draw(st.sampled_from(["tolerances", "depth", "x"]))] = draw(NUMBERS)
+    text = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
+    return draw(st.one_of(st.just(text), st.just(text), JUNK, NUMBERS))
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=config_texts())
+@example(text='{"group_order_bound": true}')
+@example(text='{"seed": false}')
+@example(text='{"default_depth": 1e400}')
+@example(text="[" * 3000 + "]" * 3000)
+@example(text="[]")
+def test_config_fuzz(config, text):
+    """A config file is read before the command runs: a bad one exits 2,
+    and a good one reaches the unknown suite, which exits 3."""
+    path = os.path.join(os.path.dirname(config), "drawn.json")
+    with open(path, "w") as fh:
+        fh.write(text)
+    code, data = run_main(["--config", path, "verify", "no-such-suite"])
+    assert (code, data["error"]) in ((2, "InvalidInput"), (3, "UnknownSuite"))
+    assert set(data) == {"error", "message"}

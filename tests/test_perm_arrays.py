@@ -164,14 +164,14 @@ def test_array_path_matches_the_element_loops(name, seed):
         return
     t = character_table(G)
     index = {v: i for i, v in enumerate(s.vertices)}
-    heads = reptheory._head_stabilizers(s, t)
+    a = reptheory.analysis(s, t)
     subs = maximal_proper_complete_subtrees(s)
-    assert len(heads) == len(subs)
-    reduced = [(counts, order, fixing(G, [index[v] for v in sub])) for (counts, order), sub in zip(heads, subs)]
+    assert list(a.subtrees) == subs and len(a.heads) == len(subs)
+    reduced = [(counts, order, fixing(G, [index[v] for v in sub])) for (counts, order), sub in zip(a.heads, subs)]
     if admissible_vertex_pairs(s):
         x, y = canonical_vertex_pair(s)
         pts = [index[x], index[y]]
-        (c_point, n_point), (c_set, n_set) = reptheory._pair_stabilizers(s, t, x, y)
+        (c_point, n_point), (c_set, n_set) = a.stabilizers(x, y)
         reduced += [(c_point, n_point, fixing(G, pts)), (c_set, n_set, preserving(G, pts))]
     for counts, order, elements in reduced:
         assert order == len(elements)
@@ -205,8 +205,7 @@ def test_enumerate_nondegenerate_builds_each_stabilizer_once(monkeypatch):
 
     monkeypatch.setattr(reptheory, "pointwise_stabilizer", counting("pointwise", reptheory.pointwise_stabilizer))
     monkeypatch.setattr(reptheory, "setwise_stabilizer", counting("setwise", reptheory.setwise_stabilizer))
-    reptheory._head_stabilizers.cache_clear()
-    reptheory._pair_stabilizers.cache_clear()
+    reptheory.analysis.cache_clear()
     s = star_shape(6)
     rows = enumerate_nondegenerate(s)
     once = {"pointwise": len(maximal_proper_complete_subtrees(s)) + 1, "setwise": 1}
@@ -249,12 +248,7 @@ def test_library_path_builds_no_element_objects(monkeypatch, capsys):
     monkeypatch.setattr(Permutation, "__post_init__", checked)
     monkeypatch.setattr(Permutation, "_trusted", classmethod(unchecked))
     for s in (star_shape(6), centipede_shape(4, 3)):
-        for cache in (
-            shape_automorphism_group,
-            character_table,
-            reptheory._head_stabilizers,
-            reptheory._pair_stabilizers,
-        ):
+        for cache in (shape_automorphism_group, character_table, reptheory.analysis):
             cache.cache_clear()
         built.clear()
         shape = json.dumps(s.to_json())

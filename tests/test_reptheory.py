@@ -2,6 +2,7 @@
 
 import pytest
 
+from arbocoh import reptheory
 from arbocoh.chartab import character_table, realize_irrep
 from arbocoh.errors import (
     BadVertexChoice,
@@ -189,3 +190,55 @@ def test_q3_shapes_against_projector_oracle(s):
             h2 = rank(pointwise_stabilizer(G, pts)) - rank(setwise_stabilizer(G, pts))
             expected.append((r, t.degrees[r], h2))
     assert expected == enumerate_nondegenerate(s)
+
+
+def test_rows_outside_the_table_are_invalid():
+    """Row -1 and row n_rows name no row: both raise InvalidDescriptor
+    rather than wrapping round to the last row or indexing past the
+    table."""
+    s = centipede_shape(2, 4)
+    t = _table(s)
+    assert t.n_rows == 5
+    x, y = canonical_vertex_pair(s)
+    for row in (-1, t.n_rows, 10**20):
+        with pytest.raises(InvalidDescriptor, match=f"row index {row} out of range"):
+            is_nondegenerate(s, t, row)
+        with pytest.raises(InvalidDescriptor, match=f"row index {row} out of range"):
+            h2_dimension(s, t, row, x, y)
+        with pytest.raises(InvalidDescriptor, match=f"row index {row} out of range"):
+            classify_bounded_cohomology(RepDescriptor.cuspidal(s, row), 2)
+
+
+def test_a_table_of_another_degree_is_invalid():
+    """A table of a group on another number of points than the shape's
+    vertices raises InvalidDescriptor, for every row."""
+    s = centipede_shape(2, 4)
+    t = _table(star_shape(2))
+    x, y = canonical_vertex_pair(s)
+    with pytest.raises(InvalidDescriptor, match="the table is on 4 points, the shape on 8"):
+        is_nondegenerate(s, t, 0)
+    with pytest.raises(InvalidDescriptor, match="the table is on 4 points"):
+        h2_dimension(s, t, 0, x, y)
+    # the size test still comes first
+    with pytest.raises(TooSmall):
+        is_nondegenerate(edge_shape(2), t, 0)
+
+
+def test_analysis_is_shared_by_every_entry_point():
+    """enumerate_nondegenerate, is_nondegenerate, h2_dimension and the
+    classifier read one analysis per (shape, table)."""
+    s = centipede_shape(2, 4)
+    t = _table(s)
+    reptheory.analysis.cache_clear()
+    rows = enumerate_nondegenerate(s)
+    a = reptheory.analysis(s, t)
+    x, y = canonical_vertex_pair(s)
+    for row, _deg, h2 in rows:
+        assert is_nondegenerate(s, t, row)
+        assert h2_dimension(s, t, row, x, y) == h2
+        assert classify_bounded_cohomology(RepDescriptor.cuspidal(s, row), 2) == h2
+    assert reptheory.analysis(s, t) is a
+    assert reptheory.analysis.cache_info().misses == 1
+    assert a.pairs == frozenset(admissible_vertex_pairs(s)) and min(a.pairs) == (x, y)
+    assert a.centipede and a.stabilizers(x, y) is a.stabilizers(x, y)
+    assert [a.row_of_fingerprint[a.fingerprint(row)] for row in range(t.n_rows)] == list(range(t.n_rows))

@@ -117,12 +117,7 @@ def test_reps_suite_builds_invariants_once(monkeypatch):
     monkeypatch.setattr(chartab, "pointwise_stabilizer", counting_stabilizer)
     monkeypatch.setattr(witness, "check_witness_vector", counting_check)
     chartab.realize_irrep.cache_clear()  # fresh models hold no projectors yet
-    per_key = (
-        witness._section_items,
-        reptheory._admissible_pairs,
-        reptheory._is_centipede,
-        reptheory._cuspidal_size,
-    )
+    per_key = (witness._section_items, reptheory.analysis)
     for cache in per_key:
         cache.cache_clear()
     assert verify.reps_suite(Config(seed=2))["passed"]
@@ -139,9 +134,7 @@ CACHES = [
     verify._flip_shape,
     verify._flip_window,
     witness._section_items,
-    reptheory._admissible_pairs,
-    reptheory._is_centipede,
-    reptheory._cuspidal_size,
+    reptheory.analysis,
 ]
 
 
@@ -158,7 +151,13 @@ def test_cached_values_cannot_be_changed_by_callers():
     pairs = reptheory.admissible_vertex_pairs(s)
     pairs.clear()
     assert reptheory.admissible_vertex_pairs(s)
-    assert isinstance(reptheory._admissible_pairs(s), frozenset)
+    a = reptheory.analysis(s, character_table(shape_automorphism_group(s)))
+    assert isinstance(a.pairs, frozenset) and isinstance(a.subtrees, tuple)
+    with pytest.raises(TypeError):
+        a.row_of_fingerprint["deg1[1]"] = 0
+    for counts, _order in a.heads + a.stabilizers(*min(a.pairs)):
+        with pytest.raises(ValueError):
+            counts[0] = 5
 
     ref = witness.reference_configuration(s, 10)
     section = witness.canonical_section(ref, ref.embedding)
