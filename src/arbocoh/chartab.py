@@ -135,17 +135,18 @@ def _class_constants(G: PermGroup, ids: np.ndarray) -> np.ndarray:
     """c[i, j, l] = #{x in C_i : x^{-1} z_l in C_j} for the least elements
     z_l of the classes, given the class id of each element.
 
-    One gather per representative: column z_l of the inverse-element
-    array holds every product x^{-1} z_l at once, the row index of G
-    turns those into element indices, and a bincount of the (class of x,
-    class of product) pairs fills the slice c[:, :, l]."""
+    With y = x^{-1} the count runs over the pairs (class of y^{-1}, class
+    of y z_l).  The class of y^{-1} is the inverse of the class of y, so
+    one key lookup of the k inverses z_l^{-1} gives it; the right
+    multiples y z_l come down the Cayley table a chunk of columns at a
+    time, and one bincount per representative fills the slice c[:, :, l]."""
     reps = _least_elements(G, ids)
     k = len(reps)
-    inv = np.argsort(G.array, axis=1).astype(G.array.dtype)  # row x: x^{-1}
+    inverse_class = ids[G.indices(np.argsort(G.array[reps], axis=1))]
+    row = inverse_class[ids] * k  # k times the class of y^{-1}
     c = np.empty((k, k, k), dtype=np.int64)
-    for ell, z in enumerate(reps):
-        prod = ids[G.indices(inv[:, G.array[z]])]
-        c[:, :, ell] = np.bincount(ids * k + prod, minlength=k * k).reshape(k, k)
+    for ell, right in enumerate(G.right_multiple_columns(reps)):
+        c[:, :, ell] = np.bincount(row + ids[right], minlength=k * k).reshape(k, k)
     return c
 
 
@@ -208,7 +209,7 @@ def _integral_table(G: PermGroup, ids, X, A):
     W = X * np.bincount(ids).astype(dt)  # W[a, l] = n_l chi_a(l)
     if not np.array_equal(W @ X.T, np.diag([order] * len(rows))):
         return None
-    A = A.astype(dt)
+    A = A.astype(dt, copy=False)
     for i in range(len(rows)):
         # row a, column j: chi_a(1) sum_l a_ijl W[a, l] == W[a, i] W[a, j]
         if not np.array_equal(d * (W @ A[i].T), W[:, [i]] * W):
@@ -292,7 +293,7 @@ def realize_irrep(t: CharacterTable, row: int) -> IrrepModel:
 
     order = G.order
     # mult[g, h] = g * h: the regular matrix of g has its 1s at (mult[g, h], h)
-    mult = G.indices(G.array[:, G.array]).reshape(order, order)
+    mult = G.right_multiples(np.arange(order))
     proj = np.zeros((order, order), dtype=complex)
     proj[mult, np.arange(order)] += np.conj(chi)[:, None]
     proj *= d / order

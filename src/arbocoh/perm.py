@@ -4,18 +4,23 @@ A group is stored as one (|G|, n) array of small unsigned ints whose row i
 is the image tuple of its i-th element, in breadth-first discovery order
 from the generators.  Each row has a key that sorts like its image tuple
 (its int64 radix-n code for n <= 15, else its bytes), so a sorted key
-index maps any array of group elements back to element indices with one
-searchsorted.  The heavy operations are numpy gathers on that array:
+index maps any array of permutations back to element indices with one
+searchsorted: membership, subgroups and inverses go through it.  Products
+do not: closure keeps where each product of a generator and an element
+landed, the Cayley table, and right multiplication is a gather down its
+breadth-first tree (Seress, Permutation Group Algorithms, 2003, ch. 4).
+The heavy operations are numpy gathers:
 
 * closure multiplies a whole breadth-first layer by every generator at
-  once and keeps the first discovery of each new row;
-* conjugacy_classes conjugates every element by each generator, looks the
-  results up in the key index and propagates the least label along those
-  index maps until each class carries one label;
+  once, looks the products up among the sorted keys seen so far and
+  merges the new ones in, keeping the first discovery of each new row;
+* conjugacy_classes conjugates every element by each generator through
+  the Cayley table and propagates the least label along those index maps
+  until each class carries one label; a group given by its rows alone (a
+  stabilizer, a subgroup) has no table, and no classes;
 * stabilizers are row masks.
 
-A group holds no Permutation per element: membership, class lookups and
-model matrices go through the key index.  Permutation stays the type of
+A group holds no Permutation per element.  Permutation stays the type of
 user input and generators; a user-built one is checked to be a bijection,
 and products and inverses skip that check.  Enumeration stops with
 GroupTooLarge past DEFAULT_ORDER_BOUND = 10^6 elements.
@@ -43,6 +48,7 @@ DEFAULT_ORDER_BOUND = 10**6
 SUBGROUP_SEARCH_MAX_ORDER = 120  # all_subgroups refuses larger groups
 _AUT_CACHE_SIZE = 128
 _RADIX_MAX_DEGREE = 15  # 15^15 < 2^63 < 16^16
+_GATHER_CAP = 2**14  # right multiples gathered at once, in entries
 
 
 @dataclass(frozen=True, order=True)
@@ -122,14 +128,24 @@ class PermGroup:
     """A fully enumerated permutation group, equal to another with the same
     degree and array.  `array` row i is the image tuple of element i, in
     deterministic (breadth-first discovery) order.  A group given by its
-    rows alone (a stabilizer, a subgroup) has generators None."""
+    rows alone (a stabilizer, a subgroup) has generators and cayley None.
+
+    A closure's `cayley` is its Cayley table, read-only int32 of shape
+    (m + 2, |G|) for m generators: row j < m holds the element index of
+    generators[j] * x at column x; rows m and m + 1 hold the parent p and
+    the generator j that discovered x, x = generators[j] * p (0 and 0 for
+    the identity).  Parents never decrease along the element order, so
+    they also mark where each breadth-first layer ends."""
 
     degree: int
     generators: tuple | None
     array: np.ndarray = field(repr=False)
+    cayley: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.array.flags.writeable = False
+        if self.cayley is not None:
+            self.cayley.flags.writeable = False
 
     def __eq__(self, other):
         return (
@@ -166,7 +182,8 @@ class PermGroup:
         return Permutation.identity(self.degree)
 
     def _row_index(self):
-        """(sorted row keys, element index of each sorted key), built once."""
+        """(sorted row keys, element index of each sorted key): a closure's
+        own, else built once."""
         if not hasattr(self, "_index"):
             keys = _keys(self.array)
             order = np.argsort(keys, kind="stable")
@@ -181,14 +198,57 @@ class PermGroup:
         pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
         return np.where(keys[pos] == want, order[pos], -1)
 
+    def right_multiples(self, zs) -> np.ndarray:
+        """out[x, i] = element index of x * zs[i], for element indices zs,
+        read down the Cayley table one breadth-first layer at a time: the
+        identity's row is zs, and x = g * p gives x * z = g * (p * z).
+        int32, shape (|G|, len(zs)); ValueError for a group given by its
+        rows alone."""
+        if self.cayley is None:
+            raise ValueError("right multiples need the Cayley table of a group built by closure")
+        m = len(self.generators)
+        parent = self.cayley[m]
+        # g_j * y is entry j * |G| + y of the flattened table
+        at = (self.cayley[m + 1].astype(np.intp) * self.order)[:, None]
+        left = self.cayley[:m].ravel()
+        out = np.empty((self.order, len(zs)), dtype=np.int32)
+        out[0] = zs
+        ends = self._layer_ends
+        for start, end in zip(ends, ends[1:]):
+            out[start:end] = left.take(at[start:end] + out[parent[start:end]])
+        return out
+
+    def right_multiple_columns(self, zs):
+        """The columns of right_multiples(zs) one at a time, gathered in
+        chunks of at most _GATHER_CAP entries, so that a large group holds
+        one column of |G| entries at a time and a small one pays for one
+        pass down its table."""
+        step = max(1, _GATHER_CAP // self.order)
+        for start in range(0, len(zs), step):
+            yield from self.right_multiples(zs[start : start + step]).T
+
+    @functools.cached_property
+    def _layer_ends(self) -> tuple:
+        """Where each breadth-first layer ends, the identity's first: the
+        parents of the next layer are the elements of this one."""
+        parent = self.cayley[len(self.generators)]
+        ends = [1]
+        while ends[-1] < self.order:
+            ends.append(int(parent.searchsorted(ends[-1])))
+        return tuple(ends)
+
 
 def closure(gens, degree: int | None = None, bound: int = DEFAULT_ORDER_BOUND) -> PermGroup:
-    """Breadth-first closure of the generators.  Raises GroupTooLarge when
-    the enumeration exceeds bound elements.
+    """Breadth-first closure of the generators, with its Cayley table.
+    Raises GroupTooLarge when the enumeration exceeds bound elements.
 
     Each round multiplies the last layer by every generator and appends
     the products not seen before, in (layer element, generator) order:
-    the order of the one-at-a-time breadth-first search."""
+    the order of the one-at-a-time breadth-first search.  A round sorts
+    the keys of its products, looks the distinct ones up among the sorted
+    keys seen so far with one searchsorted and merges the new ones in;
+    where each product landed is kept as the Cayley table (see
+    PermGroup), and the sorted keys become the group's key index."""
     gens = sorted(set(gens))
     if degree is None:
         if not gens:
@@ -196,41 +256,75 @@ def closure(gens, degree: int | None = None, bound: int = DEFAULT_ORDER_BOUND) -
         degree = gens[0].degree
     if any(g.degree != degree for g in gens):
         raise ValueError("generators act on different index sets")
+    m = len(gens)
     # unsigned and big-endian, so that the bytes of a row sort like its images
     dtype = np.dtype(np.uint8) if degree <= 256 else np.dtype(">u4")
-    gen_rows = np.array([g.mapping for g in gens], dtype=dtype).reshape(len(gens), degree)
+    gen_rows = np.array([g.mapping for g in gens], dtype=dtype).reshape(m, degree)
     frontier = np.arange(degree, dtype=dtype)[None, :]
-    layers = [frontier]
-    seen = _keys(frontier)
-    while len(frontier) and len(gens):
-        # row p * len(gens) + j is gens[j] * frontier[p]
+    # per layer: its rows, the element index of every product, and
+    # p * m + j for each new element gens[j] * p (0 for the identity)
+    layers, products, found = [frontier], [], [np.zeros(1, dtype=np.intp)]
+    # the keys seen so far, sorted, and the element index of each
+    sorted_keys, index, n = _keys(frontier), np.zeros(1, dtype=np.int32), 1
+    while m:
+        # row p * m + j is gens[j] * frontier[p]
         cand = gen_rows[:, frontier].transpose(1, 0, 2).reshape(-1, degree)
         keys = _keys(cand)
-        _, first = np.unique(np.concatenate([seen, keys]), return_index=True)
-        new = np.sort(first[first >= len(seen)]) - len(seen)
-        if len(seen) + len(new) > bound:
+        by_key = keys.argsort(kind="stable")  # equal keys in candidate order
+        keys = keys[by_key]
+        head = np.concatenate([[True], keys[1:] != keys[:-1]])  # first of each key
+        distinct, first = keys[head], by_key[head]
+        pos = np.minimum(sorted_keys.searchsorted(distinct), n - 1)  # sorted queries: one pass
+        at = index[pos]  # the element index of each distinct product
+        fresh = np.flatnonzero(sorted_keys[pos] != distinct)
+        if n + len(fresh) > bound:
             raise GroupTooLarge(f"closure exceeded bound {bound}")
+        born = first[fresh].argsort()  # fresh products in discovery order
+        at[fresh[born]] = np.arange(n, n + len(fresh))
+        product = np.empty(len(keys), dtype=np.int32)
+        product[by_key] = at[head.cumsum() - 1]
+        products.append(product)
+        if not len(fresh):
+            break
+        merged = np.concatenate([sorted_keys, distinct[fresh]])
+        order = merged.argsort(kind="stable")  # a merge of two sorted runs
+        sorted_keys, index = merged[order], np.concatenate([index, at[fresh]])[order]
+        new = first[fresh][born]
+        found.append(new + (n - len(frontier)) * m)
         frontier = cand[new]
         layers.append(frontier)
-        seen = np.concatenate([seen, keys[new]])
-    return PermGroup(degree, tuple(gens), np.concatenate(layers))
+        n += len(new)
+    cayley = np.empty((m + 2, n), dtype=np.int32)
+    start = 0
+    for product in products:
+        cayley[:m, start : start + len(product) // m] = product.reshape(-1, m).T
+        start += len(product) // m
+    # (a group with no generators is the identity alone)
+    cayley[m], cayley[m + 1] = np.divmod(np.concatenate(found), max(m, 1))
+    G = PermGroup(degree, tuple(gens), np.concatenate(layers), cayley)
+    object.__setattr__(G, "_index", (sorted_keys, index))
+    return G
 
 
 def _class_labels(G: PermGroup) -> np.ndarray:
     """One label per element, shared exactly by the elements of a
     conjugacy class: the least label is propagated along conjugation by
     each generator (both ways: gathered along the map, scattered back
-    through it) with pointer jumping until it is stable."""
-    E = G.array
-    gens = E if G.generators is None else [g.mapping for g in G.generators]
-    # x -> g x g^-1; int32 halves the maps, which set the peak on the largest groups
-    maps = [G.indices(g[E[:, np.argsort(g)]]).astype(np.int32) for g in map(np.asarray, gens)]
+    through it) with pointer jumping until it is stable.  Conjugation by
+    g_j is x -> (g_j x) g_j^-1: row j of the Cayley table, then the right
+    multiples of g_j^-1, so the only key lookup is of the inverses."""
+    if G.cayley is None:
+        raise ValueError("conjugacy classes need a group built by closure, not by its rows alone")
+    m = len(G.generators)
+    gens = np.array([g.mapping for g in G.generators], dtype=np.intp).reshape(m, G.degree)
+    inverses = G.indices(np.argsort(gens, axis=1))
+    maps = [right[G.cayley[j]] for j, right in enumerate(G.right_multiple_columns(inverses))]
     label = np.arange(G.order)
     while True:
         new = label
-        for m in maps:
-            new = np.minimum(new, new[m])
-            new[m] = np.minimum(new[m], new)
+        for c in maps:
+            new = np.minimum(new, new[c])
+            new[c] = np.minimum(new[c], new)
         new = new[new]
         if np.array_equal(new, label):
             return label
@@ -281,7 +375,7 @@ def all_subgroups(G: PermGroup) -> list:
         raise GroupTooLarge(f"subgroup search refused at order {n} > {SUBGROUP_SEARCH_MAX_ORDER}")
     lex = G._row_index()[1]  # element indices in sorted row order; the identity first
     rows = G.array[lex]
-    mult = np.argsort(lex)[G.indices(rows[:, rows])].reshape(n, n)  # sorted position of a * b
+    mult = np.argsort(lex)[G.right_multiples(lex)[lex]]  # sorted position of a * b
 
     def closed(mask):
         """The subgroup generated by a fresh mask of elements: its product

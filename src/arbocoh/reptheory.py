@@ -31,6 +31,7 @@ another, never scans the group again.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -136,17 +137,22 @@ class Analysis:
     def fingerprint(self, row: int) -> str:
         """The row as spectrum prints it: deg<degree>[<values>], each value
         to 6 significant digits."""
-        values = self.table.characters[self._row(row)]
+        row = self._row(row)
+        values = self.table.characters[row]
         return f"deg{self.table.degrees[row]}[{','.join(f'{float(v):.6g}' for v in values)}]"
 
-    def _row(self, row: int) -> int:
+    def _row(self, row) -> int:
+        """The row index as an int: a bool, a number that is not an
+        integer or an index outside the table raises InvalidDescriptor."""
+        if isinstance(row, bool) or not isinstance(row, numbers.Integral):
+            raise InvalidDescriptor(f"row index must be an integer, got {row!r}")
         if not 0 <= row < self.table.n_rows:
             raise InvalidDescriptor(f"row index {row} out of range")
-        return row
+        return int(row)
 
     def nondegenerate(self, row: int) -> bool:
         """No nonzero vector of the row is fixed by any A_j."""
-        self._row(row)
+        row = self._row(row)
         return not any(dim_from_counts(self.table, row, c, order) for c, order in self.heads)
 
     def stabilizers(self, x: str, y: str) -> tuple:
@@ -159,6 +165,7 @@ class Analysis:
 
     def h2(self, row: int, x: str, y: str) -> int:
         """dim V^Q(x,y) - dim V^Qtilde(x,y) of a row."""
+        row = self._row(row)
         point, setwise = (dim_from_counts(self.table, row, *H) for H in self.stabilizers(x, y))
         if point < setwise:
             raise NonIntegralDimension(

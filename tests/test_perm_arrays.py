@@ -3,7 +3,8 @@
 The oracles are the one-element-at-a-time implementations that the
 array path replaced: breadth-first closure, conjugation orbits, counted
 class constants, invariant dimensions summed over subgroup elements and
-the subgroup search by closures.  The closure, class and stabilizer checks
+the subgroup search by closures; the Cayley table of a closure is checked
+against lookups in the sorted key index.  The closure, class and stabilizer checks
 run on the q=2 D<=5 catalog groups, star(4..6), centipede(3,3) and
 centipede(4,3), every one under three seeded vertex relabellings, which
 reorder elements and classes inside the program."""
@@ -12,16 +13,21 @@ import json
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from arbocoh import chartab, cli, reptheory
 from arbocoh.catalog import enumerate_complete_shapes
 from arbocoh.chartab import character_table, dim_from_counts
 from arbocoh.perm import (
+    PermGroup,
     Permutation,
     all_subgroups,
     closure,
     conjugacy_classes,
+    pointwise_stabilizer,
     shape_automorphism_group,
 )
 from arbocoh.reptheory import (
@@ -189,6 +195,80 @@ def test_cyclic_groups_match_the_element_loops(n):
     classes = as_classes(G, ids)
     assert classes == oracle_classes(G)
     assert chartab._class_constants(G, ids).tolist() == oracle_constants(classes)
+
+
+@st.composite
+def generator_sets(draw):
+    """A few permutations of at most five points of a degree up to 20
+    (above 15 a row's key is its bytes), with repeats and the identity
+    drawn in: groups of order at most 120."""
+    degree = draw(st.sampled_from([1, 2, 3, 5, 6, 16, 20]))
+    support = draw(st.lists(st.integers(0, degree - 1), min_size=1, max_size=5, unique=True))
+    gens = []
+    for images in draw(st.lists(st.permutations(support), max_size=3)):
+        moves = dict(zip(support, images))
+        gens.append(Permutation.from_dict(degree, moves))
+    if gens and draw(st.booleans()):
+        gens.append(gens[0])
+    if draw(st.booleans()):
+        gens.append(Permutation.identity(degree))
+    return gens, degree
+
+
+@settings(max_examples=80, deadline=None)
+@given(generator_sets())
+@example(([], 4))
+@example(([Permutation((1, 2, 3, 4, 5, 0))], 6))  # cyclic
+@example(([Permutation.from_dict(17, {0: 1, 1: 2, 2: 0})], 17))  # cyclic, byte keys
+def test_cayley_table_matches_the_key_index(case):
+    """Every product read off the Cayley table is the product the sorted
+    key index finds: g_j * x for the stored rows, x * z down the table."""
+    gens, degree = case
+    G = closure(gens, degree=degree)
+    assert G.elements == oracle_closure(G.generators, G.degree)
+    m, n = len(G.generators), G.order
+    assert G.cayley.shape == (m + 2, n) and not G.cayley.flags.writeable
+    gen_rows = np.array([g.mapping for g in G.generators], dtype=np.intp).reshape(m, degree)
+    for j in range(m):
+        assert np.array_equal(G.cayley[j], G.indices(gen_rows[j][G.array]))
+    parent, gen = G.cayley[m], G.cayley[m + 1]
+    assert np.all(np.diff(parent) >= 0) and np.all(parent[1:] < np.arange(1, n))
+    assert np.array_equal(G.cayley[gen[1:], parent[1:]], np.arange(1, n))
+    for z in range(n):
+        want = G.indices(G.array[:, G.array[z]])
+        assert np.array_equal(G.right_multiples([z])[:, 0], want)
+    assert np.array_equal(G.right_multiples(np.arange(n)), G.indices(G.array[:, G.array]).reshape(n, n))
+
+
+@pytest.mark.parametrize("shape", [star_shape(2), star_shape(4), centipede_shape(3, 3)])
+def test_classes_and_constants_look_up_no_product(monkeypatch, shape):
+    """Class labels and class constants take their products from the
+    Cayley table: one key lookup each (the generator inverses, the class
+    inverses), whatever the number of classes."""
+    calls = Counter()
+    indices = PermGroup.indices
+
+    def counting(self, rows):
+        calls["indices"] += 1
+        return indices(self, rows)
+
+    G = shape_automorphism_group(shape)
+    monkeypatch.setattr(PermGroup, "indices", counting)
+    ids = conjugacy_classes(G)
+    assert calls["indices"] == 1
+    chartab._class_constants(G, ids)
+    assert calls["indices"] == 2
+
+
+def test_rows_alone_have_no_classes():
+    """A group given by its rows alone has no Cayley table, so its classes
+    and right multiples are refused."""
+    H = pointwise_stabilizer(shape_automorphism_group(star_shape(3)), [0])
+    assert H.cayley is None
+    with pytest.raises(ValueError, match="closure"):
+        conjugacy_classes(H)
+    with pytest.raises(ValueError, match="closure"):
+        H.right_multiples([0])
 
 
 def test_enumerate_nondegenerate_builds_each_stabilizer_once(monkeypatch):

@@ -209,6 +209,25 @@ def test_rows_outside_the_table_are_invalid():
             classify_bounded_cohomology(RepDescriptor.cuspidal(s, row), 2)
 
 
+def test_rows_that_are_not_integers_are_invalid():
+    """A bool or a float names no row, even when it equals one; a numpy
+    integer names the row it equals."""
+    s = centipede_shape(2, 4)
+    t = _table(s)
+    x, y = canonical_vertex_pair(s)
+    for row in (True, 1.0):
+        with pytest.raises(InvalidDescriptor, match="row index must be an integer"):
+            is_nondegenerate(s, t, row)
+        with pytest.raises(InvalidDescriptor, match="row index must be an integer"):
+            h2_dimension(s, t, row, x, y)
+    a = reptheory.analysis(s, t)
+    for row in range(t.n_rows):
+        assert is_nondegenerate(s, t, np.int64(row)) == is_nondegenerate(s, t, row)
+        assert a.fingerprint(np.int64(row)) == a.fingerprint(row)
+    hot = next(r for r in range(t.n_rows) if is_nondegenerate(s, t, r))
+    assert h2_dimension(s, t, np.int64(hot), x, y) == h2_dimension(s, t, hot, x, y)
+
+
 def test_a_table_of_another_degree_is_invalid():
     """A table of a group on another number of points than the shape's
     vertices raises InvalidDescriptor, for every row."""
