@@ -19,7 +19,6 @@ for s in enumerate_complete_shapes(2, 5):
     print(
         f"  |V|={len(s.vertices):3d} diam={s.diameter()}  {tag:15s}"
         f" |Aut|={G.order:4d} degrees={list(t.degrees)}"
-        f" ortho-residual={t.row_orthogonality_residual():.1e}"
     )
 
 print("\n== the order-8 dihedral table (any q=2 centipede of diameter 3..5) ==")

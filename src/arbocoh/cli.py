@@ -199,10 +199,7 @@ def cmd_shapes_enumerate(args, cfg: Config) -> int:
 def cmd_chartab(args, cfg: Config) -> int:
     shape = _shape_arg(args.shape)
     table = character_table(shape_automorphism_group(shape, cfg.group_order_bound))
-    data = table.to_json()
-    data["row_orthogonality_residual"] = table.row_orthogonality_residual()
-    data["column_orthogonality_residual"] = table.column_orthogonality_residual()
-    emit(data, "json")
+    emit(table.to_json(), "json")
     return 0
 
 

@@ -80,8 +80,10 @@ class NotASubgroup(ArbocohError):
 # -- representation theory -------------------------------------------------
 
 class NumericalDegeneracy(ArbocohError):
-    """Eigenspace separation failed, or the characters came out
-    non-integral, in each of a fixed number of tries."""
+    """No rounded eigen-solve proposal passed the exact integer proof of a
+    character table in a fixed number of tries (a group with irrational
+    characters never does), or an explicit irreducible model could not be
+    split off."""
 
 
 class NonIntegralDimension(ArbocohError):

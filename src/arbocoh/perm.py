@@ -174,9 +174,10 @@ class PermGroup:
 
     def index(self, p: Permutation) -> int:
         """Element index of p; KeyError when p is not an element."""
-        if p not in self:
+        i = int(self.indices([p.mapping])[0]) if p.degree == self.degree else -1
+        if i < 0:
             raise KeyError(p)
-        return int(self.indices([p.mapping])[0])
+        return i
 
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)

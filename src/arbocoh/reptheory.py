@@ -35,6 +35,7 @@ import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
 
+from . import treecode
 from .chartab import CharacterTable, character_table, class_counts, dim_from_counts
 from .errors import (
     BadVertexChoice,
@@ -90,13 +91,15 @@ _ANALYSIS_CACHE_SIZE = 64
 class Analysis:
     """What the classification reads about a shape s and a character table
     t of Aut(s), each part computed on first use; build it with
-    analysis(s, t).  A table of a group on another number of points, or a
-    row outside the table, raises InvalidDescriptor."""
+    analysis(s, t).  A table of a group other than Aut(s), or a row outside
+    the table, raises InvalidDescriptor."""
 
     def __init__(self, s: Shape, t: CharacterTable):
         if t.group.degree != len(s.vertices):
             n = len(s.vertices)
             raise InvalidDescriptor(f"the table is on {t.group.degree} points, the shape on {n}")
+        if not _is_automorphism_group(s, t.group):
+            raise InvalidDescriptor("the table is not of the automorphism group of the shape")
         self.shape, self.table = s, t
         self._stabilizers = {}  # (x, y) -> (Q, Qtilde) reduced
 
@@ -136,10 +139,10 @@ class Analysis:
 
     def fingerprint(self, row: int) -> str:
         """The row as spectrum prints it: deg<degree>[<values>], each value
-        to 6 significant digits."""
+        an integer."""
         row = self._row(row)
-        values = self.table.characters[row]
-        return f"deg{self.table.degrees[row]}[{','.join(f'{float(v):.6g}' for v in values)}]"
+        values = self.table.characters[row].tolist()
+        return f"deg{self.table.degrees[row]}[{','.join(map(str, values))}]"
 
     def _row(self, row) -> int:
         """The row index as an int: a bool, a number that is not an
@@ -175,6 +178,18 @@ class Analysis:
 
 
 analysis = functools.lru_cache(maxsize=_ANALYSIS_CACHE_SIZE)(Analysis)
+
+
+def _is_automorphism_group(s: Shape, G) -> bool:
+    """G, on the sorted vertex ids of s, is Aut(s): each generator maps the
+    edge set onto itself, so G lies in Aut(s), and |G| = |Aut(s)|."""
+    index = {v: i for i, v in enumerate(s.vertices)}
+    edges = {frozenset((index[a], index[b])) for a, b in s.edges}
+    for g in G.generators or G.elements:
+        if {frozenset((g(a), g(b))) for a, b in edges} != edges:
+            return False
+    s.check_tree()
+    return G.order == treecode.aut_order(s.adjacency())
 
 
 def _admissible_pairs(s: Shape, subs) -> frozenset:

@@ -194,7 +194,8 @@ def test_criterion_6_hitting_count_constancy():
 def test_criterion_7_character_table_validity():
     with _Criterion(7, "orthogonality over the shape catalog; dims = projector ranks", 60):
         report = _reps_report()
-        assert _check(report, "character_tables_orthogonal")["n_shapes"] > 0
+        tables = _check(report, "character_tables_orthogonal")
+        assert tables["proved"] == tables["n_shapes"] > 0
         _check(report, "invariant_dim_matches_projector_rank")
 
 

@@ -1,6 +1,6 @@
-"""Character tables: textbook comparisons, exact integer checks,
-orthogonality, invariant dimensions vs explicit projector ranks, and
-unitary irreducible models."""
+"""Character tables: textbook comparisons, exact integer checks and
+orthogonality, the proof as the one judge of a proposal, invariant
+dimensions vs explicit projector ranks, and unitary irreducible models."""
 
 import os
 import subprocess
@@ -18,6 +18,7 @@ from arbocoh.perm import (
     Permutation,
     all_subgroups,
     closure,
+    conjugacy_classes,
     pointwise_stabilizer,
     shape_automorphism_group,
 )
@@ -76,11 +77,17 @@ def test_dihedral8_table_matches_textbook():
 
 
 def test_orthogonality_residuals():
+    """The residuals of both orthogonality relations are exactly 0, in
+    integers: rows sum_l n_l chi_a(l) chi_b(l) - |G| delta_ab, and columns
+    sum_a chi_a(l) chi_a(l') - (|G| / n_l) delta_ll'."""
     for shape in (star_shape(2), centipede_shape(2, 4), star_shape(3)):
         t = character_table(shape_automorphism_group(shape))
-        assert t.row_orthogonality_residual() < 1e-9
-        assert t.column_orthogonality_residual() < 1e-9
-        assert sum(d * d for d in t.degrees) == t.group.order
+        X, order = t.characters, t.group.order
+        n = np.array(t.class_sizes())
+        assert X.dtype == np.int64 and np.all(order % n == 0)
+        assert not np.any((X * n) @ X.T - order * np.eye(t.n_rows, dtype=np.int64))
+        assert not np.any(X.T @ X - np.diag(order // n))
+        assert sum(d * d for d in t.degrees) == order
 
 
 def test_invariant_dim_examples():
@@ -283,6 +290,55 @@ def test_exact_check_rejects_an_orthonormal_impostor():
     assert chartab._integral_table(G, t.class_ids, swapped, A) is None
 
 
+def test_integral_table_refuses_rows_that_are_not_finite():
+    G = shape_automorphism_group(star_shape(3))
+    t = character_table(G)
+    A = chartab._class_constants(G, t.class_ids)
+    for bad in (np.inf, -np.inf, np.nan):
+        for at in ((0, 0), (2, 3)):
+            X = t.characters.astype(float)
+            X[at] = bad
+            assert chartab._integral_table(G, t.class_ids, X, A) is None
+
+
+def _swap_size_20_classes(V, G):
+    """V with the entries of the two S_5 classes of size 20 swapped in
+    every eigenvector: an orthonormal table that breaks the class algebra."""
+    ids = conjugacy_classes(G)
+    i, j = np.flatnonzero(np.bincount(ids) == 20)
+    V = V.copy()
+    V[[i, j]] = V[[j, i]]
+    return V
+
+
+def _zero_identity_entry(V, G):
+    """V with one eigenvector 0 at the identity class: an infinite row."""
+    V = V.copy()
+    V[0, 1] = 0
+    return V
+
+
+@pytest.mark.parametrize("breaks", [_zero_identity_entry, _swap_size_20_classes])
+def test_broken_first_proposal_retries(monkeypatch, breaks):
+    """The proof alone judges a proposal: a first eigen-solve broken into an
+    infinite row, or into an orthonormal impostor, is refused, and the
+    second try gives the exact table."""
+    G = shape_automorphism_group(star_shape(4))
+    want = character_table(G)
+    real = np.linalg.eig
+    calls = []
+
+    def eig(M):
+        E, V = real(M)
+        calls.append(1)
+        return (E, breaks(V, G)) if len(calls) == 1 else (E, V)
+
+    monkeypatch.setattr(chartab.np.linalg, "eig", eig)
+    got = character_table.__wrapped__(G)
+    assert len(calls) == 2
+    assert got.degrees == want.degrees and np.array_equal(got.characters, want.characters)
+
+
 def test_python_int_proof_matches_int64(monkeypatch):
     """Groups too large for an overflow-free int64 proof use Python ints;
     forcing that path on a small group gives the same table."""
@@ -304,7 +360,7 @@ def cyclic(n):
 def test_irrational_groups_raise_numerical_degeneracy(group):
     """C_n for n >= 3 and the order-21 Frobenius group have characters
     that are not integers, so no table passes the integer checks."""
-    with pytest.raises(NumericalDegeneracy, match="non-integral characters"):
+    with pytest.raises(NumericalDegeneracy, match="no rounded table passed the exact checks"):
         character_table(group)
 
 

@@ -123,8 +123,10 @@ def test_chartab_command(capsys):
     data = json.loads(out)
     assert data["order"] == 6
     assert sorted(data["degrees"]) == [1, 1, 2]
-    assert data["row_orthogonality_residual"] < 1e-9
     assert len(data["classes"]) == 3
+    # the integer proof is the one check: no float residual beside it
+    assert set(data) == {"order", "degrees", "classes", "characters"}
+    assert all(type(v) is int for row in data["characters"] for v in row)
 
 
 def test_flip_demo(capsys):
@@ -324,15 +326,15 @@ PINNED_REPORTS = [
     ),
     (
         ["--seed", "2", "verify", "reps"],
-        "02e7d4e49958e51a5d4b0034df1fd814644899ce4e47951971e716e34a22ade9",
+        "a870f150497de55ef38a689e28b6ec573eca4855876199ed918d08dcada957e6",
     ),
     (
         ["chartab", json.dumps(star_shape(3).to_json())],
-        "8cd763cd5a28430d5d562dfdd2ad1a6d8ec50bccc5c8a89322adac7c3b61c421",
+        "61134347d061b8152f4fee40cbb844cc8057ca0bead7823b52e80d24011afb36",
     ),
     (
         ["chartab", json.dumps(centipede_shape(2, 4).to_json())],
-        "9edf2124cdf0067568ad6ac64374fe0d1fd62d821206df8143ffd13fcfd6ad45",
+        "b700c5430dcba0f1a8075b1777135721aa3cbfb44ae0bbd68926b7e57af29831",
     ),
     (
         ["spectrum", json.dumps(star_shape(6).to_json())],
@@ -356,7 +358,7 @@ PINNED_REPORTS = [
     ),
     (
         ["--seed", "1", "verify", "reps"],
-        "cfa1ca4e3219a1b2bbc839383191af3dd3d39f455e8e930e4e567f82ad42cbf7",
+        "8c826cc24f9c18486f1b5c0950dc9f8efbb56c6a5ff668c32f5bd27b53a750cf",
     ),
     (
         ["--seed", "0", "verify", "flip"],
@@ -390,7 +392,11 @@ def test_pinned_reports(capsys, argv, digest):
     # The two chartab digests were taken again when the table JSON wrote
     # its int64 characters as integers instead of [re, im] float pairs, and
     # the two spherical ones when the intertwiner came in closed form, which
-    # changed the float residuals of intertwiner_identity and pi_z_unitary
+    # changed the float residuals of intertwiner_identity and pi_z_unitary.
+    # The two chartab digests and the two reps ones (seeds 1 and 2) were
+    # taken again when the float orthogonality residuals, all 0.0, left the
+    # table JSON and character_tables_orthogonal, which now reports the
+    # number of tables the integer proof certified and the shapes it refused
     code, out = run(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -437,7 +443,7 @@ def test_parser_built_once_on_first_call():
 
 def _fingerprint_of(degree, values) -> str:
     # the fingerprint the spectrum command prints, as documented there
-    return f"deg{degree}[{','.join(f'{float(v):.6g}' for v in values)}]"
+    return f"deg{degree}[{','.join(map(str, values))}]"
 
 
 @pytest.mark.parametrize("shape", [star_shape(6), centipede_shape(3, 3)], ids=["star6", "cent3_3"])

@@ -17,6 +17,7 @@ from arbocoh.catalog import enumerate_complete_shapes
 from arbocoh.errors import GroupTooLarge
 from arbocoh.perm import (
     DEFAULT_ORDER_BOUND,
+    PermGroup,
     Permutation,
     _aut_generators,
     all_subgroups,
@@ -46,6 +47,27 @@ def test_closure_examples():
     assert closure([], degree=3).order == 1
     assert closure([Permutation((1, 0))]).order == 2
     assert sym3().order == 6
+
+
+def test_index_is_one_key_search(monkeypatch):
+    """index makes one indices call per element it finds, one for a
+    permutation of the right degree outside the group and none for one of
+    another degree; both raise KeyError."""
+    G = closure([Permutation((1, 0, 2))])
+    real, calls = PermGroup.indices, []
+
+    def counting(self, rows):
+        calls.append(len(rows))
+        return real(self, rows)
+
+    monkeypatch.setattr(PermGroup, "indices", counting)
+    assert [G.index(p) for p in G.elements] == list(range(G.order))
+    assert calls == [1] * G.order
+    calls.clear()
+    for p in (Permutation((1, 2, 0)), Permutation((1, 0))):
+        with pytest.raises(KeyError):
+            G.index(p)
+    assert calls == [1]
 
 
 def test_closure_bound():

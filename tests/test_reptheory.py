@@ -2,7 +2,8 @@
 
 import pytest
 
-from arbocoh import reptheory
+from arbocoh import reptheory, treecode
+from arbocoh.catalog import enumerate_complete_shapes
 from arbocoh.chartab import character_table, realize_irrep
 from arbocoh.errors import (
     BadVertexChoice,
@@ -11,7 +12,7 @@ from arbocoh.errors import (
     NotACentipede,
     TooSmall,
 )
-from arbocoh.perm import shape_automorphism_group
+from arbocoh.perm import Permutation, closure, shape_automorphism_group
 from arbocoh.reptheory import (
     RepDescriptor,
     admissible_vertex_pairs,
@@ -22,6 +23,7 @@ from arbocoh.reptheory import (
     is_nondegenerate,
 )
 from arbocoh.shapes import (
+    Shape,
     centipede_shape,
     edge_shape,
     maximal_proper_complete_subtrees,
@@ -241,6 +243,54 @@ def test_a_table_of_another_degree_is_invalid():
     # the size test still comes first
     with pytest.raises(TooSmall):
         is_nondegenerate(edge_shape(2), t, 0)
+
+
+def _relabel(s, ids):
+    names = dict(zip(s.vertices, ids))
+    return Shape(s.q, [names[v] for v in s.vertices], [(names[a], names[b]) for a, b in s.edges])
+
+
+def test_a_table_of_another_group_is_invalid():
+    """A table of a group on the right number of points that is not Aut(s)
+    raises InvalidDescriptor: Aut of a relabelled copy (another action on
+    the sorted ids), S_6 on the six vertices of centipede(2, 3), and a
+    proper subgroup of Aut(s)."""
+    s = centipede_shape(2, 4)
+    s2 = _relabel(s, [f"z{9 - i}" for i in range(len(s.vertices))])
+    assert [is_nondegenerate(s2, _table(s2), r) for r in range(5)] == [True, True, False, False, False]
+    with pytest.raises(InvalidDescriptor, match="not of the automorphism group"):
+        is_nondegenerate(s2, _table(s), 0)
+
+    s = centipede_shape(2, 3)
+    n = len(s.vertices)
+    sym6 = closure([Permutation.from_dict(n, {i: i + 1, i + 1: i}) for i in range(n - 1)])
+    aut = shape_automorphism_group(s)
+    for G in (sym6, closure(aut.generators[:1])):
+        assert G.degree == n and G.order != aut.order
+        with pytest.raises(InvalidDescriptor, match="not of the automorphism group"):
+            is_nondegenerate(s, character_table(G), 0)
+
+
+def _old_fingerprint(t, row):
+    # the format of the float tables: each value to 6 significant digits
+    return f"deg{t.degrees[row]}[{','.join(f'{float(v):.6g}' for v in t.characters[row])}]"
+
+
+def test_integer_fingerprints_match_the_float_format():
+    """Fingerprints print int64 values with str, which is what the former
+    6-significant-digit float format gave on the benchmark's shapes (every
+    catalog shape of (q, D) = (2, 6), (3, 4), (4, 3) up to |Aut| = 5040, and
+    the q = 6 star)."""
+    hosts = [star_shape(6)] + [
+        s
+        for q, d in ((2, 6), (3, 4), (4, 3))
+        for s in enumerate_complete_shapes(q, d)
+        if s.diameter() >= 2 and treecode.aut_order(s.adjacency()) <= 5040
+    ]
+    for s in hosts:
+        t = _table(s)
+        a = reptheory.analysis(s, t)
+        assert [a.fingerprint(r) for r in range(t.n_rows)] == [_old_fingerprint(t, r) for r in range(t.n_rows)]
 
 
 def test_analysis_is_shared_by_every_entry_point():

@@ -10,7 +10,7 @@ import pytest
 from arbocoh import chartab, reptheory, verify, witness
 from arbocoh.chartab import character_table, realize_irrep
 from arbocoh.config import MAX_SUBTREE_Q, Config
-from arbocoh.errors import InvalidInput, TooManyRays
+from arbocoh.errors import InvalidInput, NumericalDegeneracy, TooManyRays
 from arbocoh.perm import shape_automorphism_group
 from arbocoh.shapes import centipede_shape
 from arbocoh.tree import RayPrefix
@@ -168,3 +168,23 @@ def test_cached_values_cannot_be_changed_by_callers():
     for p in model.pair_projectors(0, 1):
         with pytest.raises(ValueError):
             p[0, 0] = 5.0
+
+
+def test_a_refused_table_fails_its_check_and_names_its_shape(monkeypatch):
+    """character_tables_orthogonal counts the tables the integer proof
+    certified, and fails naming the catalog shape whose table raised
+    NumericalDegeneracy."""
+    real, groups = verify.character_table, []
+
+    def refuse_the_first(G):
+        groups.append(G)
+        if len(groups) == 1:
+            raise NumericalDegeneracy("no rounded table passed the exact checks in 8 tries")
+        return real(G)
+
+    monkeypatch.setattr(verify, "character_table", refuse_the_first)
+    report = verify.reps_suite(Config(seed=0))
+    check = next(c for c in report["checks"] if c["name"] == "character_tables_orthogonal")
+    assert not check["passed"] and not report["passed"]
+    assert check["failures"] == ["q2d5#0"]
+    assert check["proved"] == check["n_shapes"] - 1 > 0
