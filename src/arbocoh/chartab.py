@@ -100,8 +100,8 @@ class CharacterTable:
         """Class of p; KeyError when p is not a group element."""
         return int(self.class_ids[self.group.index(p)])
 
-    def value(self, row: int, p: Permutation) -> complex:
-        return complex(self.characters[row, self.class_index(p)])
+    def value(self, row: int, p: Permutation) -> int:
+        return int(self.characters[row, self.class_index(p)])
 
     def to_json(self) -> dict:
         reps = self.group.array[_least_elements(self.group, self.class_ids)].tolist()

@@ -13,23 +13,29 @@ the others.  find_flip produces such a witness explicitly:
   * let m' be the divergence vertex of the rays i and j seen from m, and
     swap the two branches at m' containing them.
 
-The swap is pinned along the two known ray paths (so it exchanges the
-certified prefixes of gamma_i and gamma_j exactly) and matches all other
-children in canonical sorted order, making it a deterministic involution.
-Everything outside the two branches, in particular S and every other ray,
-is fixed pointwise.
+The swap is pinned along the spines, the known paths from m' toward the
+two rays (so it exchanges the certified prefixes of gamma_i and gamma_j
+exactly), and matches all other neighbours by rank (parent first, then
+children by label): a deterministic involution.  The image of a word u
+replays its path from m' on the mirror side: the other spine's word at
+the same step while the path keeps to a spine, for (u, ray)_m' steps
+within the certified reach; then the neighbour of equal rank among those
+off the spine and not the previous vertex.  Once both sides step down,
+each step keeps its label, so the rest of u is copied.  Everything
+outside the two branches, in particular S and every other ray, is fixed.
 
 Gromov products are integer arithmetic on common prefix lengths
 (tree.lcp_product): find_flip keeps the table of pairwise ray lcps its
 distinctness test builds, adds lcp(m, ray) once per ray, and reads the J0
-filter and the best pair from them.  Only the domain words whose walk
-from m' starts along a spine are walked; every other word is mapped to
-itself.
+filter and the best pair from them.  The witness domain, every prefix of
+a ray or subtree word, is listed sorted; its swapped words are slices.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import InsufficientDepth, NotDistinct, SubtreeHitsTriple
 from .shapes import EmbeddedSubtree
@@ -40,10 +46,8 @@ from .tree import (
     lcp_product,
     median,
     vertex_to_ray_path,
-    word_neighbors,
+    word_path,
 )
-
-_WALK_STATES = 1 << 16  # walk states kept per branch swap
 
 
 @dataclass(frozen=True)
@@ -60,102 +64,93 @@ class FlipWitness:
 def _spines(m, ray_i, ray_j):
     """The known paths from the median m toward two rays, each cut to start
     at their last common vertex, the secondary median."""
-    path_i = vertex_to_ray_path(m.word, ray_i.word)
-    path_j = vertex_to_ray_path(m.word, ray_j.word)
-    t = 0
-    while t < len(path_i) and t < len(path_j) and path_i[t] == path_j[t]:
-        t += 1
+    path_i, path_j = (vertex_to_ray_path(m.word, r.word) for r in (ray_i, ray_j))
+    t = lcp_len(path_i, path_j)
     return path_i[t - 1:], path_j[t - 1:]
 
 
 def _missing_pair(rays, s, m):
     """Lexicographically smallest pair (a, b) in {0,1,2} such that every
     subtree vertex has zero Gromov product with both rays at the median."""
-    image = [] if s is None else [Vertex(w) for w in sorted(s.image_words())]
+    image = [] if s is None else [(Vertex(w), lcp_len(m.word, w)) for w in sorted(s.image_words())]
     mr = [lcp_len(m.word, rays[a].word) for a in range(3)]
-    mx = {x: lcp_len(m.word, x.word) for x in image}
 
-    def product(a, x):
-        return lcp_product(rays[a], x, m, lcp_len(rays[a].word, x.word), mr[a], mx[x])
+    def product(a, x, mx):
+        return lcp_product(rays[a], x, m, lcp_len(rays[a].word, x.word), mr[a], mx)
 
     for a in range(3):
         for b in range(a + 1, 3):
-            if all(product(a, x) == 0 and product(b, x) == 0 for x in image):
+            if all(product(a, x, mx) == 0 and product(b, x, mx) == 0 for x, mx in image):
                 return a, b
     raise SubtreeHitsTriple("the subtree hits the leading ray triple")
 
 
+def _mirror(a, a2, skip_a, b, skip_b):
+    """The neighbour of b whose rank among those not in skip_b, in
+    word_neighbors order, is that of a2 among a's not in skip_a."""
+
+    def pos(w, x):
+        return 0 if len(x) < len(w) else x[-1] + (1 if w else 0)
+
+    k = pos(a, a2) - sum(pos(a, y) < pos(a, a2) for y in skip_a)
+    for p in sorted(pos(b, y) for y in skip_b):
+        if p <= k:
+            k += 1
+    return b[:-1] if b and k == 0 else b + (k - (1 if b else 0),)
+
+
 class _BranchSwap:
-    """The order-2 swap of the branches at m' containing spines A and B.
+    """The swap of the branches at m' holding two spines (module docstring)."""
 
-    Spines are the known vertex paths from m' toward the two rays; the
-    walk from m' to any vertex is replayed on the mirror side, following
-    the spine pin while on it and canonical child order off it.  Every
-    walk starts at m', so the walk state at a vertex depends only on the
-    vertex; states are kept (up to _WALK_STATES of them) and a walk
-    resumes from the last kept vertex on its path.
-    """
+    def __init__(self, spine_a, spine_b):
+        self.m = m = spine_a[0]
+        self.spines = (spine_a, spine_b)
+        self.reach = reach = min(len(spine_a), len(spine_b)) - 1
+        self._rays = [(sp[-1], lcp_len(m, sp[-1])) for sp in self.spines]
+        self.pinned = dict(zip(spine_a[1 : reach + 1], spine_b[1 : reach + 1]))
+        self.pinned.update(zip(spine_b[1 : reach + 1], spine_a[1 : reach + 1]))
 
-    def __init__(self, q, m_prime, spine_a, spine_b):
-        self.q = q
-        self.m = m_prime
-        self.spines = {0: spine_a, 1: spine_b}
-        self.reach = min(len(spine_a), len(spine_b)) - 1
-        # vertex -> (image, previous vertex, its image, spine position or
-        # -1 once off the spine, side); side None: the branch is fixed
-        self._states = {m_prime: (m_prime, None, None, 0, None)}
-        # the first steps of the two spines from m'
-        self._heads = (spine_a[1], spine_b[1])
-        self._up_moves = m_prime[:-1] in self._heads
-
-    def moves(self, u) -> bool:
-        """Whether the walk from m' to u starts along a spine; every other
-        vertex, m' included, is fixed."""
-        m = self.m
-        if u[: len(m)] == m:  # m' or below it: the first step is a child
-            return len(u) > len(m) and u[: len(m) + 1] in self._heads
-        return self._up_moves  # the first step is m's parent
-
-    def image(self, u):
-        states, m = self._states, self.m
-        walk = []  # the vertices after the last kept one, from u back
-        while u not in states:
-            walk.append(u)
-            # the vertex before u on the path from m': toward m' when u
-            # is an ancestor of m', else u's parent
-            u = m[: len(u) + 1] if m[: len(u)] == u else u[:-1]
-        a = u
-        b, prev_a, prev_b, r, side = states[a]
-        for a2 in reversed(walk):
-            if a == m:
-                side = next((k for k in (0, 1) if a2 == self.spines[k][1]), None)
-            if side is None:
-                b2, r = a2, -1
+    def runs(self, dom):
+        """(lo, hi, side) for the slices of the sorted domain whose path
+        from m' starts along that side's spine, in order: the words below a
+        head that is a child of m', or outside the subtree of m' for a head
+        that is its parent.  Every other word, m' included, is fixed."""
+        m, out = self.m, []
+        for side, spine in enumerate(self.spines):
+            head = spine[1]
+            if len(head) > len(m):
+                out.append((bisect_left(dom, head), bisect_left(dom, m + (head[-1] + 1,)), side))
             else:
-                src, dst = self.spines[side], self.spines[1 - side]
-                if r >= 0 and r + 1 < len(src) and r + 1 < len(dst) and a2 == src[r + 1]:
-                    b2, r = dst[r + 1], r + 1
-                else:
-                    b2, r = self._match(a, b, prev_a, prev_b, r, a2), -1
-            a, b, prev_a, prev_b = a2, b2, a, b
-            if len(states) < _WALK_STATES:
-                states[a] = (b, prev_a, prev_b, r, side)
+                lo, hi = bisect_left(dom, m), bisect_left(dom, m[:-1] + (m[-1] + 1,))
+                out += [(0, lo, side), (hi, len(dom), side)]
+        return sorted(out)
+
+    def image(self, u, side):
+        """The image of u, whose path from m' starts along spine `side`."""
+        v = self.pinned.get(u)
+        if v is not None:
+            return v
+        src, dst = self.spines[side], self.spines[1 - side]
+        ray, e = self._rays[side]  # the path keeps to the spine for (u, ray)_m' steps
+        r = min(lcp_len(u, ray) + len(self.m) - lcp_len(self.m, u) - e, self.reach)
+        end = r + 2 if r < self.reach else r  # skip the next spine vertices within reach
+        a, b, skip_a, skip_b = src[r], dst[r], src[r - 1 : end : 2], dst[r - 1 : end : 2]
+        for a2 in word_path(a, u)[1:]:
+            b2 = _mirror(a, a2, skip_a, b, skip_b)
+            if len(a2) > len(a) and len(b2) > len(b):
+                return b2 + u[len(a2) :]
+            a, b, skip_a, skip_b = a2, b2, (a,), (b,)
         return b
 
-    def _match(self, a, b, prev_a, prev_b, r, a2):
-        """Rank-match a2 among the unpinned neighbors of a onto those of b."""
-        pin_a = pin_b = None
-        if r >= 0:
-            for k in (0, 1):
-                sp = self.spines[k]
-                if r < len(sp) and sp[r] == a:
-                    if r + 1 < len(sp) and r + 1 < len(self.spines[1 - k]):
-                        pin_a = sp[r + 1]
-                        pin_b = self.spines[1 - k][r + 1]
-                    break
-        nbrs_a = [w for w in word_neighbors(a, self.q) if w != prev_a and w != pin_a]
-        nbrs_b = [w for w in word_neighbors(b, self.q) if w != prev_b and w != pin_b]
-        return nbrs_b[nbrs_a.index(a2)]
+
+def _preorder(words):
+    """Every prefix of the words, once each, in sorted order: the root, then
+    the prefixes of each word in sorted order that no earlier word shares."""
+    out, prev = [()], ()
+    for w in sorted(words):
+        out += [w[:t] for t in range(lcp_len(prev, w) + 1, len(w) + 1)]
+        prev = w
+    return out
 
 
 def find_flip(q: int, rays, s, depth: int) -> FlipWitness:
@@ -189,31 +184,18 @@ def find_flip(q: int, rays, s, depth: int) -> FlipWitness:
         return lcp_product(rays[a], rays[b], m, lcp[a][b], mr[a], mr[b])
 
     j0 = [k for k in range(n) if k in (pa, pb) or product(k, pa) > 0 or product(k, pb) > 0]
-    best = None
-    for ii in j0:
-        for jj in j0:
-            if ii < jj:
-                g = product(ii, jj)
-                if best is None or g > best[0]:
-                    best = (g, ii, jj)
-    _, i, j = best
+    i, j = min(combinations(j0, 2), key=lambda ab: (-product(*ab), ab))  # ties: the first pair
 
     spine_i, spine_j = _spines(m, rays[i], rays[j])
     if len(spine_i) == 1 or len(spine_j) == 1:
         raise InsufficientDepth(f"rays {i} and {j} do not visibly diverge")
 
-    swap = _BranchSwap(q, spine_i[0], spine_i, spine_j)
-
-    dom = set()
-    for r in rays:
-        dom.update(r.word[:k] for k in range(len(r.word) + 1))
-    if s is not None:
-        for w in s.image_words():
-            dom.update(w[:k] for k in range(len(w) + 1))
-    mapping = {u: swap.image(u) if swap.moves(u) else u for u in sorted(dom)}
-    for u, v in list(mapping.items()):
-        if v not in mapping:
-            mapping[v] = swap.image(v)
+    swap = _BranchSwap(spine_i, spine_j)
+    dom = _preorder([r.word for r in rays] + (list(s.image_words()) if s is not None else []))
+    moved = {u: swap.image(u, side) for lo, hi, side in swap.runs(dom) for u in dom[lo:hi]}
+    mapping = dict(zip(dom, dom)) | moved
+    for u, v in moved.items():  # the swap is an involution
+        mapping.setdefault(v, u)
     h = TreeIsometry(q, mapping)
     return FlipWitness(i=i, j=j, h=h, certified_depth=swap.reach)
 
@@ -225,12 +207,9 @@ def check_flip_witness(q: int, rays, s, w: FlipWitness) -> list:
     cylinder is fixed exactly, h is an involution, and the Gromov
     products at the secondary median are zero.  Returns a list of failure
     descriptions (empty = pass)."""
-    fails = []
     h = w.h
-    if s is not None:
-        for word in sorted(s.image_words()):
-            if h.mapping.get(word) != word:
-                fails.append(f"subtree vertex {list(word)} moved")
+    subtree = [] if s is None else sorted(s.image_words())
+    fails = [f"subtree vertex {list(x)} moved" for x in subtree if h.mapping.get(x) != x]
 
     m = median(rays[0], rays[1], rays[2])
     spine_i, spine_j = _spines(m, rays[w.i], rays[w.j])
@@ -242,36 +221,28 @@ def check_flip_witness(q: int, rays, s, w: FlipWitness) -> list:
             fails.append(f"spines not exchanged at step {r}")
             break
 
-    for k, ray in enumerate(rays):
-        if k in (w.i, w.j):
-            continue
-        if h.apply_ray(ray) != ray:
-            fails.append(f"ray {k} not fixed")
+    others = [(k, ray) for k, ray in enumerate(rays) if k not in (w.i, w.j)]
+    fails += [f"ray {k} not fixed" for k, ray in others if h.apply_ray(ray) != ray]
 
-    for u, v in h.mapping.items():
-        if h.mapping.get(v, u) != u:
-            fails.append(f"not an involution at {list(u)}")
-            break
+    hm = h.mapping
+    back = list(map(hm.get, hm.values(), hm))  # h(h(u)), or u where h(u) is undefined
+    if back != list(hm):
+        u = next(u for u, b in zip(hm, back) if b != u)
+        fails.append(f"not an involution at {list(u)}")
 
     m2 = Vertex(spine_i[0])
     ri, rj = rays[w.i], rays[w.j]
     m2i, m2j = lcp_len(m2.word, ri.word), lcp_len(m2.word, rj.word)
-    for k, ray in enumerate(rays):
-        if k in (w.i, w.j):
-            continue
-        mk = lcp_len(m2.word, ray.word)
-        if (
-            lcp_product(ray, ri, m2, lcp_len(ray.word, ri.word), mk, m2i) != 0
-            or lcp_product(ray, rj, m2, lcp_len(ray.word, rj.word), mk, m2j) != 0
-        ):
-            fails.append(f"ray {k} meets a swapped branch at the secondary median")
-    if s is not None:
-        for word in sorted(s.image_words()):
-            x = Vertex(word)
-            mx = lcp_len(m2.word, word)
-            if (
-                lcp_product(ri, x, m2, lcp_len(ri.word, word), m2i, mx) != 0
-                or lcp_product(rj, x, m2, lcp_len(rj.word, word), m2j, mx) != 0
-            ):
-                fails.append(f"subtree vertex {list(word)} meets a swapped branch")
+
+    def meets(x):  # whether x meets a swapped branch at the secondary median
+        mx = lcp_len(m2.word, x.word)
+        return (
+            lcp_product(x, ri, m2, lcp_len(x.word, ri.word), mx, m2i) != 0
+            or lcp_product(x, rj, m2, lcp_len(x.word, rj.word), mx, m2j) != 0
+        )
+
+    fails += [
+        f"ray {k} meets a swapped branch at the secondary median" for k, ray in others if meets(ray)
+    ]
+    fails += [f"subtree vertex {list(x)} meets a swapped branch" for x in subtree if meets(Vertex(x))]
     return fails

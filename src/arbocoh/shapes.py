@@ -351,16 +351,23 @@ def enumerate_embeddings(s: Shape, anchor: Vertex, radius: int) -> list:
     of its image as a tuple over the sorted vertex ids; see the module
     docstring for how they are found."""
     _require_complete(s)
-    q = s.q
-    ball = ball_words(anchor.word, radius, q)
-    adj = s.adjacency()
-    core = set(s.internal_vertices())
-    if core:  # each internal vertex needs its q+1 neighbours in the ball
+    ball = ball_words(anchor.word, radius, s.q)
+    if s.internal_vertices():  # each internal vertex needs its q+1 neighbours in the ball
         ball = [w for w in ball if word_distance(w, anchor.word) < radius]
-    else:  # a vertex or an edge is placed whole
-        core = set(s.vertices)
-    host = set(ball)
-    host_nbrs = {w: [x for x in word_neighbors(w, q) if x in host] for w in ball}
+    return least_embeddings(s, ball)
+
+
+def least_embeddings(s: Shape, host) -> list:
+    """The embeddings, as enumerate_embeddings lists them, whose core (the
+    internal vertices, or every vertex of a vertex or an edge) lies in the
+    host words: given the core's image, the one embedding with it."""
+    _require_complete(s)
+    q = s.q
+    adj = s.adjacency()
+    core = set(s.internal_vertices()) or set(s.vertices)
+    inside = set(host)
+    nbrs = {w: word_neighbors(w, q) for w in host}
+    host_nbrs = {w: [x for x in ns if x in inside] for w, ns in nbrs.items()}
     order, parent_of = treecode.bfs({u: [n for n in adj[u] if n in core] for u in core}, min(core))
     col = {v: i for i, v in enumerate(s.vertices)}
     cols = [(col[u], [col[x] for x in adj[u] if x not in core]) for u in order]
@@ -371,13 +378,13 @@ def enumerate_embeddings(s: Shape, anchor: Vertex, radius: int) -> list:
         cand = [None] * len(col)
         for (c, leaf_cols), w in zip(cols, placed):
             cand[c] = w
-            free = [x for x in word_neighbors(w, q) if x not in key]
+            free = [x for x in nbrs[w] if x not in key]
             for lc, x in zip(leaf_cols, free):
                 cand[lc] = x
         cand = tuple(cand)
         best[key] = min(best.get(key, cand), cand)
 
-    place_tree(order, parent_of, ball, host_nbrs.__getitem__, keep_least)
+    place_tree(order, parent_of, host, host_nbrs.__getitem__, keep_least)
     return [EmbeddedSubtree(s, dict(zip(s.vertices, c))) for c in sorted(best.values(), key=sorted)]
 
 

@@ -251,11 +251,10 @@ def poisson_kernel(x: Vertex, y: Vertex, g: RayPrefix, q: int) -> Fraction:
 
 def cylinder_measure(x: Vertex, w: Vertex, q: int) -> Fraction:
     """Visual measure, seen from x, of the boundary cylinder through w:
-    1/(q+1) * (1/q)**(d(x,w)-1).  Exact."""
+    1/((q+1) q^(d(x,w)-1)).  Exact."""
     if x == w:
         raise DegenerateCylinder("cylinder U(x, w) needs w != x")
-    d = distance(x, w)
-    return Fraction(1, q + 1) * Fraction(1, q) ** (d - 1)
+    return Fraction(1, (q + 1) * q ** (distance(x, w) - 1))
 
 
 def ball_words(center: Word, radius: int, q: int) -> list:
@@ -312,9 +311,8 @@ class TreeIsometry:
         m, q = self.mapping, self.q
         roots = 0
         for w, v in m.items():
-            p = w[:-1]
-            if w and p in m:
-                pv = m[p]
+            pv = m.get(w[:-1]) if w else None  # a parent mapped to None leaves it to the full checks
+            if pv is not None:
                 if not 0 <= w[-1] <= (q if len(w) == 1 else q - 1):
                     return False
                 if len(v) == len(pv) + 1 and v[:-1] == pv:

@@ -38,6 +38,7 @@ from .shapes import (
     edge_shape,
     enumerate_embeddings,
     hits,
+    least_embeddings,
     maximal_proper_complete_subtrees,
     star_shape,
     y_shape,
@@ -257,9 +258,6 @@ def geometry_suite(cfg: Config, n_instances: int = 500) -> dict:
 
 
 _FLIP_SHAPES = (star_shape, edge_shape, lambda q: centipede_shape(q, 3))
-# every window a flip suite draws: 3 kinds times the anchors of depth 0..3,
-# 22 at q = 2 and 53 at q = 3, is 225 windows
-_WINDOW_CACHE_SIZE = 256
 
 
 @functools.lru_cache(maxsize=2 * len(_FLIP_SHAPES))
@@ -267,17 +265,42 @@ def _flip_shape(kind, q):
     return _FLIP_SHAPES[kind](q)
 
 
-@functools.lru_cache(maxsize=_WINDOW_CACHE_SIZE)
-def _flip_window(kind, q, anchor):
-    """The embeddings of the kind's shape in the radius-2 ball around the
-    anchor word, as an immutable tuple."""
-    return tuple(enumerate_embeddings(_flip_shape(kind, q), Vertex(anchor), 2))
+def _window_core(kind, q, a, i):
+    """The core (internal words; both ends of an edge) of the i-th entry of
+    enumerate_embeddings(_flip_shape(kind, q), Vertex(a), 2): of q+2 stars
+    by centre, the anchor's parent, the anchor, then its children; of
+    (q+1)^2 edges by parent, then child label; of q+1 3-centipedes the edge
+    to the anchor's parent first.  Sorting by sorted image words puts the
+    star at (0,) before the root's at a = () or (0,), and the edge to the
+    root last at a = (0,)."""
+    if kind == 1:
+        if len(a) > 1:
+            if i == 0:
+                return (a[:-2], a[:-1])
+            i -= 1
+        for p in (a[:-1], a) if a else (a,):
+            if i < (q if p else q + 1):
+                return (p, p + (i,))
+            i -= q if p else q + 1
+        return (a + (i // q,), a + divmod(i, q))
+    if kind == 0:
+        lead = (a[:-1], a) if a else (a,)
+        if i < 2 and a in ((), (0,)):
+            i = 1 - i
+        return (lead[i] if i < len(lead) else a + (i - len(lead),),)
+    if a == (0,):
+        i = (i + 1) % (q + 1)
+    if a and i == 0:
+        return (a[:-1], a)
+    return (a, a + (i - 1 if a else i,))
 
 
 def random_flip_instance(rng, q, depth):
     """Rays plus a random embedded subtree missing the leading triple (or
-    None).  Raises InvalidInput, before any draw, for q above
-    MAX_SUBTREE_Q: the subtree windows grow faster than q^2."""
+    None), drawn by its rank in the window of a star, an edge or a
+    3-centipede around a random anchor, and built alone.  Raises
+    InvalidInput, before any draw, for q above MAX_SUBTREE_Q: a drawn
+    subtree has up to 2q+2 vertices."""
     if q > MAX_SUBTREE_Q:
         raise InvalidInput(f"random subtrees are drawn for q <= {MAX_SUBTREE_Q}, got q = {q}")
     n = int(rng.integers(3, 8))
@@ -286,10 +309,9 @@ def random_flip_instance(rng, q, depth):
         return rays, None
     kind = int(rng.integers(0, 3))
     for _ in range(20):
-        embs = _flip_window(kind, q, random_word(rng, q, int(rng.integers(0, 4))))
-        if not embs:
-            continue
-        e = embs[int(rng.integers(0, len(embs)))]
+        anchor = random_word(rng, q, int(rng.integers(0, 4)))
+        i = int(rng.integers(0, (q + 2, (q + 1) ** 2, q + 1)[kind]))  # the window's size
+        (e,) = least_embeddings(_flip_shape(kind, q), _window_core(kind, q, anchor, i))
         if not hits(e, rays[0], rays[1], rays[2]):
             return rays, e
     return rays, None

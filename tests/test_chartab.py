@@ -156,6 +156,16 @@ def test_lookups_reject_non_elements():
         model.subspace_projector(closure([Permutation((1, 0, 2, 3))]))
 
 
+def test_values_are_ints():
+    """value reads the proved integer table: a Python int, not a complex."""
+    t = character_table(sym3())
+    for row in t.group.array.tolist():
+        p = Permutation(tuple(row))
+        for r in range(len(t.degrees)):
+            v = t.value(r, p)
+            assert type(v) is int and v == t.characters[r, t.class_index(p)]
+
+
 def test_sign_model_is_signs():
     t = character_table(sym3())
     sign = next(

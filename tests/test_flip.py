@@ -1,11 +1,12 @@
 """Branch-swap witnesses: postconditions, involution, and error cases."""
 
 import hashlib
+import time
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from arbocoh import flip
@@ -18,8 +19,17 @@ from arbocoh.errors import (
     TooManyRays,
 )
 from arbocoh.flip import check_flip_witness, find_flip
-from arbocoh.shapes import edge_shape, enumerate_embeddings, star_shape
-from arbocoh.tree import RayPrefix, Vertex, gromov_product, word_path
+from arbocoh.shapes import EmbeddedSubtree, edge_shape, enumerate_embeddings, star_shape
+from arbocoh.tree import (
+    RayPrefix,
+    TreeIsometry,
+    Vertex,
+    ball_words,
+    gromov_product,
+    median,
+    word_neighbors,
+    word_path,
+)
 from arbocoh.verify import flip_suite, random_flip_instance, random_rays, random_word
 
 
@@ -94,6 +104,42 @@ def test_flip_input_validation():
         find_flip(2, same, None, 12)
 
 
+def test_check_reports_every_fault_of_a_tampered_witness():
+    """A witness whose map turns the three branches at the root: every
+    check fails, in order, with its message."""
+    turn = {0: 1, 1: 2, 2: 0}
+    h = TreeIsometry(2, {w: (turn[w[0]],) + w[1:] if w else w for w in ball_words((), 2, 2)})
+    rays = [RayPrefix((0, 0)), RayPrefix((1, 0)), RayPrefix((2, 0)), RayPrefix((0, 1))]
+    s = EmbeddedSubtree(edge_shape(2), {"v0": (0,), "v1": (0, 1)})
+    assert check_flip_witness(2, rays, s, flip.FlipWitness(0, 1, h, 5)) == [
+        "subtree vertex [0] moved",
+        "subtree vertex [0, 1] moved",
+        "certified depth exceeds the visible spine overlap",
+        "spines not exchanged at step 1",
+        "ray 2 not fixed",
+        "ray 3 not fixed",
+        "not an involution at [0]",
+        "ray 3 meets a swapped branch at the secondary median",
+        "subtree vertex [0] meets a swapped branch",
+        "subtree vertex [0, 1] meets a swapped branch",
+    ]
+
+
+def test_climbing_step_costs_nothing_in_q():
+    """The root is swapped off the spines through a step that climbs past
+    the turn of ray 0's spine: it is ranked by arithmetic, so the witness
+    at q = 10^18 is the one at q = 3 and takes no time, where listing the
+    q+1 neighbours took 1.2 s at q = 10^5."""
+    rays = [_ray([0, 1]), _ray([0, 0, 0, 1]), _ray([0, 0, 0, 0])]
+    small = find_flip(3, rays, None, 12)
+    start = time.perf_counter()
+    big = find_flip(10**18, rays, None, 12)
+    assert time.perf_counter() - start < 0.5
+    assert list(big.h.mapping.items()) == list(small.h.mapping.items())
+    assert big.h.mapping[()] == (0, 0, 0, 1, 0, 1)
+    assert not check_flip_witness(10**18, rays, None, big)
+
+
 def test_random_rays_capacity():
     """(q+1) q^(depth-2) prefixes of length depth-1 exist: that many
     divergent rays can be drawn, one more raises instead of looping."""
@@ -153,20 +199,39 @@ def test_clustered_rays_fuzz():
         assert not check_flip_witness(q, rays, None, w), f"instance {k}"
 
 
-def _walk_from_m_prime(self, u):
-    """_BranchSwap.image without kept walk states: every call replays the
-    whole walk from m'."""
-    path = word_path(self.m, u)
+def _walk_match(q, spines, a, b, prev_a, prev_b, r, a2):
+    """Rank-match a2 among the unpinned neighbours of a onto those of b:
+    the step of the walk below, with its neighbour lists."""
+    pin_a = pin_b = None
+    if r >= 0:
+        for k in (0, 1):
+            sp = spines[k]
+            if r < len(sp) and sp[r] == a:
+                if r + 1 < len(sp) and r + 1 < len(spines[1 - k]):
+                    pin_a = sp[r + 1]
+                    pin_b = spines[1 - k][r + 1]
+                break
+    nbrs_a = [w for w in word_neighbors(a, q) if w != prev_a and w != pin_a]
+    nbrs_b = [w for w in word_neighbors(b, q) if w != prev_b and w != pin_b]
+    return nbrs_b[nbrs_a.index(a2)]
+
+
+def _walk_from_m_prime(q, spines, u):
+    """The branch swap as first written, for the oracle: the walk from m'
+    to u replayed step by step on the mirror side.  Returns (image, side),
+    side None for a word whose walk does not start along a spine."""
+    m = spines[0][0]
+    path = word_path(m, u)
     if len(path) == 1:
-        return u
+        return u, None
     side = None
     for k in (0, 1):
-        if path[1] == self.spines[k][1]:
+        if path[1] == spines[k][1]:
             side = k
     if side is None:
-        return u
-    src, dst = self.spines[side], self.spines[1 - side]
-    a, b = self.m, self.m
+        return u, None
+    src, dst = spines[side], spines[1 - side]
+    a, b = m, m
     prev_a, prev_b = None, None
     r = 0
     for a2 in path[1:]:
@@ -174,13 +239,77 @@ def _walk_from_m_prime(self, u):
             a, b, prev_a, prev_b = a2, dst[r + 1], a, b
             r += 1
             continue
-        b2 = self._match(a, b, prev_a, prev_b, r, a2)
+        b2 = _walk_match(q, spines, a, b, prev_a, prev_b, r, a2)
         a, b, prev_a, prev_b = a2, b2, a, b
         r = -1
-    return b
+    return b, side
 
 
-def _flip_outcomes(instances, depth=12):
+def _word(draw, q, depth):
+    return tuple(draw(st.integers(0, q if k == 0 else q - 1)) for k in range(depth))
+
+
+@st.composite
+def _spine_pairs(draw):
+    """q, a median m and two ray prefixes of depth 3..12 whose paths from
+    m part: m' anywhere, the root included, and either spine may climb."""
+    q = draw(st.sampled_from([2, 3, 4]))
+    m = _word(draw, q, draw(st.integers(0, 4)))
+    rays = []
+    for _ in range(2):
+        depth = draw(st.integers(3, 12))
+        cut = draw(st.integers(0, min(len(m), depth)))  # the labels shared with m
+        rays.append(RayPrefix(m[:cut] + _word(draw, q, depth)[cut:]))
+    return q, Vertex(m), rays[0], rays[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_spine_pairs())
+@example((2, Vertex((0, 0, 0, 0)), RayPrefix((0, 0, 0, 0, 1, 0, 0)), RayPrefix((0, 1, 0, 0, 0))))
+@example((3, Vertex((1, 2, 0)), RayPrefix((1, 2, 0, 2, 1)), RayPrefix((1, 0, 2, 2, 1, 0, 1))))
+@example((2, Vertex(()), RayPrefix((0, 1, 1)), RayPrefix((2, 0, 0, 1, 1))))
+@example((4, Vertex((3, 1)), RayPrefix((0, 0, 0)), RayPrefix((1, 2, 3, 0))))
+def test_images_match_the_walk_from_m_prime(case):
+    """Every word of the balls around m', the two ray ends and the root:
+    the branch it is swapped with (runs) and its image, against the walk
+    from m'."""
+    q, m, ray_i, ray_j = case
+    try:
+        spines = flip._spines(m, ray_i, ray_j)
+    except InsufficientDepth:  # a ray prefix that m hangs below
+        assume(False)
+    assume(len(spines[0]) > 1 and len(spines[1]) > 1)
+    swap = flip._BranchSwap(*spines)
+    words = set(ball_words(spines[0][0], 3, q)) | set(ball_words((), 2, q))
+    for sp in spines:
+        words.update(ball_words(sp[-1], 2, q))
+    words = sorted(words)
+    side_of = {}
+    for lo, hi, side in swap.runs(words):
+        side_of.update(dict.fromkeys(words[lo:hi], side))
+    for u in words:
+        want, side = _walk_from_m_prime(q, spines, u)
+        assert side_of.get(u) == side, u
+        if side is not None:
+            assert swap.image(u, side) == want, u
+
+
+def _walked_witness(q, rays, s, i, j):
+    """find_flip's witness map as first written: every prefix of a ray or
+    subtree word, sorted, walked from m', then the images outside the
+    domain walked too."""
+    spines = flip._spines(median(rays[0], rays[1], rays[2]), rays[i], rays[j])
+    dom = set()
+    for w in [r.word for r in rays] + (sorted(s.image_words()) if s is not None else []):
+        dom.update(w[:k] for k in range(len(w) + 1))
+    mapping = {u: _walk_from_m_prime(q, spines, u)[0] for u in sorted(dom)}
+    for u, v in list(mapping.items()):
+        if v not in mapping:
+            mapping[v] = _walk_from_m_prime(q, spines, v)[0]
+    return list(mapping.items())
+
+
+def _flip_outcomes(instances, depth=12, walked=False):
     out = []
     for q, rays, s in instances:
         try:
@@ -188,30 +317,17 @@ def _flip_outcomes(instances, depth=12):
         except Exception as exc:
             out.append((type(exc), str(exc)))
         else:
-            out.append((w.i, w.j, list(w.h.mapping.items()), w.certified_depth))
+            items = _walked_witness(q, rays, s, w.i, w.j) if walked else list(w.h.mapping.items())
+            out.append((w.i, w.j, items, w.certified_depth))
     return out
-
-
-def test_kept_walk_states_match_per_call_walk(monkeypatch):
-    rng = np.random.default_rng(2024)
-    instances = []
-    for q in (2, 3):
-        for _ in range(300):
-            rays, s = random_flip_instance(rng, q, 12)
-            instances.append((q, rays, s))
-    kept = _flip_outcomes(instances)
-    monkeypatch.setattr(flip._BranchSwap, "image", _walk_from_m_prime)
-    assert _flip_outcomes(instances) == kept
-
-
-def _walk_every_word(self, u):
-    """_BranchSwap.moves for the oracle that walks every domain word."""
-    return True
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4]), st.integers(3, 12))
 def test_skipping_fixed_words_matches_walking_every_word(seed, q, depth):
+    """Witness maps equal, in insertion order, to walking every domain
+    word from m': on random instances, and on clustered rays, whose
+    median hangs deep so that spines climb from m'."""
     rng = np.random.default_rng(seed)
     instances = []
     for _ in range(10):
@@ -220,10 +336,10 @@ def test_skipping_fixed_words_matches_walking_every_word(seed, q, depth):
         except TooManyRays:
             continue
         instances.append((q, rays, s))
-    skipped = _flip_outcomes(instances, depth)
-    with mock.patch.object(flip._BranchSwap, "moves", _walk_every_word):
-        walked = _flip_outcomes(instances, depth)
-    assert skipped == walked
+    base = random_word(rng, q, int(rng.integers(1, depth)))
+    rays = [RayPrefix(base + random_word(rng, q, depth)[len(base) :]) for _ in range(4)]
+    instances.append((q, rays + [RayPrefix(random_word(rng, q, depth)) for _ in range(2)], None))
+    assert _flip_outcomes(instances, depth) == _flip_outcomes(instances, depth, walked=True)
 
 
 def _by_gromov_product(a, b, base, *lcps):

@@ -58,7 +58,7 @@ def _outcome(fn):
 
 FAULTS = (
     "none", "domain_label", "image_label", "not_injective", "adjacency",
-    "disconnected", "empty", "random",
+    "disconnected", "empty", "random", "none_image",
 )
 
 
@@ -97,6 +97,9 @@ def partial_maps(draw):
         del items[draw(st.integers(0, n - 1))]
     elif fault == "empty":
         items = []
+    elif fault == "none_image":
+        i = draw(st.integers(0, n - 1))
+        items[i] = (items[i][0], None)
     elif fault == "random":
         short = st.lists(st.integers(-1, q + 1), max_size=3).map(tuple)
         items = draw(st.lists(st.tuples(short, short), min_size=1, max_size=6))

@@ -7,13 +7,13 @@ import time
 import numpy as np
 import pytest
 
-from arbocoh import chartab, reptheory, verify, witness
+from arbocoh import chartab, reptheory, shapes, verify, witness
 from arbocoh.chartab import character_table, realize_irrep
 from arbocoh.config import MAX_SUBTREE_Q, Config
 from arbocoh.errors import InvalidInput, NumericalDegeneracy, TooManyRays
 from arbocoh.perm import shape_automorphism_group
-from arbocoh.shapes import centipede_shape
-from arbocoh.tree import RayPrefix
+from arbocoh.shapes import centipede_shape, enumerate_embeddings, hits, least_embeddings
+from arbocoh.tree import RayPrefix, Vertex, ball_words
 
 
 def _redraw_until_distinct(rng, q, n, depth):
@@ -46,8 +46,7 @@ def test_improbable_batch_raises_before_any_draw():
 
 
 def test_subtree_q_over_bound_raises_before_any_draw():
-    # past the bound the subtree windows took 27 s at q=300; the library
-    # call refuses at once, whoever calls it
+    # the library call refuses at once, whoever calls it
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     start = time.perf_counter()
@@ -86,20 +85,59 @@ def test_batches_are_capped(monkeypatch):
     assert outcomes == {"drawn", "capped"}
 
 
-def test_flip_suite_enumerates_each_window_once(monkeypatch):
+def test_flip_suite_enumerates_no_window(monkeypatch):
+    """The flip suite draws each subtree by its rank in the window and
+    builds only that one: enumerate_embeddings is called zero times."""
     calls = []
-    real = verify.enumerate_embeddings
 
     def counting(s, anchor, radius):
         calls.append((s, anchor.word, radius))
-        return real(s, anchor, radius)
+        return []
 
     monkeypatch.setattr(verify, "enumerate_embeddings", counting)
-    verify._flip_window.cache_clear()
-    verify.flip_suite(Config(seed=2))
-    assert calls
-    assert len(calls) == len(set(calls))
-    assert verify._flip_window.cache_info().hits > len(calls)
+    monkeypatch.setattr(shapes, "enumerate_embeddings", counting)
+    assert verify.flip_suite(Config(seed=2))["passed"]
+    assert calls == []
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_rank_draw_matches_the_window(q):
+    """Every kind, every anchor of depth <= 3 and every index: the window
+    has the closed-form size, and the embedding built from the index is
+    the window's entry, placement included."""
+    for kind in range(len(verify._FLIP_SHAPES)):
+        s = verify._flip_shape(kind, q)
+        for anchor in ball_words((), 3, q):
+            window = enumerate_embeddings(s, Vertex(anchor), 2)
+            assert len(window) == (q + 2, (q + 1) ** 2, q + 1)[kind]
+            for i, e in enumerate(window):
+                (drawn,) = least_embeddings(s, verify._window_core(kind, q, anchor, i))
+                assert drawn.placement == e.placement, (kind, anchor, i)
+
+
+def test_subtree_draws_keep_their_order():
+    """The draws of random_flip_instance, in their order, against the
+    window enumerated and indexed as it first was."""
+    for seed in range(40):
+        for q in (2, 3):
+            r_old, r_new = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert verify.random_flip_instance(r_new, q, 12) == _enumerated_instance(r_old, q, 12)
+            assert r_new.bit_generator.state == r_old.bit_generator.state
+
+
+def _enumerated_instance(rng, q, depth):
+    """random_flip_instance drawing from the enumerated window."""
+    rays = verify.random_rays(rng, q, int(rng.integers(3, 8)), depth)
+    if rng.integers(0, 2) == 0:
+        return rays, None
+    kind = int(rng.integers(0, 3))
+    for _ in range(20):
+        anchor = verify.random_word(rng, q, int(rng.integers(0, 4)))
+        embs = enumerate_embeddings(verify._flip_shape(kind, q), Vertex(anchor), 2)
+        e = embs[int(rng.integers(0, len(embs)))]
+        if not hits(e, rays[0], rays[1], rays[2]):
+            return rays, e
+    return rays, None
 
 
 def test_reps_suite_builds_invariants_once(monkeypatch):
@@ -132,7 +170,6 @@ def test_reps_suite_builds_invariants_once(monkeypatch):
 
 CACHES = [
     verify._flip_shape,
-    verify._flip_window,
     witness._section_items,
     reptheory.analysis,
 ]
@@ -144,9 +181,6 @@ def test_caches_are_bounded(cache):
 
 
 def test_cached_values_cannot_be_changed_by_callers():
-    window = verify._flip_window(0, 2, ())
-    assert isinstance(window, tuple) and window
-
     s = centipede_shape(2, 4)
     pairs = reptheory.admissible_vertex_pairs(s)
     pairs.clear()
