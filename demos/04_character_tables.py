@@ -26,6 +26,6 @@ t = character_table(shape_automorphism_group(centipede_shape(2, 4)))
 sizes = t.class_sizes()
 print("  class sizes:", list(sizes))
 for r in range(t.n_rows):
-    row = " ".join(f"{int(round(v.real)):3d}" for v in t.characters[r])
+    row = " ".join(f"{v:3d}" for v in t.characters[r])
     print(f"  chi_{r} (deg {t.degrees[r]}): {row}")
 print("  sum of squared degrees:", sum(d * d for d in t.degrees), "= group order", t.group.order)

@@ -5,30 +5,33 @@ Tables are computed by the class-algebra method of Dixon (Numer. Math. 10,
 a_ijl of the class sums give commuting integer matrices B_i, with
 B_i[j, l] = a_ijl, whose common eigenvectors are the central characters
 w_l = n_l chi(C_l) / chi(1) (n_l the class sizes).  One combination
-M = sum_i c_i B_i, with positive integers c_i from a seeded stdlib
-random.Random, separates the eigenspaces, and float64 numpy.linalg.eig
-solves it; each eigenvector, scaled to 1 at the identity class, gives a
+M = sum_i c_i B_i, with integers c_i in [1, 10^6) from a seeded stdlib
+random.Random, is built in one pass down the Cayley table (k^2 integers
+for k classes, never the k^3 constants), and float64 numpy.linalg.eig
+splits it; each eigenvector, scaled to 1 at the identity class, gives a
 row whose degree follows from the second orthogonality relation.
 
 Aut(S) of a finite tree is an iterated wreath product of symmetric groups,
 so its characters are integers.  The eigen-solve only proposes a table:
-its rows are rounded to integers and the rounded table is proved in exact
-integer arithmetic:
+its rows X are rounded to integers and proved in int64, with
+d_a = chi_a(1) and W_a = n chi_a:
 
-* chi(1) is the degree of each row and sum chi(1)^2 = |G|;
-* sum_l n_l chi_a(l) chi_b(l) = |G| delta_ab;
-* every row satisfies the class-algebra identity
-  (n_i chi(C_i)) (n_j chi(C_j)) = chi(1) sum_l a_ijl n_l chi(C_l).
+* |chi(g)| <= chi(1), sum d_a^2 = |G| and W X^T = |G| I (orthonormality);
+* d_a divides W_a, so w_a = W_a / d_a is an integer row, 1 at the identity;
+* M w_a = mu_a w_a, with the k eigenvalues mu_a pairwise distinct.
 
-The identity makes each row a multiple of an irreducible character, the
-orthogonality makes that multiple 1 and the k rows distinct, so a table
-that passes is exactly the character table; its `characters` are int64.
-Round, then prove: the proof is the one judge, with no float test before
-it.  A rounding that is not finite (an eigenvector that vanishes at the
-identity class) or that fails the proof (eigenspaces the combination did
-not separate, or a group with irrational characters, such as a cyclic
-C_n built with closure) retries with a fresh combination, a fixed number
-of times, before raising NumericalDegeneracy.
+The true central characters are k independent eigenvectors of M, so
+distinct mu_a make the w_a the k central characters, and orthonormality
+makes each row its irreducible character.  Every product is below
+10^6 |G|^2: int64 is exact up to |G| = 3,037,000, three times the default
+order bound, and a larger group raises GroupTooLarge before class work.
+
+The proof is the one judge, with no float test before it.  A rounding
+that is not finite (an eigenvector that vanishes at the identity class)
+or that fails the proof (eigenspaces the combination did not separate, or
+a group with irrational characters, such as a cyclic C_n built with
+closure) retries with a fresh combination, a fixed number of times,
+before raising NumericalDegeneracy.
 
 A table keeps one class id per group element; a model keeps one
 (|G|, d, d) array of matrices in element order.  realize_irrep builds
@@ -45,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonIntegralDimension, NumericalDegeneracy
+from .errors import GroupTooLarge, NonIntegralDimension, NumericalDegeneracy
 from .perm import (
     PermGroup,
     Permutation,
@@ -60,7 +63,7 @@ _TABLE_SEED = 12345  # of the random class-matrix combinations
 _MODEL_SEED = 7  # of the random operators that split off one irreducible
 _MODEL_TOL = 1e-10  # unitarity and trace deviation allowed in a model
 _SPLIT_TOL = 1e-8  # eigenvalues of the averaged operator this close are one
-_INT64_ORDER_LIMIT = 2**21  # |G| < 2^21 keeps |G|^3 < 2^63
+_COEFF_MAX = 10**6  # the combination's coefficients c_i lie in [1, _COEFF_MAX)
 _TABLE_CACHE_SIZE = 128
 _IRREP_CACHE_SIZE = 32
 
@@ -119,77 +122,72 @@ def _least_elements(G: PermGroup, ids: np.ndarray) -> np.ndarray:
     return lex[np.unique(ids[lex], return_index=True)[1]]
 
 
-def _class_constants(G: PermGroup, ids: np.ndarray) -> np.ndarray:
-    """c[i, j, l] = #{x in C_i : x^{-1} z_l in C_j} for the least elements
-    z_l of the classes, given the class id of each element.
+def _class_matrix(G: PermGroup, ids: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """M = sum_i c_i B_i, B_i[j, l] = a_ijl = #{x in C_i : x^{-1} z_l in C_j}
+    for the least elements z_l of the classes, given each element's class.
 
     With y = x^{-1} the count runs over the pairs (class of y^{-1}, class
     of y z_l).  The class of y^{-1} is the inverse of the class of y, so
     one key lookup of the k inverses z_l^{-1} gives it; the right
     multiples y z_l come down the Cayley table a chunk of columns at a
-    time, and one bincount per representative fills the slice c[:, :, l]."""
+    time, and c contracts one bincount per representative into M[:, l]."""
     reps = _least_elements(G, ids)
     k = len(reps)
     inverse_class = ids[G.indices(np.argsort(G.array[reps], axis=1))]
     row = inverse_class[ids] * k  # k times the class of y^{-1}
-    c = np.empty((k, k, k), dtype=np.int64)
+    M = np.empty((k, k), dtype=np.int64)
     for ell, right in enumerate(G.right_multiple_columns(reps)):
-        c[:, :, ell] = np.bincount(row + ids[right], minlength=k * k).reshape(k, k)
-    return c
+        M[:, ell] = c @ np.bincount(row + ids[right], minlength=k * k).reshape(k, k)
+    return M
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def character_table(G: PermGroup) -> CharacterTable:
     """Full character table of G; see the module docstring.  Rows are
     sorted by degree, then by their values in class order."""
+    if _COEFF_MAX * G.order**2 > np.iinfo(np.int64).max:
+        raise GroupTooLarge(f"|G| = {G.order} is past the int64 bound of the table proof")
     ids = conjugacy_classes(G)
-    sizes = np.bincount(ids).astype(float)
-    k = len(sizes)
-    if k == 1:
-        return CharacterTable(G, ids, np.ones((1, 1), dtype=np.int64), (1,))
-
-    A = _class_constants(G, ids)  # A[i, j, l] = a_ijl
+    sizes = np.bincount(ids)
     rng = random.Random(_TABLE_SEED)
     for _ in range(_TRIES):
-        M = np.tensordot([rng.randrange(1, 10**6) for _ in range(k)], A, axes=1).astype(float)
-        V = np.linalg.eig(M)[1]
+        c = np.array([rng.randrange(1, _COEFF_MAX) for _ in sizes], dtype=np.int64)
+        M = _class_matrix(G, ids, c)
+        V = np.linalg.eig(M.astype(float))[1]
         with np.errstate(divide="ignore", invalid="ignore"):
             W = (V / V[0]).T  # row a: central character w_a, w_a(identity) = 1
             deg = np.rint(np.sqrt(G.order / (np.abs(W) ** 2 / sizes).sum(axis=1)))
             X = np.rint((W * deg[:, None] / sizes).real)
-        table = _integral_table(G, ids, X, A)
+        table = _integral_table(G, ids, sizes, X, M)
         if table is not None:
             return table
     raise NumericalDegeneracy(f"no rounded table passed the exact checks in {_TRIES} tries")
 
 
-def _integral_table(G: PermGroup, ids, X, A):
+def _integral_table(G: PermGroup, ids, sizes, X, M):
     """The table with rounded rows X (float, class 0 the identity) when the
-    exact checks of the module docstring prove it, else None: also for
-    rows that are not finite."""
+    exact checks of the module docstring prove it against the class sizes
+    and M, else None: also for rows that are not finite."""
     if not np.isfinite(X).all():
         return None
-    order = G.order
     deg = X[:, 0]
-    # |chi(g)| <= chi(1) and sum chi(1)^2 = |G| bound every integer below by
-    # |G|^3, so int64 cannot overflow for small groups; else Python ints.
     if deg.min() < 1 or np.any(np.abs(X) > deg[:, None]):
         return None
-    if sum(int(d) ** 2 for d in deg) != order:
+    if sum(int(d) ** 2 for d in deg) != G.order:
         return None
-    dt = np.int64 if order < _INT64_ORDER_LIMIT else object
-    rows = sorted(X.astype(np.int64).tolist())  # degree first: column 0
-    X = np.array(rows, dtype=dt)
+    X = np.array(sorted(X.astype(np.int64).tolist()), dtype=np.int64)  # degree first: column 0
     d = X[:, [0]]
-    W = X * np.bincount(ids).astype(dt)  # W[a, l] = n_l chi_a(l)
-    if not np.array_equal(W @ X.T, np.diag([order] * len(rows))):
+    W = X * sizes  # W[a, l] = n_l chi_a(l)
+    if not np.array_equal(W @ X.T, G.order * np.eye(len(X), dtype=np.int64)):
         return None
-    A = A.astype(dt, copy=False)
-    for i in range(len(rows)):
-        # row a, column j: chi_a(1) sum_l a_ijl W[a, l] == W[a, i] W[a, j]
-        if not np.array_equal(d * (W @ A[i].T), W[:, [i]] * W):
-            return None
-    return CharacterTable(G, ids, X.astype(np.int64), tuple(r[0] for r in rows))
+    omega, rem = np.divmod(W, d)  # central characters, 1 at the identity
+    if rem.any():
+        return None
+    image = omega @ M.T
+    mu = image[:, 0]  # M's identity row is c
+    if not np.array_equal(image, mu[:, None] * omega) or len(set(mu.tolist())) < len(mu):
+        return None
+    return CharacterTable(G, ids, X, tuple(d[:, 0].tolist()))
 
 
 def class_counts(t: CharacterTable, H: PermGroup) -> np.ndarray:

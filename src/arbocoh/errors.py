@@ -70,7 +70,7 @@ class SubtreeHitsTriple(ArbocohError):
 # -- permutation groups ----------------------------------------------------
 
 class GroupTooLarge(ArbocohError):
-    """Group closure exceeded the configured order bound."""
+    """Group closure exceeded the order bound, or a table proof would overflow int64."""
 
 
 class NotASubgroup(ArbocohError):

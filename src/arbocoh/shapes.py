@@ -57,6 +57,7 @@ from .errors import (
 from .tree import (
     RayPrefix,
     Vertex,
+    _adjacent,
     ball_words,
     check_word,
     median,
@@ -231,7 +232,7 @@ class EmbeddedSubtree:
         for w in words:
             check_word(w, q)
         for a, b in self.shape.edges:
-            if word_distance(pl[a], pl[b]) != 1:
+            if not _adjacent(pl[a], pl[b]):
                 raise ValueError(f"edge ({a}, {b}) not mapped to adjacent words")
 
     def mapping(self) -> dict:

@@ -2,7 +2,9 @@
 orthogonality, the proof as the one judge of a proposal, invariant
 dimensions vs explicit projector ranks, and unitary irreducible models."""
 
+import itertools
 import os
+import random
 import subprocess
 import sys
 
@@ -13,7 +15,7 @@ import arbocoh
 from arbocoh import chartab
 from arbocoh.catalog import enumerate_complete_shapes
 from arbocoh.chartab import CharacterTable, character_table, invariant_dim, realize_irrep
-from arbocoh.errors import NonIntegralDimension, NotASubgroup, NumericalDegeneracy
+from arbocoh.errors import GroupTooLarge, NonIntegralDimension, NotASubgroup, NumericalDegeneracy
 from arbocoh.perm import (
     Permutation,
     all_subgroups,
@@ -283,32 +285,82 @@ def test_catalog_tables_are_exact_integers(shape):
                 assert w[i] * w[j] == chi[0] * sum(a[i][j][ell] * w[ell] for ell in range(k))
 
 
-def test_exact_check_rejects_an_orthonormal_impostor():
-    """Swapping the columns of two S_5 classes of size 20 keeps the rows
-    orthonormal with the right degrees, but breaks the class algebra."""
-    G = shape_automorphism_group(star_shape(4))
+def _first_class_matrix(G, ids):
+    """The class matrix of the first combination character_table draws."""
+    rng = random.Random(chartab._TABLE_SEED)
+    k = int(ids.max()) + 1
+    return chartab._class_matrix(G, ids, np.array([rng.randrange(1, chartab._COEFF_MAX) for _ in range(k)]))
+
+
+def _equal_size_swaps():
+    """Every pair of classes of equal size, on star(4), star(5),
+    centipede(3,3), centipede(2,4) and the q=2 D<=5 catalog shapes of
+    more than 2 vertices."""
+    hosts = {"star4": star_shape(4), "star5": star_shape(5)}
+    hosts.update({"centipede(3,3)": centipede_shape(3, 3), "centipede(2,4)": centipede_shape(2, 4)})
+    hosts.update({f"q2d5#{i}": s for i, s in enumerate(enumerate_complete_shapes(2, 5)) if len(s.vertices) > 2})
+    for name, shape in hosts.items():
+        sizes = np.bincount(conjugacy_classes(shape_automorphism_group(shape)))
+        for i, j in itertools.combinations(range(len(sizes)), 2):
+            if sizes[i] == sizes[j]:
+                yield pytest.param(shape, i, j, id=f"{name}:{i},{j}")
+
+
+@pytest.mark.parametrize("shape,i,j", list(_equal_size_swaps()))
+def test_exact_check_rejects_an_orthonormal_impostor(shape, i, j):
+    """Swapping the columns of two classes of one size keeps the rows
+    orthonormal with the right degrees.  The proof accepts the swapped
+    table exactly when it is the true table up to row order: when the swap
+    is a symmetry of the table."""
+    G = shape_automorphism_group(shape)
     t = character_table(G)
-    A = np.array(chartab._class_constants(G, t.class_ids))
+    M = _first_class_matrix(G, t.class_ids)
+    n = np.bincount(t.class_ids)
     X = t.characters.astype(float)
-    proved = chartab._integral_table(G, t.class_ids, X, A)
+    proved = chartab._integral_table(G, t.class_ids, n, X, M)
     assert proved is not None and np.array_equal(proved.characters, t.characters)
-    i, j = [c for c, n in enumerate(t.class_sizes()) if n == 20]
     swapped = X.copy()
     swapped[:, [i, j]] = X[:, [j, i]]
-    n = np.array(t.class_sizes())
     assert np.array_equal((swapped * n) @ swapped.T, G.order * np.eye(t.n_rows))
-    assert chartab._integral_table(G, t.class_ids, swapped, A) is None
+    is_table = sorted(swapped.tolist()) == t.characters.tolist()
+    got = chartab._integral_table(G, t.class_ids, n, swapped, M)
+    assert (got is not None) == is_table
+    if is_table:
+        assert np.array_equal(got.characters, t.characters)
 
 
 def test_integral_table_refuses_rows_that_are_not_finite():
     G = shape_automorphism_group(star_shape(3))
     t = character_table(G)
-    A = chartab._class_constants(G, t.class_ids)
+    M = _first_class_matrix(G, t.class_ids)
+    n = np.bincount(t.class_ids)
     for bad in (np.inf, -np.inf, np.nan):
         for at in ((0, 0), (2, 3)):
             X = t.characters.astype(float)
             X[at] = bad
-            assert chartab._integral_table(G, t.class_ids, X, A) is None
+            assert chartab._integral_table(G, t.class_ids, n, X, M) is None
+
+
+def test_proof_needs_orthonormality_and_distinct_eigenvalues():
+    """Two impostors that pass every other check.  On D_8 the trivial row
+    doubled and the degree-2 row (2, -2, 0, 0, 0) halved keep sum d^2 = 8
+    and the exact central characters, but are not orthonormal.  Against
+    M = B_1 = I the true table is an eigenbasis, with one eigenvalue k
+    times over."""
+    G = shape_automorphism_group(centipede_shape(2, 4))
+    t = character_table(G)
+    n = np.bincount(t.class_ids)
+    M = _first_class_matrix(G, t.class_ids)
+    X = t.characters.astype(float)
+    assert chartab._integral_table(G, t.class_ids, n, X, M) is not None
+    trivial, standard = [r for r in range(t.n_rows) if X[r].min() == 1 or X[r, 0] == 2]
+    rescaled = X.copy()
+    rescaled[trivial] *= 2
+    rescaled[standard] /= 2
+    assert chartab._integral_table(G, t.class_ids, n, rescaled, M) is None
+    identity = chartab._class_matrix(G, t.class_ids, np.eye(t.n_rows, dtype=np.int64)[0])
+    assert np.array_equal(identity, np.eye(t.n_rows))
+    assert chartab._integral_table(G, t.class_ids, n, X, identity) is None
 
 
 def _swap_size_20_classes(V, G):
@@ -349,15 +401,23 @@ def test_broken_first_proposal_retries(monkeypatch, breaks):
     assert got.degrees == want.degrees and np.array_equal(got.characters, want.characters)
 
 
-def test_python_int_proof_matches_int64(monkeypatch):
-    """Groups too large for an overflow-free int64 proof use Python ints;
-    forcing that path on a small group gives the same table."""
-    G = shape_automorphism_group(centipede_shape(2, 4))
-    fast = character_table(G)
-    monkeypatch.setattr(chartab, "_INT64_ORDER_LIMIT", 1)
-    slow = character_table.__wrapped__(G)
-    assert slow.characters.dtype == np.int64 and slow.degrees == fast.degrees
-    assert np.array_equal(slow.characters, fast.characters)
+def test_groups_past_the_int64_bound_are_refused_before_class_work(monkeypatch):
+    """A group whose proof products could pass int64 raises GroupTooLarge
+    before its classes are computed: a larger coefficient ceiling brings
+    the bound below |S_5| = 120.  At the real ceiling the last order that
+    passes is 3,037,000 (10^6 |G|^2 < 2^63)."""
+
+    def no_class_work(G):
+        raise AssertionError("conjugacy_classes called")
+
+    monkeypatch.setattr(chartab, "conjugacy_classes", no_class_work)
+    for order, passes in ((3_037_000, True), (3_037_001, False)):
+        group = type("OfOrder", (), {"order": order})()  # only the order is read first
+        with pytest.raises(AssertionError if passes else GroupTooLarge):
+            character_table.__wrapped__(group)
+    monkeypatch.setattr(chartab, "_COEFF_MAX", 10**15)
+    with pytest.raises(GroupTooLarge, match="int64 bound of the table proof"):
+        character_table.__wrapped__(shape_automorphism_group(star_shape(4)))
 
 
 def cyclic(n):

@@ -104,6 +104,12 @@ def oracle_constants(classes):
     return c
 
 
+def class_constants(G, ids):
+    """a_ijl from the program: the class matrix of the i-th unit combination."""
+    k = int(ids.max()) + 1
+    return np.stack([chartab._class_matrix(G, ids, e) for e in np.eye(k, dtype=np.int64)])
+
+
 def oracle_dim(t, row, elements):
     """(1/|H|) sum over H of the character, H given by its elements."""
     class_of = {p: i for i, c in enumerate(t.classes) for p in c}
@@ -164,7 +170,7 @@ def test_array_path_matches_the_element_loops(name, seed):
     ids = conjugacy_classes(G)
     classes = as_classes(G, ids)
     assert classes == oracle_classes(G)
-    assert chartab._class_constants(G, ids).tolist() == oracle_constants(classes)
+    assert class_constants(G, ids).tolist() == oracle_constants(classes)
 
     if len(s.vertices) <= 2:
         return
@@ -194,7 +200,7 @@ def test_cyclic_groups_match_the_element_loops(n):
     ids = conjugacy_classes(G)
     classes = as_classes(G, ids)
     assert classes == oracle_classes(G)
-    assert chartab._class_constants(G, ids).tolist() == oracle_constants(classes)
+    assert class_constants(G, ids).tolist() == oracle_constants(classes)
 
 
 @st.composite
@@ -242,7 +248,7 @@ def test_cayley_table_matches_the_key_index(case):
 
 @pytest.mark.parametrize("shape", [star_shape(2), star_shape(4), centipede_shape(3, 3)])
 def test_classes_and_constants_look_up_no_product(monkeypatch, shape):
-    """Class labels and class constants take their products from the
+    """Class labels and the class matrix take their products from the
     Cayley table: one key lookup each (the generator inverses, the class
     inverses), whatever the number of classes."""
     calls = Counter()
@@ -256,7 +262,7 @@ def test_classes_and_constants_look_up_no_product(monkeypatch, shape):
     monkeypatch.setattr(PermGroup, "indices", counting)
     ids = conjugacy_classes(G)
     assert calls["indices"] == 1
-    chartab._class_constants(G, ids)
+    chartab._class_matrix(G, ids, np.ones(ids.max() + 1, dtype=np.int64))
     assert calls["indices"] == 2
 
 

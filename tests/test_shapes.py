@@ -295,6 +295,11 @@ def test_classify_examples():
 def test_enumerate_embeddings_examples():
     assert len(enumerate_embeddings(star_shape(2), Vertex(()), 1)) == 1
     assert len(enumerate_embeddings(edge_shape(2), Vertex(()), 1)) == 3
+    EmbeddedSubtree(edge_shape(2), {"v0": (0,), "v1": (0, 1)})
+    # siblings, and two children of the root: distance 2 through the parent
+    for v0, v1 in (((0, 0), (0, 1)), ((0,), (1,))):
+        with pytest.raises(ValueError, match=r"edge \(v0, v1\) not mapped to adjacent words"):
+            EmbeddedSubtree(edge_shape(2), {"v0": v0, "v1": v1})
 
 
 def test_embedding_count_isometry_invariant():
