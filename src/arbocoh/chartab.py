@@ -37,7 +37,8 @@ A table keeps one class id per group element; a model keeps one
 (|G|, d, d) array of matrices in element order.  realize_irrep builds
 them: project the regular representation onto the chosen isotypic
 component, then split off a single irreducible copy as an eigenspace of a
-random averaged (hence commuting) Hermitian operator.
+random averaged (hence commuting) Hermitian operator.  The projector is
+dense, |G| x |G|, so a model of degree above 1 is refused past order 120.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ _MODEL_SEED = 7  # of the random operators that split off one irreducible
 _MODEL_TOL = 1e-10  # unitarity and trace deviation allowed in a model
 _SPLIT_TOL = 1e-8  # eigenvalues of the averaged operator this close are one
 _COEFF_MAX = 10**6  # the combination's coefficients c_i lie in [1, _COEFF_MAX)
+MODEL_MAX_ORDER = 120  # realize_irrep refuses larger groups for degrees above 1
 _TABLE_CACHE_SIZE = 128
 _IRREP_CACHE_SIZE = 32
 
@@ -257,14 +259,17 @@ class IrrepModel:
 
 @functools.lru_cache(maxsize=_IRREP_CACHE_SIZE)
 def realize_irrep(t: CharacterTable, row: int) -> IrrepModel:
-    """Explicit unitary matrices realizing one character row."""
+    """Explicit unitary matrices realizing one character row; GroupTooLarge,
+    before any allocation, for a degree above 1 past MODEL_MAX_ORDER."""
     G = t.group
     d = t.degrees[row]
+    order = G.order
+    if d > 1 and order > MODEL_MAX_ORDER:
+        raise GroupTooLarge(f"model of degree {d} refused at order {order} > {MODEL_MAX_ORDER}")
     chi = t.characters[row, t.class_ids].astype(complex)  # chi[i]: chi(element i)
     if d == 1:
         return IrrepModel(t, row, chi.reshape(-1, 1, 1))
 
-    order = G.order
     # mult[g, h] = g * h: the regular matrix of g has its 1s at (mult[g, h], h)
     mult = G.right_multiples(np.arange(order))
     proj = np.zeros((order, order), dtype=complex)

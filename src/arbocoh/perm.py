@@ -27,10 +27,10 @@ GroupTooLarge past DEFAULT_ORDER_BOUND = 10^6 elements.
 
 shape_automorphism_group generates Aut(S) by the swaps of each run of
 equal sibling subtrees and the centre flip of `treecode.hang`, the tree
-hung from its centre; `treecode.aut_order` reads |Aut(S)| off the same
-runs, so an order over the bound raises GroupTooLarge before any element
-is enumerated.  Both are verified against a brute-force search in the
-tests and in `verify groups`.
+hung from its centre; `treecode.order_of_runs` reads |Aut(S)| off the
+same runs, so an order over the bound raises GroupTooLarge before any
+element is enumerated, and a build hangs the tree once.  Both are
+verified against a brute-force search in the tests and in `verify groups`.
 """
 
 from __future__ import annotations
@@ -445,7 +445,7 @@ def _aut_generators(s: Shape) -> tuple:
     gens = [swap(x, u, y, u) for u, sibs in runs for x, y in zip(sibs, sibs[1:])]
     if flips:
         gens.append(swap(c[0], c[1], c[1], c[0]))
-    return gens, treecode.aut_order(adj)
+    return gens, treecode.order_of_runs(runs, flips)
 
 
 shape_automorphism_group.cache_info = _automorphism_group.cache_info

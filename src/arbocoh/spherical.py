@@ -231,10 +231,20 @@ class Intertwiner:
         return CylinderFunction(self.q, self.depth, zip((w for w, _ in f.coeffs), out))
 
 
-def _pairing_matrix(q, z, probes, cylinders):
-    return np.array(
-        [[cylinder_poisson_integral(q, z, Vertex(x), c) for c in cylinders] for x in probes]
-    )
+def _pairing_matrices(q, zs, probes, cylinders):
+    """The exact cylinder integrals of P^z(o, x, .), one matrix per z, a row
+    per probe x.  The cylinders share one depth, so an integral depends only
+    on |x| and the common prefix of x and the cylinder (the stabilizer of o
+    moves any such pair onto any other): each class is integrated once."""
+    cyl = np.array(cylinders)
+    lcp = [np.cumprod(cyl[:, : len(x)] == x[: cyl.shape[1]], axis=1).sum(axis=1) for x in probes]
+    key = np.array(lcp) + (cyl.shape[1] + 1) * np.array([len(x) for x in probes])[:, None]
+    _, first, inverse = np.unique(key.ravel(), return_index=True, return_inverse=True)
+    pairs = [(Vertex(probes[i]), cylinders[j]) for i, j in zip(*np.divmod(first, len(cyl)))]
+    return [
+        np.array([cylinder_poisson_integral(q, z, x, c) for x, c in pairs])[inverse].reshape(key.shape)
+        for z in zs
+    ]
 
 
 def _check_mu(q, z):
@@ -262,8 +272,7 @@ def intertwiner_defining_residual(iz: Intertwiner, probe_radius: int) -> float:
     """Residual of the defining identity over all probes in a (possibly
     deeper) ball, from exact cylinder integrals of both kernel powers."""
     probes = [w for d in range(probe_radius + 1) for w in _depth_words(iz.q, d)]
-    Wz = _pairing_matrix(iz.q, iz.z, probes, iz.cylinders)
-    W1z = _pairing_matrix(iz.q, 1 - iz.z, probes, iz.cylinders)
+    Wz, W1z = _pairing_matrices(iz.q, (iz.z, 1 - iz.z), probes, iz.cylinders)
     return float(np.max(np.abs(Wz @ iz.matrix - W1z)))
 
 

@@ -10,7 +10,8 @@ peeling leaves layer by layer: "(...)" for a single centre vertex, and
 `hang` walks a tree hung from its centre once, for the codes, the runs
 of equal sibling subtrees and whether the centre edge flips.  Aut is
 built from the permutations of each run and the flip (Jordan, 1869), so
-|Aut| = prod m! over the runs, times 2 for a flip (`aut_order`).
+|Aut| = prod m! over the runs, times 2 for a flip (`order_of_runs`, which
+`aut_order` and the Aut(S) generators share).
 
 These strings fix the order of the shape catalog, and so the index of
 each catalog shape, and they match the subtrees that give the Aut(S)
@@ -107,11 +108,15 @@ def hang(adj) -> tuple:
     return c, code, runs, len(c) == 2 and code[c[0]] == code[c[1]]
 
 
-def aut_order(adj) -> int:
-    """Order of the automorphism group of a tree: m! for each run of m
-    equal sibling subtrees, times 2 when the centre edge flips."""
-    _, _, runs, flips = hang(adj)
+def order_of_runs(runs, flips) -> int:
+    """|Aut| from the runs and flip of `hang`: m! for each run of m equal
+    sibling subtrees, times 2 when the centre edge flips."""
     return math.prod(math.factorial(len(sibs)) for _, sibs in runs) * (2 if flips else 1)
+
+
+def aut_order(adj) -> int:
+    """Order of the automorphism group of a tree, off one `hang`."""
+    return order_of_runs(*hang(adj)[2:])
 
 
 def canonical_code(adj) -> str:

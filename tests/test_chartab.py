@@ -1,6 +1,7 @@
 """Character tables: textbook comparisons, exact integer checks and
 orthogonality, the proof as the one judge of a proposal, invariant
-dimensions vs explicit projector ranks, and unitary irreducible models."""
+dimensions, and unitary irreducible models (`verify reps` checks invariant
+dimensions against explicit projector ranks)."""
 
 import itertools
 import os
@@ -17,8 +18,8 @@ from arbocoh.catalog import enumerate_complete_shapes
 from arbocoh.chartab import CharacterTable, character_table, invariant_dim, realize_irrep
 from arbocoh.errors import GroupTooLarge, NonIntegralDimension, NotASubgroup, NumericalDegeneracy
 from arbocoh.perm import (
+    PermGroup,
     Permutation,
-    all_subgroups,
     closure,
     conjugacy_classes,
     pointwise_stabilizer,
@@ -182,22 +183,16 @@ def test_sign_model_is_signs():
         assert min(abs(v.real - 1), abs(v.real + 1)) < 1e-12
 
 
-@pytest.mark.parametrize(
-    "host",
-    [star_shape(2), star_shape(3), centipede_shape(2, 4)],
-)
-def test_invariant_dim_equals_projector_rank(host):
-    """Character-sum dimension vs rank of the averaged model projector,
-    over every subgroup (the three hosts give Sym(3), Sym(4), and the
-    order-8 dihedral group)."""
-    G = shape_automorphism_group(host)
-    t = character_table(G)
-    models = [realize_irrep(t, r) for r in range(t.n_rows)]
-    for H in all_subgroups(G):
-        for r, model in enumerate(models):
-            P = model.subspace_projector(H)
-            rank = int(np.sum(np.linalg.svd(P, compute_uv=False) > 1e-8))
-            assert rank == invariant_dim(t, r, H)
+def test_models_past_the_order_bound_are_refused_before_allocation(monkeypatch):
+    """Past MODEL_MAX_ORDER a row of degree above 1 raises GroupTooLarge
+    before its |G| x |G| projector or product table exists; a degree-1 row
+    is still realized."""
+    t = character_table(shape_automorphism_group(star_shape(5)))  # S_6, order 720
+    assert t.group.order > chartab.MODEL_MAX_ORDER >= 72  # centipede(3,3) is modelled
+    monkeypatch.setattr(PermGroup, "right_multiples", lambda G, zs: pytest.fail("allocated"))
+    with pytest.raises(GroupTooLarge, match="degree 5 refused at order 720 > 120"):
+        realize_irrep(t, t.degrees.index(5))
+    assert realize_irrep(t, t.degrees.index(1)).matrices.shape == (720, 1, 1)
 
 
 def test_monotonicity_pointwise_vs_setwise():

@@ -344,3 +344,12 @@ def test_aut_order_over_bound_fails_before_enumeration():
     assert shape_automorphism_group(star_shape(3), 24).order == 24
     with pytest.raises(GroupTooLarge):
         shape_automorphism_group(star_shape(3), 23)
+
+
+def test_one_hang_per_cold_build(monkeypatch):
+    """A cold Aut(S) build hangs the tree once, for its generators and its
+    order alike."""
+    calls = []
+    monkeypatch.setattr(treecode, "hang", lambda adj, hang=treecode.hang: calls.append(adj) or hang(adj))
+    s = _relabelled(centipede_shape(3, 4), 5)  # under fresh ids: not in the cache
+    assert shape_automorphism_group(s).order == 144 and len(calls) == 1

@@ -508,14 +508,10 @@ def test_hit_counts_match_closed_form_on_catalog(q, d):
 
 
 def test_hit_counts_exact_values():
-    """The shapes of acceptance criterion 6, and the frontier shapes whose
-    labelled search took seconds per triple."""
+    """The frontier shapes whose labelled search took seconds per triple
+    (`verify reps` checks the shapes of acceptance criterion 6)."""
     ball3 = complete_shape_from_internal(3, "cabde", [("c", x) for x in "abde"])
     expected = [
-        (star_shape(2), 1),
-        (centipede_shape(2, 3), 3),
-        (centipede_shape(2, 4), 9),
-        (y_shape(2), 4),
         (y_shape(3), 16),
         (centipede_shape(3, 5), 72),
         (ball3, 5),

@@ -15,11 +15,11 @@ from arbocoh.errors import InsufficientDepth
 from arbocoh.spherical import (
     CylinderFunction,
     _depth_words,
+    _pairing_matrices,
     cylinder_poisson_integral,
     eigen_residual,
     gram_psd_check,
     inner_product_z,
-    intertwiner_defining_residual,
     intertwiner_matrix,
     is_admissible,
     mu_of_z,
@@ -131,6 +131,17 @@ def test_cylinder_poisson_integral_against_quadrature():
             assert abs(exact - total) < 1e-12
 
 
+@pytest.mark.parametrize("q, n", [(2, 1), (2, 4), (3, 2)])
+def test_pairing_by_prefix_class_matches_every_pair(q, n):
+    """One integral per (probe depth, common prefix) class fills the
+    pairing matrices as integrating every (probe, cylinder) pair does, up
+    to the order of the float sums inside a cylinder split."""
+    probes, cylinders = [w for d in range(n + 3) for w in _depth_words(q, d)], _depth_words(q, n)
+    for z, w in zip((0.3, 0.5 + 0.4j), _pairing_matrices(q, (0.3, 0.5 + 0.4j), probes, cylinders)):
+        each = [[cylinder_poisson_integral(q, z, Vertex(x), c) for c in cylinders] for x in probes]
+        assert np.max(np.abs(w - np.array(each))) < 1e-15
+
+
 def test_intertwiner_identity_on_constants():
     iz = intertwiner_matrix(2, 0.5, 2)
     one = CylinderFunction.constant(2, 1.0, 2)
@@ -141,12 +152,6 @@ def test_intertwiner_identity_on_constants():
     f = CylinderFunction(2, 2, {w: rng.standard_normal() for w in iz.cylinders})
     masses = 1.0 / ((2 + 1) * 2 ** (2 - 1))
     assert abs(np.sum(iz.apply(f).vector()) * masses - np.sum(f.vector()) * masses) < 1e-10
-
-
-def test_intertwiner_deep_probe_residual():
-    for n in (1, 2, 3, 4):
-        iz = intertwiner_matrix(2, 0.3, n)
-        assert intertwiner_defining_residual(iz, n + 2) < 1e-8
 
 
 @functools.lru_cache(maxsize=None)
