@@ -29,8 +29,10 @@ shape_automorphism_group generates Aut(S) by the swaps of each run of
 equal sibling subtrees and the centre flip of `treecode.hang`, the tree
 hung from its centre; `treecode.order_of_runs` reads |Aut(S)| off the
 same runs, so an order over the bound raises GroupTooLarge before any
-element is enumerated, and a build hangs the tree once.  Both are
-verified against a brute-force search in the tests and in `verify groups`.
+element is enumerated.  The generators and the order are cached per
+shape, so a shape is hung once for its build and for
+`automorphism_order`.  Both are verified against a brute-force search in
+the tests and in `verify groups`.
 """
 
 from __future__ import annotations
@@ -367,10 +369,15 @@ def subgroup_indices(G: PermGroup, H: PermGroup) -> np.ndarray:
 
 
 def all_subgroups(G: PermGroup) -> list:
-    """Every subgroup, its rows sorted, the list sorted by (order, rows):
-    each known subgroup is closed with one more element of G, from the
-    trivial group up, as masks over the multiplication table.  The search
-    is exponential, so it refuses orders above SUBGROUP_SEARCH_MAX_ORDER."""
+    """Every subgroup, its rows sorted, the list sorted by (order, rows),
+    by cyclic extension (Neubüser, Numer. Math. 2, 1960; Holt, Eick and
+    O'Brien, Handbook of Computational Group Theory, 2005): each cyclic
+    subgroup is listed once, and each known subgroup H, from the trivial
+    group up, is joined with one cyclic subgroup per double coset HgH
+    outside H, since <H, g> = <H, h g h'> = <H, <g>>.  Subgroups are masks
+    over the multiplication table, and a join is the product closure of
+    their union.  The search is exponential, so it refuses orders above
+    SUBGROUP_SEARCH_MAX_ORDER."""
     n = G.order
     if n > SUBGROUP_SEARCH_MAX_ORDER:
         raise GroupTooLarge(f"subgroup search refused at order {n} > {SUBGROUP_SEARCH_MAX_ORDER}")
@@ -387,11 +394,33 @@ def all_subgroups(G: PermGroup) -> list:
             if mask.sum() == len(inside):
                 return mask
 
-    trivial = np.arange(n) == 0
+    # cyclic[g] masks <g>: the powers g, g^2, ... of every g at once, until
+    # each has come back to the identity
+    cyclic = np.zeros((n, n), dtype=bool)
+    cyclic[:, 0] = True
+    power, every = np.arange(n), np.arange(n)
+    while power.any():
+        cyclic[every, power] = True
+        power = mult[power, every]
+    ids = {}
+    cyclic_id = [ids.setdefault(c.tobytes(), len(ids)) for c in cyclic]
+
+    def joins(H):
+        """<H, C> for one cyclic C per double coset HgH outside H."""
+        inside = np.flatnonzero(H)
+        met, joined = H.copy(), set()
+        while not met.all():
+            g = int(np.argmin(met))  # the first element outside every double coset met
+            met[mult[np.ix_(mult[inside, g], inside)]] = True
+            if cyclic_id[g] not in joined:
+                joined.add(cyclic_id[g])
+                yield closed(H | cyclic[g])
+
+    trivial = cyclic[0]
     known = {trivial.tobytes(): trivial}
     frontier = [trivial]
     while frontier:
-        grown = (closed(H | (np.arange(n) == g)) for H in frontier for g in np.flatnonzero(~H))
+        grown = (K for H in frontier for K in joins(H))
         frontier = [known.setdefault(K.tobytes(), K) for K in grown if K.tobytes() not in known]
     subgroups = [np.flatnonzero(K) for K in known.values()]
     subgroups.sort(key=lambda e: (len(e), e.tolist()))
@@ -427,10 +456,18 @@ def _automorphism_group(s: Shape, bound: int) -> PermGroup:
     return closure(gens, degree=len(s.vertices), bound=bound)
 
 
+def automorphism_order(s: Shape) -> int:
+    """|Aut(s)|, read off the same cached hang as the Aut(s) generators,
+    with no element enumerated."""
+    return _aut_generators(s)[1]
+
+
+@functools.lru_cache(maxsize=_AUT_CACHE_SIZE)
 def _aut_generators(s: Shape) -> tuple:
     """Generators of Aut(s) on the sorted vertex ids, read off the tree
     hung from its centre: one swap per consecutive pair in each run of
-    equal sibling subtrees, then the centre flip; and |Aut(s)|."""
+    equal sibling subtrees, then the centre flip; and |Aut(s)|.  Cached
+    per shape, so one cold shape is hung once."""
     index = {v: i for i, v in enumerate(s.vertices)}
     adj = s.adjacency()
     c, code, runs, flips = treecode.hang(adj)
@@ -445,8 +482,15 @@ def _aut_generators(s: Shape) -> tuple:
     gens = [swap(x, u, y, u) for u, sibs in runs for x, y in zip(sibs, sibs[1:])]
     if flips:
         gens.append(swap(c[0], c[1], c[1], c[0]))
-    return gens, treecode.order_of_runs(runs, flips)
+    return tuple(gens), treecode.order_of_runs(runs, flips)
+
+
+def _clear_aut_caches():
+    """Forget every Aut(s) built and every hang read: the groups and the
+    generators alike."""
+    _automorphism_group.cache_clear()
+    _aut_generators.cache_clear()
 
 
 shape_automorphism_group.cache_info = _automorphism_group.cache_info
-shape_automorphism_group.cache_clear = _automorphism_group.cache_clear
+shape_automorphism_group.cache_clear = _clear_aut_caches

@@ -35,7 +35,6 @@ import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from . import treecode
 from .chartab import CharacterTable, character_table, class_counts, dim_from_counts
 from .errors import (
     BadVertexChoice,
@@ -47,6 +46,7 @@ from .errors import (
 )
 from .perm import (
     DEFAULT_ORDER_BOUND,
+    automorphism_order,
     pointwise_stabilizer,
     setwise_stabilizer,
     shape_automorphism_group,
@@ -189,7 +189,7 @@ def _is_automorphism_group(s: Shape, G) -> bool:
         if {frozenset((g(a), g(b))) for a, b in edges} != edges:
             return False
     s.check_tree()
-    return G.order == treecode.aut_order(s.adjacency())
+    return G.order == automorphism_order(s)
 
 
 def _admissible_pairs(s: Shape, subs) -> frozenset:

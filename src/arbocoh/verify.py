@@ -94,7 +94,9 @@ _UNITARITY_TOL = 1e-6  # change of the pi_z inner product under an isometry
 def random_word(rng, q, depth):
     """Uniform word of the given depth: its first label, then the tail from
     one rng.integers(0, q, size=depth-1) call, which draws exactly what one
-    scalar call per label does (the tests compare the two)."""
+    scalar call per label does (the tests compare the two).  random_rays
+    draws a batch of words as one call with array bounds, the same stream
+    as one random_word per ray."""
     if depth == 0:
         return ()
     return (int(rng.integers(0, q + 1)), *rng.integers(0, q, size=depth - 1).tolist())
@@ -107,7 +109,11 @@ def random_rays(rng, q, n, depth):
     distinct prefixes, when a batch is distinct with probability
     prod(1 - i/P) below _DISTINCT_FLOOR, or after _RAY_BATCHES batches.
     Raises InvalidInput, before any draw, for q >= 2^63: the letters are
-    drawn as int64."""
+    drawn as int64.
+
+    A batch is one rng.integers(0, high) call over an (n, depth) array of
+    bounds, q+1 in column 0 and q elsewhere: the same stream as n
+    random_word(rng, q, depth) calls (the tests compare the two)."""
     if q < 2:
         raise TooManyRays(f"branching parameter q = {q} < 2 admits no divergent rays")
     if q >= 2**63:
@@ -125,8 +131,10 @@ def random_rays(rng, q, n, depth):
                 f"{n} rays among {prefixes} prefixes at q = {q} are distinct before "
                 f"depth {depth} with probability below {_DISTINCT_FLOOR}"
             )
+    high = np.full((n, depth), q, dtype=np.uint64)  # unsigned: q + 1 may be 2^63
+    high[:, :1] += 1
     for _ in range(_RAY_BATCHES):
-        rays = [RayPrefix(random_word(rng, q, depth)) for _ in range(n)]
+        rays = [RayPrefix(tuple(w)) for w in rng.integers(0, high).tolist()]
         if len({r.word[: depth - 1] for r in rays}) == n:
             return rays
     raise TooManyRays(f"no {n} rays diverging before depth {depth} in {_RAY_BATCHES} batches")
@@ -646,6 +654,16 @@ def kernel_st_row(s: Shape, bound: int = DEFAULT_ORDER_BOUND):
 
 
 def _witness_check(rng, bound, n_instances=100, n_triples=3, depth=10):
+    """The witness cochain's laws on centipede(2, 4); a library error (a
+    BadVector, say) fails this check, as in flip_suite, not the suite."""
+    try:
+        bad = _witness_mismatches(rng, bound, n_instances, n_triples, depth)
+    except Exception as exc:  # any raise counts as a failed check
+        bad = [f"exception: {type(exc).__name__}: {exc}"]
+    return _check("witness_cochain_laws", not bad, mismatches=bad)
+
+
+def _witness_mismatches(rng, bound, n_instances, n_triples, depth):
     s = centipede_shape(2, 4)
     t = character_table(shape_automorphism_group(s, bound))
     row = kernel_st_row(s, bound)
@@ -695,7 +713,7 @@ def _witness_check(rng, bound, n_instances=100, n_triples=3, depth=10):
                 support_bad += 1
     if support_bad:
         bad.append(f"coboundary supported off the hitting set ({support_bad} embeddings)")
-    return _check("witness_cochain_laws", not bad, mismatches=bad)
+    return bad
 
 
 # -- spherical ------------------------------------------------------------------

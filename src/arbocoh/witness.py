@@ -43,6 +43,8 @@ from .tree import (
 _VEC_TOL = 1e-9
 _REFERENCE_CACHE_SIZE = 64
 _SECTION_CACHE_SIZE = 256  # canonical sections, one per (reference, image)
+_GEODESIC_CACHE_SIZE = 16  # known paths of L(g, h), one per ray pair: a triple needs three
+_VECTOR_CACHE_SIZE = 64  # witness vectors that passed, one per (model, endpoint pair, vector)
 
 
 def _line_word(p: int):
@@ -109,12 +111,13 @@ def reference_configuration(s: Shape, depth: int) -> ReferenceConfiguration:
     )
 
 
-def _geodesic_words(g: RayPrefix, h: RayPrefix):
-    """Known path of L(g, h), ordered from the g side to the h side."""
-    wg, wh = g.word, h.word
+@functools.lru_cache(maxsize=_GEODESIC_CACHE_SIZE)
+def _geodesic_words(wg: tuple, wh: tuple) -> tuple:
+    """Known path of L(g, h) for the ray words wg and wh, ordered from the
+    g side to the h side: built once per ray pair."""
     if wg == wh or wg[: min(len(wg), len(wh))] == wh[: min(len(wg), len(wh))]:
         raise InsufficientDepth("rays do not visibly diverge")
-    return word_path(wg, wh)
+    return tuple(word_path(wg, wh))
 
 
 def _canonical_tree_iso(words_a, words_b, q):
@@ -156,9 +159,17 @@ def canonical_section(ref: ReferenceConfiguration, e: EmbeddedSubtree) -> dict:
 
 def check_witness_vector(model: IrrepModel, ref: ReferenceConfiguration, v) -> None:
     """v must be fixed pointwise by Q(x, y) and have no setwise-invariant
-    component."""
+    component.  The test runs once per (model, endpoint pair, vector) that
+    passes; a bad vector raises BadVector on every call."""
     ix, iy = ref.endpoint_indices()
     v = np.asarray(v, dtype=complex)
+    _check_vector(model, ix, iy, v.shape, v.tobytes())
+
+
+@functools.lru_cache(maxsize=_VECTOR_CACHE_SIZE)
+def _check_vector(model: IrrepModel, ix: int, iy: int, shape: tuple, data: bytes) -> None:
+    """check_witness_vector on the complex vector of the given shape and bytes."""
+    v = np.frombuffer(data, dtype=complex).reshape(shape)
     pq, pqs = model.pair_projectors(ix, iy)
     if np.max(np.abs(pq @ v - v)) > _VEC_TOL:
         raise BadVector("vector is not fixed by the pointwise stabilizer of (x, y)")
@@ -177,8 +188,7 @@ def _carrying_isometry(ref: ReferenceConfiguration, g, h, e) -> TreeIsometry | N
     s = ref.shape
     q = s.q
     k = len(ref.spine_ids) - 1
-    lwords = _geodesic_words(g, h)
-    lset = set(lwords)
+    lwords = _geodesic_words(g.word, h.word)
     image = e.image_words()
     for frontier in (lwords[0], lwords[-1]):
         if any(len(w) > len(frontier) and w[: len(frontier)] == frontier for w in image):
@@ -202,6 +212,7 @@ def _carrying_isometry(ref: ReferenceConfiguration, g, h, e) -> TreeIsometry | N
     for p in range(-reach_g, reach_h + 1):
         mapping[_line_word(p)] = lwords[index0 + shift + p]
     refpl = ref.embedding.mapping()
+    lset = set(lwords)
     for t in range(1, k):
         u = ref.spine_ids[t]
         rw = mapping[refpl[u]]

@@ -1,7 +1,8 @@
 """Planted defects: each monkeypatch breaks one thing that a `verify`
-check claims, and that check must fail, and with it its report.  Defects
-in enumerate_nondegenerate spare centipede(2,4), whose hot row the
-witness check builds its model on."""
+check claims, and that check must fail, and with it its report, while
+every other check of the suite is still reported.  The witness check
+builds its model on the hot row of centipede(2,4): a defect there makes
+the library raise inside that check, and the check fails."""
 
 import dataclasses
 
@@ -18,6 +19,10 @@ def _hits_vary(f):  # one more hit on the triples whose first ray starts with 0
 
 def _h2_off_by_one(f):  # on the q=3 shapes
     return lambda s, bound: [(r, d, h2 + (s.q == 3)) for r, d, h2 in f(s, bound)]
+
+
+def _centipede24_h2_too_high(f):  # the witness vector then has a setwise component
+    return lambda s, bound: [(r, d, h2 + (s == centipede_shape(2, 4))) for r, d, h2 in f(s, bound)]
 
 
 def _hot_row_swapped(f):  # the two h2 values of centipede(2,5) exchanged
@@ -46,11 +51,28 @@ def _depth_4_weight_off(f):
 MUTANTS = [
     ("reps", "count_hitting", _hits_vary, "hit_counts_constant"),
     ("reps", "enumerate_nondegenerate", _h2_off_by_one, "h2_pair_independent"),
+    ("reps", "enumerate_nondegenerate", _centipede24_h2_too_high, "witness_cochain_laws"),
     ("reps", "enumerate_nondegenerate", _hot_row_swapped, "dihedral_example"),
     ("reps", "enumerate_nondegenerate", _star3_row_dropped, "diameter_two_spectrum"),
     ("reps", "classify_bounded_cohomology", _centipede22_hot_in_degree_3, "vanishing_grid"),
     ("spherical", "intertwiner_matrix", _depth_4_weight_off, "intertwiner_identity"),
 ]
+
+
+# every check of a suite, in report order
+CHECKS = {
+    "reps": [
+        "character_tables_orthogonal",
+        "invariant_dim_matches_projector_rank",
+        "h2_pair_independent",
+        "vanishing_grid",
+        "witness_cochain_laws",
+        "dihedral_example",
+        "diameter_two_spectrum",
+        "hit_counts_constant",
+    ],
+    "spherical": ["eigen_residual", "phi_z_symmetry", "gram_psd", "intertwiner_identity", "pi_z_unitary"],
+}
 
 
 @pytest.mark.parametrize("suite, name, defect, check", MUTANTS, ids=[m[2].__name__ for m in MUTANTS])
@@ -59,3 +81,4 @@ def test_planted_defect_fails_its_check(monkeypatch, suite, name, defect, check)
     report = verify.run_suite(suite, Config(seed=0))
     failed = [c["name"] for c in report["checks"] if not c["passed"]]
     assert check in failed and not report["passed"], failed
+    assert [c["name"] for c in report["checks"]] == CHECKS[suite]

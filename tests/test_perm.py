@@ -27,6 +27,7 @@ from arbocoh.perm import (
     setwise_stabilizer,
     shape_automorphism_group,
 )
+from arbocoh.reptheory import enumerate_nondegenerate
 from arbocoh.shapes import (
     Shape,
     centipede_shape,
@@ -348,8 +349,12 @@ def test_aut_order_over_bound_fails_before_enumeration():
 
 def test_one_hang_per_cold_build(monkeypatch):
     """A cold Aut(S) build hangs the tree once, for its generators and its
-    order alike."""
+    order alike, and so does a cold enumerate_nondegenerate, whose check
+    that its table is of Aut(S) reads the same order."""
     calls = []
     monkeypatch.setattr(treecode, "hang", lambda adj, hang=treecode.hang: calls.append(adj) or hang(adj))
     s = _relabelled(centipede_shape(3, 4), 5)  # under fresh ids: not in the cache
     assert shape_automorphism_group(s).order == 144 and len(calls) == 1
+    calls.clear()
+    assert enumerate_nondegenerate(_relabelled(centipede_shape(3, 4), 6))
+    assert len(calls) == 1

@@ -3,8 +3,9 @@
 The oracles are the one-element-at-a-time implementations that the
 array path replaced: breadth-first closure, conjugation orbits, counted
 class constants, invariant dimensions summed over subgroup elements and
-the subgroup search by closures; the Cayley table of a closure is checked
-against lookups in the sorted key index.  The closure, class and stabilizer checks
+the subgroup searches by closures and by masks over every element; the
+Cayley table of a closure is checked against lookups in the sorted key
+index.  The closure, class and stabilizer checks
 run on the q=2 D<=5 catalog groups, star(4..6), centipede(3,3) and
 centipede(4,3), every one under three seeded vertex relabellings, which
 reorder elements and classes inside the program."""
@@ -135,6 +136,32 @@ def oracle_subgroups(G):
                     nxt.append(known[K])
         frontier = nxt
     return sorted((tuple(sorted(K)) for K in known), key=lambda e: (len(e), e))
+
+
+def mask_search_subgroups(G):
+    """all_subgroups as it was before cyclic extension: every known
+    subgroup closed with every element outside it, as masks over the
+    multiplication table in sorted row order."""
+    n = G.order
+    lex = G._row_index()[1]
+    rows = G.array[lex]
+    mult = np.argsort(lex)[G.right_multiples(lex)[lex]]
+
+    def closed(mask):
+        while True:
+            inside = np.flatnonzero(mask)
+            mask[mult[np.ix_(inside, inside)]] = True
+            if mask.sum() == len(inside):
+                return mask
+
+    trivial = np.arange(n) == 0
+    known = {trivial.tobytes(): trivial}
+    frontier = [trivial]
+    while frontier:
+        grown = (closed(H | (np.arange(n) == g)) for H in frontier for g in np.flatnonzero(~H))
+        frontier = [known.setdefault(K.tobytes(), K) for K in grown if K.tobytes() not in known]
+    subgroups = sorted((np.flatnonzero(K) for K in known.values()), key=lambda e: (len(e), e.tolist()))
+    return [rows[e] for e in subgroups]
 
 
 def fixing(G, points):
@@ -315,6 +342,33 @@ def test_enumerate_nondegenerate_builds_each_stabilizer_once(monkeypatch):
 def test_all_subgroups_matches_the_closure_search(G):
     """The mask search finds the subgroups of the closure search."""
     assert [H.elements for H in all_subgroups(G)] == oracle_subgroups(G)
+
+
+@pytest.mark.parametrize(
+    "s",
+    [centipede_shape(3, 3), enumerate_complete_shapes(2, 6)[11]],
+    ids=["centipede(3,3)", "q2d6#11"],
+)
+def test_all_subgroups_matches_the_mask_search(s):
+    """Cyclic extension over double cosets lists the arrays that closing
+    every subgroup with every element outside it listed, in its order."""
+    G = shape_automorphism_group(relabel(s, 3))
+    got = [H.array for H in all_subgroups(G)]
+    want = mask_search_subgroups(G)
+    assert len(got) == len(want) and all(map(np.array_equal, got, want))
+
+
+def test_subgroups_of_s5():
+    """S_5 (star(4), at the search's order cap) has 156 subgroups (OEIS
+    A005432: 1, 2, 6, 30, 156 for S_1..S_5), each closed under products
+    and of an order dividing 120."""
+    G = shape_automorphism_group(star_shape(4))
+    subgroups = all_subgroups(G)
+    assert G.order == 120 and len(subgroups) == 156
+    for H in subgroups:
+        assert G.order % H.order == 0
+        products = H.array[:, H.array].reshape(-1, G.degree)  # row [i, j] is h_i * h_j
+        assert (H.indices(products) >= 0).all()
 
 
 def test_library_path_builds_no_element_objects(monkeypatch, capsys):

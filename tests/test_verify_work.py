@@ -37,6 +37,27 @@ def test_random_rays_keeps_its_draws(q, n, depth):
         assert r_new.bit_generator.state == r_old.bit_generator.state
 
 
+@pytest.mark.parametrize("q", [2, 3, 5, 2**32 - 1, 2**32, 2**63 - 1])
+def test_batched_rays_match_word_draws(q):
+    """A batch is one rng.integers call over an array of bounds: the rays of
+    one random_word per ray, batch after batch, and the same generator
+    state, with other draws in between; a refused batch draws nothing."""
+    for n in range(1, 8):
+        r_old, r_new = np.random.default_rng(n), np.random.default_rng(n)
+        for depth in range(23):
+            try:
+                rays = verify.random_rays(r_new, q, n, depth)
+            except TooManyRays:
+                pass  # refused before any draw: the states below stay equal
+            else:
+                assert rays == _redraw_until_distinct(r_old, q, n, depth)
+            for r in (r_old, r_new):
+                r.integers(0, 4)
+                if depth % 3 == 0:
+                    r.random()  # a 64-bit draw beside the buffered 32-bit ones
+            assert r_new.bit_generator.state == r_old.bit_generator.state
+
+
 def test_improbable_batch_raises_before_any_draw():
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
@@ -155,8 +176,8 @@ def test_reps_suite_builds_invariants_once(monkeypatch):
     monkeypatch.setattr(chartab, "pointwise_stabilizer", counting_stabilizer)
     monkeypatch.setattr(witness, "check_witness_vector", counting_check)
     chartab.realize_irrep.cache_clear()  # fresh models hold no projectors yet
-    per_key = (witness._section_items, reptheory.analysis)
-    for cache in per_key:
+    per_key = (witness._section_items, witness._check_vector, reptheory.analysis)
+    for cache in per_key + (witness._geodesic_words,):
         cache.cache_clear()
     assert verify.reps_suite(Config(seed=2))["passed"]
     # one model and one endpoint pair throughout the witness check
@@ -166,11 +187,16 @@ def test_reps_suite_builds_invariants_once(monkeypatch):
         info = cache.cache_info()
         assert info.misses == info.currsize  # nothing computed twice
         assert info.hits > info.misses
+    # the three geodesics of a ray triple serve every embedding near it
+    info = witness._geodesic_words.cache_info()
+    assert info.hits > 2 * info.misses
 
 
 CACHES = [
     verify._flip_shape,
     witness._section_items,
+    witness._geodesic_words,
+    witness._check_vector,
     reptheory.analysis,
 ]
 

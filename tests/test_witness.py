@@ -4,7 +4,7 @@ equivariance, vector preconditions, and finite support of the coboundary."""
 import numpy as np
 import pytest
 
-from arbocoh import verify
+from arbocoh import verify, witness
 from arbocoh.chartab import character_table, realize_irrep
 from arbocoh.errors import BadVector, NotACentipede
 from arbocoh.perm import shape_automorphism_group
@@ -70,8 +70,21 @@ def test_bad_vector_rejected(cent4_setup):
     rows = dict((r, h2) for r, _d, h2 in enumerate_nondegenerate(s))
     flat = next(r for r, h2 in rows.items() if h2 == 0)
     model_flat = realize_irrep(t, flat)
-    with pytest.raises(BadVector):
-        witness_cochain(s, model_flat, np.array([1.0 + 0j]), ref.gamma0, ref.gamma1, ref.embedding, DEPTH)
+    for _ in range(2):  # a bad vector is never remembered as tested
+        with pytest.raises(BadVector):
+            witness_cochain(s, model_flat, np.array([1.0 + 0j]), ref.gamma0, ref.gamma1, ref.embedding, DEPTH)
+
+
+def test_a_good_vector_is_tested_once(monkeypatch, cent4_setup):
+    """The projector test runs once per (model, endpoint pair, vector)."""
+    s, model, ref = cent4_setup
+    witness._check_vector.cache_clear()
+    tested = []
+    real = type(model).pair_projectors
+    monkeypatch.setattr(type(model), "pair_projectors", lambda m, ix, iy: tested.append(1) or real(m, ix, iy))
+    for v in ([1.0], [1.0], [-1.0], [-1.0 + 0j]):
+        witness_cochain(s, model, v, ref.gamma0, ref.gamma1, ref.embedding, DEPTH)
+    assert len(tested) == 2
 
 
 def test_non_centipede_rejected():
