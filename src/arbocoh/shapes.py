@@ -23,19 +23,20 @@ leaves of I without building a subtree.  verify.brute_force_maximal_subtrees
 searches every connected subset of I instead and is the oracle for this
 closed form, in `verify groups` and in the tests.
 
-Embeddings place I alone, with place_tree, the one backtracking search
-(the canonical sections of the witness module share it).  An internal
-vertex has all q+1 neighbours in its image, so in a ball of radius r it
-lies within r - 1; its leaves take the neighbours that I does not use,
-and the leaves of distinct internal vertices take disjoint words.  Each
-image is then found |Aut(I)| times rather than |Aut(s)| times, and its
-least placement puts the sorted leaves of each internal vertex on the
-sorted free neighbours of its image.  A median is a full-degree vertex
-of an image exactly when it is in the image of I, so a hit count needs
-no search: with u at the median, u takes deg u of its q+1 neighbours and
-every other x in I takes deg x - 1 of the q left to it (degrees in I).
-So sum_u (q+1)_{deg u} prod_{x != u} (q)_{deg x - 1} falling factorials
-count each image |Aut(I)| times, read off I hung from its centre.
+least_embeddings places I alone, with place_tree, the one backtracking
+search (the canonical sections of the witness module share it).  An
+internal vertex has all q+1 neighbours in its image, so in a ball of
+radius r it lies within r - 1; its leaves take the neighbours that I
+does not use, and the leaves of distinct internal vertices take disjoint
+words.  Each image is then found |Aut(I)| times rather than |Aut(s)|
+times, and its least placement puts the sorted leaves of each internal
+vertex on the sorted free neighbours of its image.  A median is a
+full-degree vertex of an image exactly when it is in the image of I, so
+a hit count needs no search: with u at the median, u takes deg u of its
+q+1 neighbours and every other x in I takes deg x - 1 of the q left to
+it (degrees in I).  So sum_u (q+1)_{deg u} prod_{x != u} (q)_{deg x - 1}
+falling factorials count each image |Aut(I)| times, read off I hung from
+its centre.
 """
 
 from __future__ import annotations
@@ -238,8 +239,13 @@ class EmbeddedSubtree:
     def mapping(self) -> dict:
         return dict(self.placement)
 
-    def image_words(self) -> frozenset:
+    @cached_property
+    def _image_words(self) -> frozenset:
         return frozenset(w for _, w in self.placement)
+
+    def image_words(self) -> frozenset:
+        """The placed words, built once, on first use."""
+        return self._image_words
 
 
 # -- completeness and taxonomy ----------------------------------------------

@@ -13,7 +13,8 @@ where g0 is any finite isometry carrying the reference configuration
 (gamma0, gamma1, S0) onto (gamma, eta, e) and s(e) is the canonical
 section: the lexicographically minimal tree isomorphism S0 -> e (so
 s(S0) = identity).  The value does not depend on the choice of g0 because
-v is fixed by the pointwise stabilizer of (x, y).
+v is fixed by the pointwise stabilizer of (x, y).  The sections come from
+the core placement search, shapes.least_embeddings (see _section_items).
 
 The reference configuration places the spine on the geodesic through the
 basepoint joining the all-zeros ray to the ray through (1, 0, 0, ...),
@@ -27,11 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import treecode
 from .chartab import IrrepModel
 from .errors import BadVector, InsufficientDepth, NotACentipede
 from .perm import Permutation
-from .shapes import EmbeddedSubtree, Shape, classify_shape, place_tree
+from .shapes import EmbeddedSubtree, Shape, classify_shape, least_embeddings
 from .tree import (
     RayPrefix,
     TreeIsometry,
@@ -120,32 +120,22 @@ def _geodesic_words(wg: tuple, wh: tuple) -> tuple:
     return tuple(word_path(wg, wh))
 
 
-def _canonical_tree_iso(words_a, words_b, q):
-    """Lexicographically minimal isomorphism between two word-subtrees, as
-    a dict; None when they are not isomorphic."""
-    if len(words_a) != len(words_b):
-        return None
-    a_sorted = sorted(words_a)
-    adj_a = {w: [x for x in word_neighbors(w, q) if x in words_a] for w in a_sorted}
-    nbrs_b = {w: [x for x in word_neighbors(w, q) if x in words_b] for w in words_b}
-    order, parent_of = treecode.bfs(adj_a, a_sorted[0])
-    cols = [order.index(w) for w in a_sorted]
-    best = []
-
-    def keep_least(placed):
-        cand = tuple([placed[c] for c in cols])
-        if not best or cand < best[0]:
-            best[:] = [cand]
-
-    place_tree(order, parent_of, sorted(words_b), nbrs_b.__getitem__, keep_least)
-    return dict(zip(a_sorted, best[0])) if best else None
-
-
 @functools.lru_cache(maxsize=_SECTION_CACHE_SIZE)
 def _section_items(ref_words: frozenset, words: frozenset, q: int):
-    """_canonical_tree_iso as an immutable tuple of (word, image) pairs."""
-    iso = _canonical_tree_iso(ref_words, words, q)
-    return None if iso is None else tuple(iso.items())
+    """The canonical section onto words as (word, image) pairs over the
+    sorted ref_words, or None when words is not a copy.  Relabelled by the
+    zero-padded ranks of its sorted words, the reference tree's least
+    placement (least_embeddings, hosted by the full-degree words of words,
+    the image of its internal tree) is the least isomorphism over them."""
+    ref_sorted = sorted(ref_words)
+    width = len(str(len(ref_sorted)))
+    rank = {w: f"{i:0{width}d}" for i, w in enumerate(ref_sorted)}
+    copy = Shape(q, rank.values(), [(rank[w], rank[w[:-1]]) for w in ref_sorted if w and w[:-1] in rank])
+    host = [w for w in words if sum(x in words for x in word_neighbors(w, q)) == q + 1]
+    found = least_embeddings(copy, host)
+    if len(found) != 1 or found[0].image_words() != words:
+        return None
+    return tuple(zip(ref_sorted, (w for _, w in found[0].placement)))
 
 
 def canonical_section(ref: ReferenceConfiguration, e: EmbeddedSubtree) -> dict:
@@ -170,6 +160,8 @@ def check_witness_vector(model: IrrepModel, ref: ReferenceConfiguration, v) -> N
 def _check_vector(model: IrrepModel, ix: int, iy: int, shape: tuple, data: bytes) -> None:
     """check_witness_vector on the complex vector of the given shape and bytes."""
     v = np.frombuffer(data, dtype=complex).reshape(shape)
+    if not np.all(np.isfinite(v)):
+        raise BadVector("vector is not finite")
     pq, pqs = model.pair_projectors(ix, iy)
     if np.max(np.abs(pq @ v - v)) > _VEC_TOL:
         raise BadVector("vector is not fixed by the pointwise stabilizer of (x, y)")

@@ -255,6 +255,18 @@ def test_shape_identity_unchanged_by_cached_structure():
     assert shape_automorphism_group(y_shape(2)) is shape_automorphism_group(y_shape(2))
 
 
+def test_image_words_built_once_per_embedding():
+    """image_words returns one frozenset per embedding; ==, hash and repr
+    still see the shape and the placement only."""
+    s = centipede_shape(2, 4)
+    used, fresh = (enumerate_embeddings(s, Vertex(()), 3)[5] for _ in range(2))
+    image = used.image_words()
+    assert image is used.image_words()
+    assert image == frozenset(w for _, w in used.placement)
+    assert used == fresh and hash(used) == hash(fresh) == hash((used.shape, used.placement))
+    assert repr(used) == repr(fresh) == f"EmbeddedSubtree(shape={s!r}, placement={used.placement!r})"
+
+
 def test_maximal_subtrees_too_small():
     with pytest.raises(TooSmall):
         maximal_proper_complete_subtrees(edge_shape(2))

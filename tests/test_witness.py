@@ -4,14 +4,16 @@ equivariance, vector preconditions, and finite support of the coboundary."""
 import numpy as np
 import pytest
 
-from arbocoh import verify, witness
+from arbocoh import shapes, treecode, verify, witness
 from arbocoh.chartab import character_table, realize_irrep
 from arbocoh.errors import BadVector, NotACentipede
 from arbocoh.perm import shape_automorphism_group
 from arbocoh.shapes import centipede_shape, enumerate_embeddings, hits, star_shape, y_shape
-from arbocoh.tree import Vertex, median
+from arbocoh.tree import Vertex, median, word_neighbors
 from arbocoh.verify import kernel_st_row, random_isometry_on, random_rays
 from arbocoh.witness import (
+    canonical_section,
+    check_witness_vector,
     induced_reference_permutation,
     map_embedding,
     reference_configuration,
@@ -73,6 +75,17 @@ def test_bad_vector_rejected(cent4_setup):
     for _ in range(2):  # a bad vector is never remembered as tested
         with pytest.raises(BadVector):
             witness_cochain(s, model_flat, np.array([1.0 + 0j]), ref.gamma0, ref.gamma1, ref.embedding, DEPTH)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_non_finite_vector_rejected(cent4_setup, bad):
+    """NaN compares False with every tolerance, so finiteness is tested
+    on its own."""
+    s, model, ref = cent4_setup
+    with pytest.raises(BadVector):
+        check_witness_vector(model, ref, [bad])
+    with pytest.raises(BadVector):
+        witness_cochain(s, model, [bad], ref.gamma0, ref.gamma1, ref.embedding, DEPTH)
 
 
 def test_a_good_vector_is_tested_once(monkeypatch, cent4_setup):
@@ -289,3 +302,69 @@ LINE_THROUGH_BASEPOINT_SEEDS = (
 def test_witness_check_passes_on_lines_through_the_basepoint(seed):
     check = verify._witness_check(np.random.default_rng(seed), 10**6)
     assert check["passed"], check["mismatches"]
+
+
+def full_search_section(words_a, words_b, q):
+    """Oracle: the least isomorphism over the sorted words_a, by a search
+    that places every vertex and so meets all |Aut| isomorphisms; None
+    when the two word-subtrees are not isomorphic."""
+    if len(words_a) != len(words_b):
+        return None
+    a_sorted = sorted(words_a)
+    adj_a = {w: [x for x in word_neighbors(w, q) if x in words_a] for w in a_sorted}
+    nbrs_b = {w: [x for x in word_neighbors(w, q) if x in words_b] for w in words_b}
+    order, parent_of = treecode.bfs(adj_a, a_sorted[0])
+    cols = [order.index(w) for w in a_sorted]
+    best = []
+
+    def keep_least(placed):
+        cand = tuple([placed[c] for c in cols])
+        if not best or cand < best[0]:
+            best[:] = [cand]
+
+    shapes.place_tree(order, parent_of, sorted(words_b), nbrs_b.__getitem__, keep_least)
+    return tuple(zip(a_sorted, best[0])) if best else None
+
+
+@pytest.mark.parametrize(
+    "family",
+    [[star_shape(3), centipede_shape(3, 3), centipede_shape(3, 4)], [y_shape(2)]],
+    ids=["q3", "y2"],
+)
+def test_sections_match_the_full_search(family):
+    """Every ordered pair of embeddings of the family, across shapes too
+    (no section there), plus each image with one stray word added."""
+    q = family[0].q
+    images = [e.image_words() for s in family for e in enumerate_embeddings(s, Vertex(()), 3)]
+    stray = (0,) * 6
+    pairs = [(a, b) for a in images for b in images] + [(a, a | {stray}) for a in images]
+    witness._section_items.cache_clear()
+    found = 0
+    for a, b in pairs:
+        expected = full_search_section(a, b, q)
+        assert witness._section_items(a, b, q) == expected
+        found += expected is not None
+    assert 0 < found < len(pairs)
+
+
+def test_a_cold_section_places_the_internal_tree_alone(monkeypatch):
+    """centipede(5,4) has |Aut| = 691,200; its internal tree is a path of
+    three vertices, placed forwards and backwards onto the copy's."""
+    s = centipede_shape(5, 4)
+    ref = reference_configuration(s, DEPTH)
+    e = enumerate_embeddings(s, Vertex(()), 4)[7]
+    visits = []
+    real = shapes.place_tree
+
+    def counting(order, parent_of, roots, host_nbrs, visit):
+        real(order, parent_of, roots, host_nbrs, lambda placed: visits.append(1) or visit(placed))
+
+    monkeypatch.setattr(shapes, "place_tree", counting)
+    monkeypatch.setattr(witness, "place_tree", counting, raising=False)
+    witness._section_items.cache_clear()
+    section = canonical_section(ref, e)
+    assert set(section) == ref.embedding.image_words()
+    assert set(section.values()) == e.image_words()
+    assert 1 <= len(visits) <= 2
+    identity = canonical_section(ref, ref.embedding)
+    assert all(w == x for w, x in identity.items())
