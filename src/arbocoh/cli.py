@@ -107,12 +107,20 @@ def descriptor_from_json(data: dict, bound: int = DEFAULT_ORDER_BOUND) -> RepDes
 
 
 def _resolve_row(shape: Shape, irrep, bound: int) -> int:
-    """Row index from either an integer or a character fingerprint as
-    printed by the spectrum command; a JSON boolean is neither."""
+    """Row index from an integer, or from a string of ASCII digits after an
+    optional minus sign that int() converts; any other string is looked up
+    as a character fingerprint as printed by the spectrum command.  A JSON
+    boolean is neither."""
     if isinstance(irrep, bool):
         raise InvalidDescriptor(f"irrep must be a row index or a fingerprint, got {irrep!r}")
-    if isinstance(irrep, int) or (isinstance(irrep, str) and irrep.lstrip("-").isdigit()):
-        return int(irrep)
+    if isinstance(irrep, int):
+        return irrep
+    digits = irrep.removeprefix("-") if isinstance(irrep, str) else ""
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(irrep)
+        except ValueError:  # more digits than int() converts
+            pass
     table = character_table(shape_automorphism_group(shape, bound))
     row = analysis(shape, table).row_of_fingerprint.get(irrep) if isinstance(irrep, str) else None
     if row is None:

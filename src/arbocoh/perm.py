@@ -18,7 +18,9 @@ The heavy operations are numpy gathers:
   the Cayley table and propagates the least label along those index maps
   until each class carries one label; a group given by its rows alone (a
   stabilizer, a subgroup) has no table, and no classes;
-* stabilizers are row masks.
+* a stabilizer is a boolean mask over the elements (pointwise_mask,
+  setwise_mask), which the classification reads as it is; the
+  stabilizer groups are the rows their masks select.
 
 A group holds no Permutation per element.  Permutation stays the type of
 user input and generators; a user-built one is checked to be a bijection,
@@ -347,16 +349,26 @@ def conjugacy_classes(G: PermGroup) -> np.ndarray:
     return ids
 
 
+def pointwise_mask(G: PermGroup, points) -> np.ndarray:
+    """Which elements fix every given point, in element order."""
+    pts = np.array(sorted(points), dtype=np.intp)
+    return (G.array[:, pts] == pts).all(axis=1)
+
+
+def setwise_mask(G: PermGroup, points) -> np.ndarray:
+    """Which elements map the given point set onto itself, in element order."""
+    pts = np.array(sorted(set(points)), dtype=np.intp)
+    return np.isin(G.array[:, pts], pts).all(axis=1)
+
+
 def pointwise_stabilizer(G: PermGroup, points) -> PermGroup:
     """Subgroup of elements fixing every given point."""
-    pts = np.array(sorted(points), dtype=np.intp)
-    return PermGroup(G.degree, None, G.array[(G.array[:, pts] == pts).all(axis=1)])
+    return PermGroup(G.degree, None, G.array[pointwise_mask(G, points)])
 
 
 def setwise_stabilizer(G: PermGroup, points) -> PermGroup:
     """Subgroup of elements mapping the given point set onto itself."""
-    pts = np.array(sorted(set(points)), dtype=np.intp)
-    return PermGroup(G.degree, None, G.array[np.isin(G.array[:, pts], pts).all(axis=1)])
+    return PermGroup(G.degree, None, G.array[setwise_mask(G, points)])
 
 
 def subgroup_indices(G: PermGroup, H: PermGroup) -> np.ndarray:

@@ -22,10 +22,13 @@ use: the maximal proper complete subtrees S_j; each A_j, and each Q and
 Qtilde asked for, reduced to its class-count vector (entry l is the
 number of its elements in class l of Aut(S)); the admissible pairs; the
 centipede flag; and the fingerprint of each row, with the map from a
-fingerprint to its first row.  The fixed-space dimension of any row
-under one of those subgroups is chi . counts divided exactly by its
-order, so testing all rows of a table, or classifying one row after
-another, never scans the group again.
+fingerprint to its first row.  A stabilizer is a mask over the elements
+of Aut(S) (perm.pointwise_mask, perm.setwise_mask), counted by class
+with one bincount: no subgroup is built and no row looked up by key.
+The fixed-space dimension of a row under it is chi . counts divided
+exactly by its order, and every row meets every A_j in one int64
+product, below |G|^(3/2) as |chi| <= chi(1) <= |G|^(1/2); so testing
+all rows, or classifying one after another, reads one boolean per row.
 """
 
 from __future__ import annotations
@@ -35,7 +38,9 @@ import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .chartab import CharacterTable, character_table, class_counts, dim_from_counts
+import numpy as np
+
+from .chartab import CharacterTable, character_table, dim_from_counts
 from .errors import (
     BadVertexChoice,
     DegenerateIrrep,
@@ -47,8 +52,8 @@ from .errors import (
 from .perm import (
     DEFAULT_ORDER_BOUND,
     automorphism_order,
-    pointwise_stabilizer,
-    setwise_stabilizer,
+    pointwise_mask,
+    setwise_mask,
     shape_automorphism_group,
 )
 from .shapes import Shape, classify_shape, maximal_proper_complete_subtrees, validate_complete
@@ -103,14 +108,15 @@ class Analysis:
         self.shape, self.table = s, t
         self._stabilizers = {}  # (x, y) -> (Q, Qtilde) reduced
 
-    def _reduced(self, stabilizer, ids) -> tuple:
-        """A stabilizer of vertex ids as (class counts, order); the counts
-        are read-only because every caller shares them."""
+    def _reduced(self, mask, ids) -> tuple:
+        """A stabilizer of vertex ids as (class counts, order), read off
+        its mask over the elements; the counts are read-only because every
+        caller shares them."""
         points = [i for i, v in enumerate(self.shape.vertices) if v in ids]
-        H = stabilizer(self.table.group, points)
-        counts = class_counts(self.table, H)
+        classes = self.table.class_ids[mask(self.table.group, points)]
+        counts = np.bincount(classes, minlength=self.table.n_rows)
         counts.flags.writeable = False
-        return counts, H.order
+        return counts, int(counts.sum())
 
     @functools.cached_property
     def subtrees(self) -> tuple:  # the S_j
@@ -119,7 +125,20 @@ class Analysis:
     @functools.cached_property
     def heads(self) -> tuple:
         """Each A_j as (class counts, order), in the order of subtrees."""
-        return tuple(self._reduced(pointwise_stabilizer, sub) for sub in self.subtrees)
+        return tuple(self._reduced(pointwise_mask, sub) for sub in self.subtrees)
+
+    @functools.cached_property
+    def _nondegenerate(self) -> np.ndarray:
+        """Per row, whether no A_j fixes a nonzero vector: dim V^A_j of
+        every row and head at once, one int64 product divided exactly."""
+        k = self.table.n_rows
+        counts = np.array([c for c, _ in self.heads], dtype=np.int64).reshape(-1, k)
+        orders = np.array([order for _, order in self.heads], dtype=np.int64)
+        dims, rem = np.divmod(self.table.characters @ counts.T, orders)
+        if rem.any():
+            row, j = np.argwhere(rem)[0]
+            raise NonIntegralDimension(f"a character sum of row {row} is not a multiple of |H| = {orders[j]}")
+        return ~dims.any(axis=1)
 
     @functools.cached_property
     def pairs(self) -> frozenset:
@@ -155,14 +174,13 @@ class Analysis:
 
     def nondegenerate(self, row: int) -> bool:
         """No nonzero vector of the row is fixed by any A_j."""
-        row = self._row(row)
-        return not any(dim_from_counts(self.table, row, c, order) for c, order in self.heads)
+        return bool(self._nondegenerate[self._row(row)])
 
     def stabilizers(self, x: str, y: str) -> tuple:
         """Q(x, y) and Qtilde(x, y) as (class counts, order), once per pair."""
         if (x, y) not in self._stabilizers:
             self._stabilizers[x, y] = tuple(
-                self._reduced(f, (x, y)) for f in (pointwise_stabilizer, setwise_stabilizer)
+                self._reduced(mask, (x, y)) for mask in (pointwise_mask, setwise_mask)
             )
         return self._stabilizers[x, y]
 
@@ -279,6 +297,6 @@ def enumerate_nondegenerate(s: Shape, bound: int = DEFAULT_ORDER_BOUND):
         raise TooSmall("enumeration needs diameter >= 2")
     t = character_table(shape_automorphism_group(s, bound))
     a = analysis(s, t)
-    rows = [row for row in range(t.n_rows) if a.nondegenerate(row)]
+    rows = np.flatnonzero(a._nondegenerate).tolist()
     pair = min(a.pairs) if a.centipede else None
     return [(row, t.degrees[row], a.h2(row, *pair) if pair else 0) for row in rows]

@@ -120,6 +120,17 @@ def _geodesic_words(wg: tuple, wh: tuple) -> tuple:
     return tuple(word_path(wg, wh))
 
 
+@functools.lru_cache(maxsize=_REFERENCE_CACHE_SIZE)
+def _ranked_reference(ref_words: frozenset, q: int) -> tuple:
+    """The sorted reference words, and the reference tree relabelled by
+    their zero-padded ranks: built once per reference."""
+    ref_sorted = tuple(sorted(ref_words))
+    width = len(str(len(ref_sorted)))
+    rank = {w: f"{i:0{width}d}" for i, w in enumerate(ref_sorted)}
+    copy = Shape(q, rank.values(), [(rank[w], rank[w[:-1]]) for w in ref_sorted if w and w[:-1] in rank])
+    return ref_sorted, copy
+
+
 @functools.lru_cache(maxsize=_SECTION_CACHE_SIZE)
 def _section_items(ref_words: frozenset, words: frozenset, q: int):
     """The canonical section onto words as (word, image) pairs over the
@@ -127,10 +138,7 @@ def _section_items(ref_words: frozenset, words: frozenset, q: int):
     zero-padded ranks of its sorted words, the reference tree's least
     placement (least_embeddings, hosted by the full-degree words of words,
     the image of its internal tree) is the least isomorphism over them."""
-    ref_sorted = sorted(ref_words)
-    width = len(str(len(ref_sorted)))
-    rank = {w: f"{i:0{width}d}" for i, w in enumerate(ref_sorted)}
-    copy = Shape(q, rank.values(), [(rank[w], rank[w[:-1]]) for w in ref_sorted if w and w[:-1] in rank])
+    ref_sorted, copy = _ranked_reference(ref_words, q)
     host = [w for w in words if sum(x in words for x in word_neighbors(w, q)) == q + 1]
     found = least_embeddings(copy, host)
     if len(found) != 1 or found[0].image_words() != words:

@@ -217,6 +217,9 @@ def test_flip_demo_impossible_rays_exit_1(argv):
 SPECIAL = '{"tag": "special", "sign": "+", "q": 2}'
 EDGE = '"vertices": ["a", "b"], "edges": [["a", "b"]]'
 STAR = json.dumps(star_shape(2).to_json())
+# irrep strings that str.isdigit accepts after stripping minus signs but
+# int() refuses: each is looked up as a fingerprint, and none is one
+ROW_TEXTS_NOT_INT = ("\u00b2", "1\u00b2", "--1", "1" * 5000)
 # config files by placeholder: JSON booleans are not integers, and a
 # nesting too deep to decode is not a config
 CONFIGS = {
@@ -265,6 +268,10 @@ CONFIGS = {
         ["--config", "{seed-false}", "spectrum", STAR],
         ["--config", "{depth-true}", "spectrum", STAR],
         ["--config", "{nested}", "verify", "groups"],
+        *(
+            ["classify", '{"tag": "cuspidal", "shape": %s, "irrep": %s}' % (STAR, json.dumps(irrep)), "-n", "2"]
+            for irrep in ROW_TEXTS_NOT_INT
+        ),
     ],
     ids=[
         "empty-config", "missing-config", "bad-descriptor-json", "degree-0",
@@ -277,6 +284,8 @@ CONFIGS = {
         "verify-without-suite", "shape-read-as-flag", "unknown-command", "seed-not-int",
         "irrep-true", "irrep-false", "config-bound-true", "config-seed-false",
         "config-depth-true", "config-nested-too-deep",
+        "irrep-superscript-two", "irrep-digit-superscript-two", "irrep-double-minus",
+        "irrep-5000-digits",
     ],
 )
 def test_input_errors_exit_2(argv, tmp_path):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from arbocoh import catalog, cli, verify
 from arbocoh.config import MAX_DEPTH
+from arbocoh.shapes import star_shape
 
 # JSON number texts, with those that used to end in a traceback (1e400)
 # or be truncated (2.5) first
@@ -103,6 +104,7 @@ def config(tmp_path_factory):
 
 
 EDGE = '"vertices": ["a", "b"], "edges": [["a", "b"]]'
+STAR = json.dumps(star_shape(2).to_json())
 
 
 @settings(max_examples=150, deadline=None)
@@ -119,6 +121,10 @@ EDGE = '"vertices": ["a", "b"], "edges": [["a", "b"]]'
 @example(argv=["spherical-check", "--q", "2", "--z", "300"])
 @example(argv=["flip-demo", "--q", "5", "--rays", "51"])
 @example(argv=["spectrum", "-:"])
+@example(argv=["classify", '{"tag": "cuspidal", "shape": %s, "irrep": "\u00b2"}' % STAR, "-n", "2"])
+@example(argv=["classify", '{"tag": "cuspidal", "shape": %s, "irrep": "1\u00b2"}' % STAR, "-n", "2"])
+@example(argv=["classify", '{"tag": "cuspidal", "shape": %s, "irrep": "--1"}' % STAR, "-n", "2"])
+@example(argv=["classify", '{"tag": "cuspidal", "shape": %s, "irrep": "%s"}' % (STAR, "1" * 5000), "-n", "2"])
 def test_cli_fuzz(config, argv):
     """The work budgets of the catalog and of flip-demo are lowered, so
     that an input past them fails in milliseconds; test_cli checks the

@@ -19,9 +19,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arbocoh import chartab, cli, reptheory
+from arbocoh import chartab, cli, perm, reptheory
 from arbocoh.catalog import enumerate_complete_shapes
 from arbocoh.chartab import character_table, dim_from_counts
+from arbocoh.errors import ArbocohError
 from arbocoh.perm import (
     PermGroup,
     Permutation,
@@ -37,6 +38,7 @@ from arbocoh.reptheory import (
     canonical_vertex_pair,
     classify_bounded_cohomology,
     enumerate_nondegenerate,
+    h2_dimension,
 )
 from arbocoh.shapes import (
     Shape,
@@ -316,8 +318,8 @@ def test_enumerate_nondegenerate_builds_each_stabilizer_once(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(reptheory, "pointwise_stabilizer", counting("pointwise", reptheory.pointwise_stabilizer))
-    monkeypatch.setattr(reptheory, "setwise_stabilizer", counting("setwise", reptheory.setwise_stabilizer))
+    monkeypatch.setattr(reptheory, "pointwise_mask", counting("pointwise", reptheory.pointwise_mask))
+    monkeypatch.setattr(reptheory, "setwise_mask", counting("setwise", reptheory.setwise_mask))
     reptheory.analysis.cache_clear()
     s = star_shape(6)
     rows = enumerate_nondegenerate(s)
@@ -327,6 +329,52 @@ def test_enumerate_nondegenerate_builds_each_stabilizer_once(monkeypatch):
     for row, _deg, h2 in rows:
         assert classify_bounded_cohomology(RepDescriptor.cuspidal(s, row), 2) == h2
     assert calls == once
+
+
+def test_classification_searches_no_key(monkeypatch):
+    """Once the tables are built, the analysis reads each stabilizer as a
+    mask over the elements: with every key search refusing, the
+    non-degenerate rows, the classification of every row in degrees 1-3
+    and h2 on every admissible pair of the centipedes are unchanged.
+    centipede(3,6) has 17 vertices and q2d7#46 has 30, so their keys are
+    bytes."""
+    shapes = {
+        "star(6)": star_shape(6),
+        "centipede(3,6)": centipede_shape(3, 6),
+        "q2d7#46": enumerate_complete_shapes(2, 7)[46],
+    }
+    tables = {name: character_table(shape_automorphism_group(s)) for name, s in shapes.items()}
+
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except ArbocohError as exc:
+            return type(exc).__name__, str(exc)
+
+    def answers():
+        out = {}
+        for name, s in shapes.items():
+            t = tables[name]
+            out[name] = enumerate_nondegenerate(s)
+            for row in range(t.n_rows):
+                for n in (1, 2, 3):
+                    out[name, row, n] = outcome(classify_bounded_cohomology, RepDescriptor.cuspidal(s, row), n)
+        for name in ("star(6)", "centipede(3,6)"):
+            s, t = shapes[name], tables[name]
+            for x, y in admissible_vertex_pairs(s):
+                for row, _deg, _h2 in out[name]:
+                    out[name, row, x, y] = h2_dimension(s, t, row, x, y)
+        return out
+
+    before = answers()
+
+    def refuse(*args):
+        raise AssertionError("a key search on the classification path")
+
+    monkeypatch.setattr(PermGroup, "indices", refuse)
+    monkeypatch.setattr(perm, "subgroup_indices", refuse)
+    reptheory.analysis.cache_clear()
+    assert answers() == before
 
 
 @pytest.mark.parametrize(

@@ -176,7 +176,7 @@ def test_reps_suite_builds_invariants_once(monkeypatch):
     monkeypatch.setattr(chartab, "pointwise_stabilizer", counting_stabilizer)
     monkeypatch.setattr(witness, "check_witness_vector", counting_check)
     chartab.realize_irrep.cache_clear()  # fresh models hold no projectors yet
-    per_key = (witness._section_items, witness._check_vector, reptheory.analysis)
+    per_key = (witness._section_items, witness._ranked_reference, witness._check_vector, reptheory.analysis)
     for cache in per_key + (witness._geodesic_words,):
         cache.cache_clear()
     assert verify.reps_suite(Config(seed=2))["passed"]
@@ -195,6 +195,7 @@ def test_reps_suite_builds_invariants_once(monkeypatch):
 CACHES = [
     verify._flip_shape,
     witness._section_items,
+    witness._ranked_reference,
     witness._geodesic_words,
     witness._check_vector,
     reptheory.analysis,
