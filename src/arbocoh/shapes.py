@@ -94,18 +94,18 @@ class Shape:
     def __init__(self, q, vertices, edges):
         if q < 2:
             raise ValueError(f"q must be >= 2, got {q}")
-        vs = tuple(sorted(str(v) for v in vertices))
+        vs = tuple(sorted(map(str, vertices)))
         known = set(vs)
         if len(known) != len(vs):
             raise ValueError("duplicate vertex ids")
         es = []
         for e in edges:
-            a, b = (str(x) for x in e)
+            a, b = map(str, e)
             if a == b:
                 raise NotATree(f"self-loop at {a}")
             if a not in known or b not in known:
                 raise ValueError(f"edge ({a}, {b}) references unknown vertex")
-            es.append((min(a, b), max(a, b)))
+            es.append((a, b) if a < b else (b, a))
         es = tuple(sorted(set(es)))
         if len(es) != len(edges):
             raise NotATree("duplicate edges")

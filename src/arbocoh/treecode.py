@@ -7,7 +7,10 @@ The canonical code of an unrooted tree roots it at its centre, found by
 peeling leaves layer by layer: "(...)" for a single centre vertex, and
 "[" + the two sorted half codes + "]" for a centre edge.
 
-`hang` walks a tree hung from its centre once, for the codes, the runs
+`hung` walks a tree hung from its centre once, for the codes; the same
+walk gives each vertex's depth below the centre, hence its eccentricity,
+and its Aut-orbit label, the codes on its path from the centre
+(`Hung.orbits`, which the catalog's growth reads).  `hang` adds the runs
 of equal sibling subtrees and whether the centre edge flips.  Aut is
 built from the permutations of each run and the flip (Jordan, 1869), so
 |Aut| = prod m! over the runs, times 2 for a flip (`order_of_runs`, which
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import math
 from itertools import groupby
+from typing import NamedTuple
 
 
 def bfs(adj, root, parent=None) -> tuple:
@@ -52,15 +56,6 @@ def diameter(adj) -> int:
     return max(distances(adj, max(ecc, key=ecc.get)).values())
 
 
-def eccentricities(adj) -> dict:
-    """Greatest distance from each vertex, by three breadth-first sweeps:
-    ecc(v) = max(d(a, v), d(b, v)) for the ends a, b of a diameter."""
-    start = distances(adj, next(iter(adj)))
-    from_a = distances(adj, max(start, key=start.get))
-    from_b = distances(adj, max(from_a, key=from_a.get))
-    return {v: max(d, from_b[v]) for v, d in from_a.items()}
-
-
 def center(adj) -> list:
     """The one or two central vertices, sorted, by peeling leaves."""
     deg = {v: len(ns) for v, ns in adj.items()}
@@ -78,18 +73,53 @@ def center(adj) -> list:
     return sorted(layer)
 
 
-def hang(adj) -> tuple:
-    """The tree hung from its centre as (centre, code, runs, flips): the
-    sorted centre vertices, the code of the subtree below each vertex,
-    (parent, sorted siblings) for each run of two or more children with
-    equal codes, in breadth-first visit order (one half of a centre edge,
-    then the other), and whether the two halves have equal codes."""
+class Hung(NamedTuple):
+    """A tree hung from its centre, off one breadth-first walk of each half:
+    the sorted centre vertices, the code of the subtree below each vertex,
+    the walk (order, parent_of) of each half, and (vertex, parent) for each
+    vertex with two children of one code, in walk order.  A centre vertex
+    has one half, the whole tree; a centre edge has two, one on each side
+    of it."""
+
+    centre: list
+    code: dict
+    walks: list
+    twins: list
+
+    def canonical(self) -> str:
+        """The canonical code; see the module docstring."""
+        c, code = self.centre, self.code
+        return code[c[0]] if len(c) == 1 else "[" + "".join(sorted(code[v] for v in c)) + "]"
+
+    def orbits(self) -> tuple:
+        """(labels, eccentricities, diameter).  The label of v is the tuple
+        of the codes on the path from its centre vertex down to v.  Aut
+        maps the centre onto itself, and a vertex only onto one whose path
+        carries the same codes, and onto every such vertex, so two share a
+        label exactly when they share an Aut-orbit (the halves of a centre
+        edge that flips get the same labels).  With h the height of a half,
+        ecc(v) = depth(v) + h + |centre| - 1 and the diameter is
+        2h + |centre| - 1."""
+        code, label = self.code, {}
+        for order, parent_of in self.walks:
+            label[order[0]] = (code[order[0]],)
+            for u in order[1:]:
+                label[u] = label[parent_of[u]] + (code[u],)
+        # len(label[v]) is depth(v) + 1
+        h = max(map(len, label.values())) - 1
+        rest = h + len(self.centre) - 2
+        ecc = {v: len(path) + rest for v, path in label.items()}
+        return label, ecc, 2 * h + len(self.centre) - 1
+
+
+def hung(adj) -> Hung:
+    """The tree hung from its centre; see `Hung`."""
     c = center(adj)
     halves = [(c[0], None)] if len(c) == 1 else [(c[0], c[1]), (c[1], c[0])]
-    code, runs = {}, []
+    code, walks, twins = {}, [], []
     for root, parent in halves:
         order, parent_of = bfs(adj, root, parent)
-        twins = []  # vertices with two children of one code, bottom up
+        below = []  # twins of this half, bottom up
         for u in reversed(order):
             if len(adj[u]) == 1:  # a leaf: its one neighbour is its parent
                 code[u] = "()"
@@ -98,13 +128,26 @@ def hang(adj) -> tuple:
             kids = sorted([code[n] for n in adj[u] if n != p])
             code[u] = "(" + "".join(kids) + ")"
             if len(set(kids)) < len(kids):
-                twins.append(u)
-        for u in reversed(twins):
-            kids = sorted((code[n], n) for n in adj[u] if n != parent_of[u])
-            for _, run in groupby(kids, key=lambda kid: kid[0]):
-                sibs = [n for _, n in run]
-                if len(sibs) > 1:
-                    runs.append((u, sibs))
+                below.append((u, p))
+        walks.append((order, parent_of))
+        twins.extend(reversed(below))
+    return Hung(c, code, walks, twins)
+
+
+def hang(adj) -> tuple:
+    """The tree hung from its centre as (centre, code, runs, flips): the
+    sorted centre vertices, the code of the subtree below each vertex,
+    (parent, sorted siblings) for each run of two or more children with
+    equal codes, in breadth-first visit order (one half of a centre edge,
+    then the other), and whether the two halves have equal codes."""
+    t = hung(adj)
+    c, code, runs = t.centre, t.code, []
+    for u, p in t.twins:
+        kids = sorted((code[n], n) for n in adj[u] if n != p)
+        for _, run in groupby(kids, key=lambda kid: kid[0]):
+            sibs = [n for _, n in run]
+            if len(sibs) > 1:
+                runs.append((u, sibs))
     return c, code, runs, len(c) == 2 and code[c[0]] == code[c[1]]
 
 
@@ -121,5 +164,4 @@ def aut_order(adj) -> int:
 
 def canonical_code(adj) -> str:
     """Canonical code of an unlabeled tree; see the module docstring."""
-    c, code, _, _ = hang(adj)
-    return code[c[0]] if len(c) == 1 else "[" + "".join(sorted(code[v] for v in c)) + "]"
+    return hung(adj).canonical()

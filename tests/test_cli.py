@@ -517,6 +517,17 @@ def test_oversized_catalog_fails_fast(capsys):
     assert time.perf_counter() - start < 20
 
 
+def test_huge_diameter_fails_fast(capsys):
+    """The size bound of the internal trees is capped at the growth budget,
+    so a diameter of 10^18 is refused as fast as 12, where multiplying out
+    the bound level by level never returned."""
+    start = time.perf_counter()
+    code, out = run(capsys, ["shapes-enumerate", "--q", "2", "--max-diameter", str(10**18)])
+    assert code == 1
+    assert json.loads(out)["error"] == "CatalogTooLarge"
+    assert time.perf_counter() - start < 20
+
+
 def test_catalog_budget_covers_the_largest_catalog():
     # q=2 to diameter 9 grows about 21,000 trees, within the budget
     assert len(enumerate_complete_shapes(2, 9)) == 1839

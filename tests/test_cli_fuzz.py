@@ -118,6 +118,7 @@ STAR = json.dumps(star_shape(2).to_json())
 @example(argv=["spherical-check", "--z", "1e400"])
 @example(argv=["--depth", "100000", "flip-demo"])
 @example(argv=["shapes-enumerate", "--q", "1000000000000", "--max-diameter", "3"])
+@example(argv=["shapes-enumerate", "--q", "2", "--max-diameter", "1000000000000000000"])
 @example(argv=["spherical-check", "--q", "2", "--z", "300"])
 @example(argv=["flip-demo", "--q", "5", "--rays", "51"])
 @example(argv=["spectrum", "-:"])

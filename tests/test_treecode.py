@@ -84,8 +84,97 @@ def test_center_distances_diameter_against_all_pairs():
         ecc = {v: max(dist[v].values()) for v in t}
         radius = min(ecc.values())
         assert treecode.diameter(t) == max(ecc.values())
-        assert treecode.eccentricities(t) == ecc
+        # the eccentricities and diameter read off the one hang
+        _, hung_ecc, hung_diameter = treecode.hung(t).orbits()
+        assert hung_ecc == ecc and hung_diameter == max(ecc.values())
         assert treecode.center(t) == sorted(v for v in t if ecc[v] == radius)
+
+
+def _automorphisms(t):
+    """Every automorphism of a tree on vertices 0..n-1 in which each vertex
+    past 0 has a smaller neighbour (as enumerate_trees grows them), by
+    backtracking: vertex k goes to an unused neighbour, of equal degree, of
+    the image of its smaller neighbour.  An injective map that sends the
+    n - 1 edges to edges is an automorphism."""
+    n = len(t)
+    parent = [None] + [min(t[k]) for k in range(1, n)]
+    image = [None] * n
+
+    def extend(k, used):
+        if k == n:
+            yield tuple(image)
+            return
+        options = t if k == 0 else t[image[parent[k]]]
+        for w in options:
+            if w not in used and len(t[w]) == len(t[k]):
+                image[k] = w
+                yield from extend(k + 1, used | {w})
+
+    return list(extend(0, frozenset()))
+
+
+def test_orbit_labels_are_the_aut_orbits():
+    """Two vertices share an orbit label exactly when an automorphism maps
+    one to the other, on every tree with at most 8 vertices."""
+    trees = enumerate_trees(8)
+    assert len(trees) == 48
+    for t in trees:
+        labels, _, _ = treecode.hung(t).orbits()
+        auts = _automorphisms(t)
+        assert len(auts) == treecode.aut_order(t)
+        for v in t:
+            orbit = {g[v] for g in auts}
+            assert orbit == {w for w in t if labels[w] == labels[v]}, (t, v)
+
+
+def _old_growth(max_vertices, max_degree=0, max_diameter=-1):
+    """The growth loop before the orbit rule: every vertex of every parent
+    within the bounds gets a leaf, eccentricities from all-pairs distances."""
+    out = [{0: []}]
+    level = [{0: []}]
+    for _ in range(1, max_vertices):
+        seen = {}
+        for adj in level:
+            n = len(adj)
+            ecc = {v: max(treecode.distances(adj, v).values()) for v in adj}
+            for v in range(n):
+                if max_degree and len(adj[v]) >= max_degree:
+                    continue
+                if max_diameter >= 0 and ecc[v] >= max_diameter:
+                    continue
+                grown = {u: list(ns) for u, ns in adj.items()}
+                grown[v].append(n)
+                grown[n] = [v]
+                key = treecode.canonical_code(grown)
+                if key not in seen:
+                    seen[key] = grown
+        level = [seen[k] for k in sorted(seen)]
+        if not level:
+            break
+        out.extend(level)
+    return out
+
+
+@pytest.mark.parametrize("max_degree", [0, 3, 4, 5])
+def test_orbit_pruned_growth_keeps_every_tree_and_label(max_degree):
+    """Growth at one vertex per Aut-orbit keeps the trees, their order,
+    their integer vertex labels and their neighbour order."""
+    for max_diameter in range(-1, 7):
+        got = enumerate_trees(9, max_degree, max_diameter)
+        want = _old_growth(9, max_degree, max_diameter)
+        assert [list(t.items()) for t in got] == [list(t.items()) for t in want], max_diameter
+
+
+def test_shapes_catalog_codes_each_orbit_once(monkeypatch):
+    """The three catalogs of the shapes-catalog benchmark hang 243 grown
+    candidates, one per Aut-orbit of each parent, where growth at every
+    vertex hung 382; each enumeration also hangs its one-vertex root."""
+    sizes = []
+    monkeypatch.setattr(treecode, "hung", lambda adj, hung=treecode.hung: sizes.append(len(adj)) or hung(adj))
+    for q, d in ((2, 7), (3, 6), (4, 5)):
+        enumerate_complete_shapes(q, d)
+    assert sizes.count(1) == 3
+    assert len(sizes) - 3 == 243
 
 
 def test_rooted_codes_and_bfs():
