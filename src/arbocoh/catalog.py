@@ -71,7 +71,7 @@ def _grow(max_vertices: int, max_degree: int, max_diameter: int) -> list:
             not max_degree or len(ns) < max_degree for t in level for ns in t.adj.values()
         )
         if grown_count > GROWTH_BUDGET:
-            raise CatalogTooLarge(f"tree enumeration grew more than {GROWTH_BUDGET} trees")
+            raise CatalogTooLarge(f"tree enumeration counted more than {GROWTH_BUDGET} candidate trees")
         seen = {}
         for adj, _, sites in level:
             n = len(adj)

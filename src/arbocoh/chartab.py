@@ -34,7 +34,11 @@ closure) retries with a fresh combination, a fixed number of times,
 before raising NumericalDegeneracy.
 
 A table keeps one class id per group element; a model keeps one
-(|G|, d, d) array of matrices in element order.  realize_irrep builds
+(|G|, d, d) array of matrices in element order.  A subgroup is a boolean
+mask over the elements (perm.pointwise_stabilizer, perm.all_subgroups):
+invariant_dim counts its elements by class with one bincount, and
+IrrepModel.subspace_projector averages the matrices it selects, so
+neither looks a row up by key.  realize_irrep builds
 them: project the regular representation onto the chosen isotypic
 component, then split off a single irreducible copy as an eigenspace of a
 random averaged (hence commuting) Hermitian operator.  The projector is
@@ -49,15 +53,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GroupTooLarge, NonIntegralDimension, NumericalDegeneracy
-from .perm import (
-    PermGroup,
-    Permutation,
-    conjugacy_classes,
-    pointwise_stabilizer,
-    setwise_stabilizer,
-    subgroup_indices,
-)
+from .errors import GroupTooLarge, NonIntegralDimension, NotASubgroup, NumericalDegeneracy
+from .perm import PermGroup, Permutation, conjugacy_classes, pointwise_stabilizer, setwise_stabilizer
 
 _TRIES = 8  # random combinations tried before NumericalDegeneracy
 _TABLE_SEED = 12345  # of the random class-matrix combinations
@@ -192,12 +189,6 @@ def _integral_table(G: PermGroup, ids, sizes, X, M):
     return CharacterTable(G, ids, X, tuple(d[:, 0].tolist()))
 
 
-def class_counts(t: CharacterTable, H: PermGroup) -> np.ndarray:
-    """The class-count vector of a subgroup H of t.group: entry l is the
-    number of elements of H in class l."""
-    return np.bincount(t.class_ids[subgroup_indices(t.group, H)], minlength=t.n_rows)
-
-
 def dim_from_counts(t: CharacterTable, row: int, counts, order: int) -> int:
     """dim of the fixed subspace of the row's irreducible under a subgroup
     of the given order and class counts: (1/|H|) sum_l counts_l chi(C_l).
@@ -210,10 +201,21 @@ def dim_from_counts(t: CharacterTable, row: int, counts, order: int) -> int:
     return dim
 
 
-def invariant_dim(t: CharacterTable, row: int, H: PermGroup) -> int:
-    """dim of the H-fixed subspace of the row's irreducible, from the
-    class counts of H."""
-    return dim_from_counts(t, row, class_counts(t, H), H.order)
+def _subgroup_mask(G: PermGroup, H) -> np.ndarray:
+    """H as an array; NotASubgroup unless it is a boolean mask over the
+    elements of G, of shape (|G|,), that holds the identity (element 0)."""
+    H = np.asarray(H)
+    if H.dtype != bool or H.shape != (G.order,) or not H[0]:
+        raise NotASubgroup(f"not a boolean mask over the {G.order} elements of the group")
+    return H
+
+
+def invariant_dim(t: CharacterTable, row: int, H) -> int:
+    """dim of the H-fixed subspace of the row's irreducible, for a mask H
+    over the elements of t.group, from the class counts of H."""
+    H = _subgroup_mask(t.group, H)
+    counts = np.bincount(t.class_ids[H], minlength=t.n_rows)
+    return dim_from_counts(t, row, counts, int(H.sum()))
 
 
 @dataclass(frozen=True)
@@ -235,9 +237,11 @@ class IrrepModel:
         """The matrix of p; KeyError when p is not a group element."""
         return self.matrices[self.table.group.index(p)]
 
-    def subspace_projector(self, H: PermGroup) -> np.ndarray:
-        """Orthogonal projector onto the H-fixed subspace."""
-        return self.matrices[subgroup_indices(self.table.group, H)].sum(axis=0) / H.order
+    def subspace_projector(self, H) -> np.ndarray:
+        """Orthogonal projector onto the H-fixed subspace, for a mask H over
+        the elements of the group."""
+        H = _subgroup_mask(self.table.group, H)
+        return self.matrices[H].sum(axis=0) / H.sum()
 
     def pair_projectors(self, ix: int, iy: int) -> tuple:
         """Read-only projectors onto the vectors fixed by the pointwise and

@@ -5,7 +5,7 @@ is the image tuple of its i-th element, in breadth-first discovery order
 from the generators.  Each row has a key that sorts like its image tuple
 (its int64 radix-n code for n <= 15, else its bytes), so a sorted key
 index maps any array of permutations back to element indices with one
-searchsorted: membership, subgroups and inverses go through it.  Products
+searchsorted: membership and inverses go through it.  Products
 do not: closure keeps where each product of a generator and an element
 landed, the Cayley table, and right multiplication is a gather down its
 breadth-first tree (Seress, Permutation Group Algorithms, 2003, ch. 4).
@@ -16,11 +16,11 @@ The heavy operations are numpy gathers:
   merges the new ones in, keeping the first discovery of each new row;
 * conjugacy_classes conjugates every element by each generator through
   the Cayley table and propagates the least label along those index maps
-  until each class carries one label; a group given by its rows alone (a
-  stabilizer, a subgroup) has no table, and no classes;
-* a stabilizer is a boolean mask over the elements (pointwise_mask,
-  setwise_mask), which the classification reads as it is; the
-  stabilizer groups are the rows their masks select.
+  until each class carries one label;
+* a subgroup is a read-only boolean mask over the elements, in element
+  order: pointwise_stabilizer, setwise_stabilizer and all_subgroups
+  return masks, and the character theory counts and sums what a mask
+  selects, so no subgroup row is looked up by key.
 
 A group holds no Permutation per element.  Permutation stays the type of
 user input and generators; a user-built one is checked to be a bijection,
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import treecode
-from .errors import GroupTooLarge, NotASubgroup
+from .errors import GroupTooLarge
 from .shapes import Shape
 
 DEFAULT_ORDER_BOUND = 10**6
@@ -131,10 +131,9 @@ def _keys(rows: np.ndarray) -> np.ndarray:
 class PermGroup:
     """A fully enumerated permutation group, equal to another with the same
     degree and array.  `array` row i is the image tuple of element i, in
-    deterministic (breadth-first discovery) order.  A group given by its
-    rows alone (a stabilizer, a subgroup) has generators and cayley None.
+    deterministic (breadth-first discovery) order.
 
-    A closure's `cayley` is its Cayley table, read-only int32 of shape
+    `cayley` is the Cayley table of the closure, read-only int32 of shape
     (m + 2, |G|) for m generators: row j < m holds the element index of
     generators[j] * x at column x; rows m and m + 1 hold the parent p and
     the generator j that discovered x, x = generators[j] * p (0 and 0 for
@@ -142,14 +141,13 @@ class PermGroup:
     they also mark where each breadth-first layer ends."""
 
     degree: int
-    generators: tuple | None
+    generators: tuple
     array: np.ndarray = field(repr=False)
-    cayley: np.ndarray | None = field(default=None, repr=False)
+    cayley: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         self.array.flags.writeable = False
-        if self.cayley is not None:
-            self.cayley.flags.writeable = False
+        self.cayley.flags.writeable = False
 
     def __eq__(self, other):
         return (
@@ -207,10 +205,7 @@ class PermGroup:
         """out[x, i] = element index of x * zs[i], for element indices zs,
         read down the Cayley table one breadth-first layer at a time: the
         identity's row is zs, and x = g * p gives x * z = g * (p * z).
-        int32, shape (|G|, len(zs)); ValueError for a group given by its
-        rows alone."""
-        if self.cayley is None:
-            raise ValueError("right multiples need the Cayley table of a group built by closure")
+        int32, shape (|G|, len(zs))."""
         m = len(self.generators)
         parent = self.cayley[m]
         # g_j * y is entry j * |G| + y of the flattened table
@@ -318,8 +313,6 @@ def _class_labels(G: PermGroup) -> np.ndarray:
     through it) with pointer jumping until it is stable.  Conjugation by
     g_j is x -> (g_j x) g_j^-1: row j of the Cayley table, then the right
     multiples of g_j^-1, so the only key lookup is of the inverses."""
-    if G.cayley is None:
-        raise ValueError("conjugacy classes need a group built by closure, not by its rows alone")
     m = len(G.generators)
     gens = np.array([g.mapping for g in G.generators], dtype=np.intp).reshape(m, G.degree)
     inverses = G.indices(np.argsort(gens, axis=1))
@@ -349,53 +342,43 @@ def conjugacy_classes(G: PermGroup) -> np.ndarray:
     return ids
 
 
-def pointwise_mask(G: PermGroup, points) -> np.ndarray:
-    """Which elements fix every given point, in element order."""
+def _frozen(mask: np.ndarray) -> np.ndarray:
+    """The mask, made read-only."""
+    mask.flags.writeable = False
+    return mask
+
+
+def pointwise_stabilizer(G: PermGroup, points) -> np.ndarray:
+    """The subgroup of elements fixing every given point, as a read-only
+    mask over the elements."""
     pts = np.array(sorted(points), dtype=np.intp)
-    return (G.array[:, pts] == pts).all(axis=1)
+    return _frozen((G.array[:, pts] == pts).all(axis=1))
 
 
-def setwise_mask(G: PermGroup, points) -> np.ndarray:
-    """Which elements map the given point set onto itself, in element order."""
+def setwise_stabilizer(G: PermGroup, points) -> np.ndarray:
+    """The subgroup of elements mapping the given point set onto itself,
+    as a read-only mask over the elements."""
     pts = np.array(sorted(set(points)), dtype=np.intp)
-    return np.isin(G.array[:, pts], pts).all(axis=1)
-
-
-def pointwise_stabilizer(G: PermGroup, points) -> PermGroup:
-    """Subgroup of elements fixing every given point."""
-    return PermGroup(G.degree, None, G.array[pointwise_mask(G, points)])
-
-
-def setwise_stabilizer(G: PermGroup, points) -> PermGroup:
-    """Subgroup of elements mapping the given point set onto itself."""
-    return PermGroup(G.degree, None, G.array[setwise_mask(G, points)])
-
-
-def subgroup_indices(G: PermGroup, H: PermGroup) -> np.ndarray:
-    """Element index in G of each element of H; NotASubgroup when H is not
-    contained in G."""
-    idx = G.indices(H.array) if H.degree == G.degree else np.array([-1])
-    if (idx < 0).any():
-        raise NotASubgroup("H is not contained in G")
-    return idx
+    return _frozen(np.isin(G.array[:, pts], pts).all(axis=1))
 
 
 def all_subgroups(G: PermGroup) -> list:
-    """Every subgroup, its rows sorted, the list sorted by (order, rows),
-    by cyclic extension (Neubüser, Numer. Math. 2, 1960; Holt, Eick and
-    O'Brien, Handbook of Computational Group Theory, 2005): each cyclic
-    subgroup is listed once, and each known subgroup H, from the trivial
-    group up, is joined with one cyclic subgroup per double coset HgH
-    outside H, since <H, g> = <H, h g h'> = <H, <g>>.  Subgroups are masks
-    over the multiplication table, and a join is the product closure of
-    their union.  The search is exponential, so it refuses orders above
-    SUBGROUP_SEARCH_MAX_ORDER."""
+    """Every subgroup as a read-only mask over the elements, the list
+    sorted by (order, sorted rows), by cyclic extension (Neubüser, Numer.
+    Math. 2, 1960; Holt, Eick and O'Brien, Handbook of Computational Group
+    Theory, 2005): each cyclic subgroup is listed once, and each known
+    subgroup H, from the trivial group up, is joined with one cyclic
+    subgroup per double coset HgH outside H, since
+    <H, g> = <H, h g h'> = <H, <g>>.  The search runs on masks over the
+    multiplication table in sorted row order, and a join is the product
+    closure of their union.  The search is exponential, so it refuses
+    orders above SUBGROUP_SEARCH_MAX_ORDER."""
     n = G.order
     if n > SUBGROUP_SEARCH_MAX_ORDER:
         raise GroupTooLarge(f"subgroup search refused at order {n} > {SUBGROUP_SEARCH_MAX_ORDER}")
     lex = G._row_index()[1]  # element indices in sorted row order; the identity first
-    rows = G.array[lex]
-    mult = np.argsort(lex)[G.right_multiples(lex)[lex]]  # sorted position of a * b
+    rank = np.argsort(lex)  # the sorted position of each element
+    mult = rank[G.right_multiples(lex)[lex]]  # sorted position of a * b
 
     def closed(mask):
         """The subgroup generated by a fresh mask of elements: its product
@@ -434,9 +417,8 @@ def all_subgroups(G: PermGroup) -> list:
     while frontier:
         grown = (K for H in frontier for K in joins(H))
         frontier = [known.setdefault(K.tobytes(), K) for K in grown if K.tobytes() not in known]
-    subgroups = [np.flatnonzero(K) for K in known.values()]
-    subgroups.sort(key=lambda e: (len(e), e.tolist()))
-    return [PermGroup(G.degree, None, rows[e]) for e in subgroups]
+    subgroups = sorted(known.values(), key=lambda K: (K.sum(), np.flatnonzero(K).tolist()))
+    return [_frozen(K[rank]) for K in subgroups]
 
 
 # -- tree automorphism groups -------------------------------------------------

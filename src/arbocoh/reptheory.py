@@ -23,8 +23,8 @@ Qtilde asked for, reduced to its class-count vector (entry l is the
 number of its elements in class l of Aut(S)); the admissible pairs; the
 centipede flag; and the fingerprint of each row, with the map from a
 fingerprint to its first row.  A stabilizer is a mask over the elements
-of Aut(S) (perm.pointwise_mask, perm.setwise_mask), counted by class
-with one bincount: no subgroup is built and no row looked up by key.
+of Aut(S) (perm.pointwise_stabilizer, perm.setwise_stabilizer), counted
+by class with one bincount: no row is looked up by key.
 The fixed-space dimension of a row under it is chi . counts divided
 exactly by its order, and every row meets every A_j in one int64
 product, below |G|^(3/2) as |chi| <= chi(1) <= |G|^(1/2); so testing
@@ -52,8 +52,8 @@ from .errors import (
 from .perm import (
     DEFAULT_ORDER_BOUND,
     automorphism_order,
-    pointwise_mask,
-    setwise_mask,
+    pointwise_stabilizer,
+    setwise_stabilizer,
     shape_automorphism_group,
 )
 from .shapes import Shape, classify_shape, maximal_proper_complete_subtrees, validate_complete
@@ -108,12 +108,12 @@ class Analysis:
         self.shape, self.table = s, t
         self._stabilizers = {}  # (x, y) -> (Q, Qtilde) reduced
 
-    def _reduced(self, mask, ids) -> tuple:
+    def _reduced(self, stabilizer, ids) -> tuple:
         """A stabilizer of vertex ids as (class counts, order), read off
         its mask over the elements; the counts are read-only because every
         caller shares them."""
         points = [i for i, v in enumerate(self.shape.vertices) if v in ids]
-        classes = self.table.class_ids[mask(self.table.group, points)]
+        classes = self.table.class_ids[stabilizer(self.table.group, points)]
         counts = np.bincount(classes, minlength=self.table.n_rows)
         counts.flags.writeable = False
         return counts, int(counts.sum())
@@ -125,7 +125,7 @@ class Analysis:
     @functools.cached_property
     def heads(self) -> tuple:
         """Each A_j as (class counts, order), in the order of subtrees."""
-        return tuple(self._reduced(pointwise_mask, sub) for sub in self.subtrees)
+        return tuple(self._reduced(pointwise_stabilizer, sub) for sub in self.subtrees)
 
     @functools.cached_property
     def _nondegenerate(self) -> np.ndarray:
@@ -180,7 +180,7 @@ class Analysis:
         """Q(x, y) and Qtilde(x, y) as (class counts, order), once per pair."""
         if (x, y) not in self._stabilizers:
             self._stabilizers[x, y] = tuple(
-                self._reduced(mask, (x, y)) for mask in (pointwise_mask, setwise_mask)
+                self._reduced(f, (x, y)) for f in (pointwise_stabilizer, setwise_stabilizer)
             )
         return self._stabilizers[x, y]
 
@@ -203,7 +203,7 @@ def _is_automorphism_group(s: Shape, G) -> bool:
     edge set onto itself, so G lies in Aut(s), and |G| = |Aut(s)|."""
     index = {v: i for i, v in enumerate(s.vertices)}
     edges = {frozenset((index[a], index[b])) for a, b in s.edges}
-    for g in G.generators or G.elements:
+    for g in G.generators:
         if {frozenset((g(a), g(b))) for a, b in edges} != edges:
             return False
     s.check_tree()

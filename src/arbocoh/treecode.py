@@ -50,12 +50,6 @@ def distances(adj, start) -> dict:
     return dist
 
 
-def diameter(adj) -> int:
-    """Longest path length, by two breadth-first sweeps."""
-    ecc = distances(adj, next(iter(adj)))
-    return max(distances(adj, max(ecc, key=ecc.get)).values())
-
-
 def center(adj) -> list:
     """The one or two central vertices, sorted, by peeling leaves."""
     deg = {v: len(ns) for v, ns in adj.items()}

@@ -95,7 +95,8 @@ def test_orthogonality_residuals():
 
 def test_invariant_dim_examples():
     t = character_table(sym3())
-    transposition = closure([Permutation((1, 0, 2))])
+    transposition = pointwise_stabilizer(t.group, [2])  # the identity and (0 1)
+    assert transposition.sum() == 2
     # trivial character: always one invariant dimension
     triv = next(r for r in range(3) if all(abs(v - 1) < 1e-9 for v in t.characters[r]))
     assert invariant_dim(t, triv, transposition) == 1
@@ -110,10 +111,14 @@ def test_invariant_dim_examples():
 
 
 def test_invariant_dim_rejects_non_subgroup():
+    """A subgroup is a boolean mask over the elements of the table's group:
+    a mask of another group, a group, an index array or a mask without the
+    identity raises NotASubgroup."""
     t = character_table(sym3())
     other = closure([Permutation((1, 0))])
-    with pytest.raises(NotASubgroup):
-        invariant_dim(t, 0, other)
+    for H in (pointwise_stabilizer(other, []), other, np.arange(6), np.arange(6) > 0):
+        with pytest.raises(NotASubgroup):
+            invariant_dim(t, 0, H)
 
 
 def frobenius21():
@@ -156,7 +161,7 @@ def test_lookups_reject_non_elements():
         with pytest.raises(KeyError):
             model.matrix(p)
     with pytest.raises(NotASubgroup):
-        model.subspace_projector(closure([Permutation((1, 0, 2, 3))]))
+        model.subspace_projector(pointwise_stabilizer(closure([Permutation((1, 0, 2, 3))]), []))
 
 
 def test_values_are_ints():
@@ -439,7 +444,7 @@ def test_invariant_dim_is_exact_division():
     broken[1, 1] += 1  # the sum over G now misses a multiple of |G| by |C_1|
     bad = CharacterTable(G, t.class_ids, broken, t.degrees)
     with pytest.raises(NonIntegralDimension):
-        invariant_dim(bad, 1, G)
+        invariant_dim(bad, 1, pointwise_stabilizer(G, []))  # all of G
 
 
 def test_import_leaves_mpmath_out():

@@ -6,6 +6,7 @@ the library raise inside that check, and the check fails."""
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from arbocoh import verify
@@ -47,6 +48,28 @@ def _depth_4_weight_off(f):
     return perturbed
 
 
+def _group_loses_an_element(f):  # all of G, less its last element: order |G| - 1
+    def mutant(G):
+        subgroups = f(G)
+        whole = subgroups[-1].copy()
+        whole[-1] = False
+        return subgroups[:-1] + [whole]
+
+    return mutant
+
+
+def _order_two_not_closed(f):  # {1, g} for an element g of order above 2
+    def mutant(G):
+        subgroups = f(G)
+        squares = np.take_along_axis(G.array, G.array, axis=1)  # row x is x * x
+        g = int(np.argmax((squares != np.arange(G.degree)).any(axis=1)))
+        pair = np.isin(np.arange(G.order), [0, g])
+        i = next(i for i, H in enumerate(subgroups) if H.sum() == 2)
+        return subgroups[:i] + [pair] + subgroups[i + 1 :]
+
+    return mutant
+
+
 # (suite, the verify name patched, the defect planted in it, the check that must fail)
 MUTANTS = [
     ("reps", "count_hitting", _hits_vary, "hit_counts_constant"),
@@ -56,11 +79,19 @@ MUTANTS = [
     ("reps", "enumerate_nondegenerate", _star3_row_dropped, "diameter_two_spectrum"),
     ("reps", "classify_bounded_cohomology", _centipede22_hot_in_degree_3, "vanishing_grid"),
     ("spherical", "intertwiner_matrix", _depth_4_weight_off, "intertwiner_identity"),
+    ("groups", "all_subgroups", _group_loses_an_element, "lagrange"),
+    ("groups", "all_subgroups", _order_two_not_closed, "lagrange"),
 ]
 
 
 # every check of a suite, in report order
 CHECKS = {
+    "groups": [
+        "aut_matches_brute_force",
+        "maximal_subtrees_match_brute_force",
+        "lagrange",
+        "pointwise_stabilizer_is_complement_supported",
+    ],
     "reps": [
         "character_tables_orthogonal",
         "invariant_dim_matches_projector_rank",

@@ -44,6 +44,11 @@ def sym3():
     return closure([Permutation((1, 0, 2)), Permutation((1, 2, 0))])
 
 
+def members(G, mask):
+    """The elements a subgroup mask selects, as Permutations."""
+    return [p for p, keep in zip(G.elements, mask) if keep]
+
+
 def test_closure_examples():
     assert closure([], degree=3).order == 1
     assert closure([Permutation((1, 0))]).order == 2
@@ -119,12 +124,13 @@ def test_conjugacy_classes():
 
 def test_stabilizer_examples():
     G = sym3()
-    assert pointwise_stabilizer(G, [0, 1]).order == 1
-    assert setwise_stabilizer(G, [0, 1]).order == 2
+    assert pointwise_stabilizer(G, [0, 1]).sum() == 1
+    assert setwise_stabilizer(G, [0, 1]).sum() == 2
     for pts in ([0], [0, 1], [1, 2]):
         pw = pointwise_stabilizer(G, pts)
         sw = setwise_stabilizer(G, pts)
-        assert set(pw.elements) <= set(sw.elements)
+        assert pw.shape == (G.order,) and not pw.flags.writeable
+        assert not (pw & ~sw).any()
 
 
 @pytest.mark.parametrize(
@@ -192,7 +198,7 @@ def test_groups_compare_by_their_arrays():
 def test_lagrange_over_subgroups():
     for G in (sym3(), shape_automorphism_group(star_shape(3))):
         subs = all_subgroups(G)
-        assert all(G.order % H.order == 0 for H in subs)
+        assert all(G.order % H.sum() == 0 for H in subs)
     # S4 has 30 subgroups
     assert len(all_subgroups(shape_automorphism_group(star_shape(3)))) == 30
 
@@ -211,7 +217,7 @@ def test_pointwise_stabilizer_realizes_head_permutations():
                 for p in G.elements
                 if {i for i in range(p.degree) if p(i) != i} <= comp
             }
-            assert set(a_j.elements) == complement_supported
+            assert set(members(G, a_j)) == complement_supported
 
 
 def test_aj_matches_ball_isometry_restrictions():
@@ -265,7 +271,7 @@ def test_aj_matches_ball_isometry_restrictions():
     a_j = pointwise_stabilizer(G, [index[v] for v in sub])
     abstract = {
         tuple(placement[s.vertices[p(index[v])]] for v in s.vertices)
-        for p in a_j.elements
+        for p in members(G, a_j)
     }
     assert restrictions == abstract
 

@@ -19,9 +19,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arbocoh import chartab, cli, perm, reptheory
+from arbocoh import chartab, cli, reptheory
 from arbocoh.catalog import enumerate_complete_shapes
-from arbocoh.chartab import character_table, dim_from_counts
+from arbocoh.chartab import character_table, dim_from_counts, invariant_dim, realize_irrep
 from arbocoh.errors import ArbocohError
 from arbocoh.perm import (
     PermGroup,
@@ -29,7 +29,6 @@ from arbocoh.perm import (
     all_subgroups,
     closure,
     conjugacy_classes,
-    pointwise_stabilizer,
     shape_automorphism_group,
 )
 from arbocoh.reptheory import (
@@ -46,6 +45,7 @@ from arbocoh.shapes import (
     maximal_proper_complete_subtrees,
     star_shape,
 )
+from arbocoh.verify import projector_rank
 
 # -- oracles -------------------------------------------------------------------
 
@@ -295,17 +295,6 @@ def test_classes_and_constants_look_up_no_product(monkeypatch, shape):
     assert calls["indices"] == 2
 
 
-def test_rows_alone_have_no_classes():
-    """A group given by its rows alone has no Cayley table, so its classes
-    and right multiples are refused."""
-    H = pointwise_stabilizer(shape_automorphism_group(star_shape(3)), [0])
-    assert H.cayley is None
-    with pytest.raises(ValueError, match="closure"):
-        conjugacy_classes(H)
-    with pytest.raises(ValueError, match="closure"):
-        H.right_multiples([0])
-
-
 def test_enumerate_nondegenerate_builds_each_stabilizer_once(monkeypatch):
     """A_j, Q and Qtilde are enumerated once per shape and table; later
     rows and later classify calls reuse their class counts."""
@@ -318,8 +307,8 @@ def test_enumerate_nondegenerate_builds_each_stabilizer_once(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(reptheory, "pointwise_mask", counting("pointwise", reptheory.pointwise_mask))
-    monkeypatch.setattr(reptheory, "setwise_mask", counting("setwise", reptheory.setwise_mask))
+    monkeypatch.setattr(reptheory, "pointwise_stabilizer", counting("pointwise", reptheory.pointwise_stabilizer))
+    monkeypatch.setattr(reptheory, "setwise_stabilizer", counting("setwise", reptheory.setwise_stabilizer))
     reptheory.analysis.cache_clear()
     s = star_shape(6)
     rows = enumerate_nondegenerate(s)
@@ -337,13 +326,18 @@ def test_classification_searches_no_key(monkeypatch):
     non-degenerate rows, the classification of every row in degrees 1-3
     and h2 on every admissible pair of the centipedes are unchanged.
     centipede(3,6) has 17 vertices and q2d7#46 has 30, so their keys are
-    bytes."""
+    bytes.  The subgroup path reads masks too: invariant dimensions and
+    projector ranks of every row under every subgroup of S_3, S_4 and
+    centipede(2,4)'s D_8, and the pair projectors of centipede(2,4) at its
+    canonical pair, from models rebuilt while the search refuses."""
     shapes = {
         "star(6)": star_shape(6),
         "centipede(3,6)": centipede_shape(3, 6),
         "q2d7#46": enumerate_complete_shapes(2, 7)[46],
     }
     tables = {name: character_table(shape_automorphism_group(s)) for name, s in shapes.items()}
+    hosts = {"star(2)": star_shape(2), "star(3)": star_shape(3), "centipede(2,4)": centipede_shape(2, 4)}
+    host_tables = {name: character_table(shape_automorphism_group(s)) for name, s in hosts.items()}
 
     def outcome(fn, *args):
         try:
@@ -364,6 +358,15 @@ def test_classification_searches_no_key(monkeypatch):
             for x, y in admissible_vertex_pairs(s):
                 for row, _deg, _h2 in out[name]:
                     out[name, row, x, y] = h2_dimension(s, t, row, x, y)
+        for name, t in host_tables.items():
+            models = [realize_irrep(t, row) for row in range(t.n_rows)]
+            for i, H in enumerate(all_subgroups(t.group)):
+                for row, model in enumerate(models):
+                    out[name, "subgroup", i, row] = invariant_dim(t, row, H), projector_rank(model.subspace_projector(H))
+        s, t = hosts["centipede(2,4)"], host_tables["centipede(2,4)"]
+        ix, iy = (s.vertices.index(v) for v in canonical_vertex_pair(s))
+        for row in range(t.n_rows):
+            out["pair", row] = [P.tolist() for P in realize_irrep(t, row).pair_projectors(ix, iy)]
         return out
 
     before = answers()
@@ -372,8 +375,8 @@ def test_classification_searches_no_key(monkeypatch):
         raise AssertionError("a key search on the classification path")
 
     monkeypatch.setattr(PermGroup, "indices", refuse)
-    monkeypatch.setattr(perm, "subgroup_indices", refuse)
     reptheory.analysis.cache_clear()
+    realize_irrep.cache_clear()  # fresh models hold no pair projectors
     assert answers() == before
 
 
@@ -389,7 +392,8 @@ def test_classification_searches_no_key(monkeypatch):
 )
 def test_all_subgroups_matches_the_closure_search(G):
     """The mask search finds the subgroups of the closure search."""
-    assert [H.elements for H in all_subgroups(G)] == oracle_subgroups(G)
+    got = [tuple(sorted(p for p, keep in zip(G.elements, H) if keep)) for H in all_subgroups(G)]
+    assert got == oracle_subgroups(G)
 
 
 @pytest.mark.parametrize(
@@ -401,7 +405,8 @@ def test_all_subgroups_matches_the_mask_search(s):
     """Cyclic extension over double cosets lists the arrays that closing
     every subgroup with every element outside it listed, in its order."""
     G = shape_automorphism_group(relabel(s, 3))
-    got = [H.array for H in all_subgroups(G)]
+    lex = G._row_index()[1]  # element indices in sorted row order
+    got = [G.array[lex[H[lex]]] for H in all_subgroups(G)]
     want = mask_search_subgroups(G)
     assert len(got) == len(want) and all(map(np.array_equal, got, want))
 
@@ -414,9 +419,10 @@ def test_subgroups_of_s5():
     subgroups = all_subgroups(G)
     assert G.order == 120 and len(subgroups) == 156
     for H in subgroups:
-        assert G.order % H.order == 0
-        products = H.array[:, H.array].reshape(-1, G.degree)  # row [i, j] is h_i * h_j
-        assert (H.indices(products) >= 0).all()
+        assert G.order % H.sum() == 0
+        rows = G.array[H]
+        products = rows[:, rows].reshape(-1, G.degree)  # row [i, j] is h_i * h_j
+        assert H[G.indices(products)].all()
 
 
 def test_library_path_builds_no_element_objects(monkeypatch, capsys):

@@ -9,7 +9,7 @@ import pytest
 
 from arbocoh import treecode
 from arbocoh.catalog import enumerate_complete_shapes, enumerate_trees
-from arbocoh.shapes import centipede_shape, star_shape, y_shape
+from arbocoh.shapes import Shape, centipede_shape, star_shape, y_shape
 
 # sha256 digests of the catalog (shapes as sorted-key JSON), of the
 # canonical code of every catalog shape, and of the codes of every tree
@@ -83,10 +83,12 @@ def test_center_distances_diameter_against_all_pairs():
         dist = {v: treecode.distances(t, v) for v in t}
         ecc = {v: max(dist[v].values()) for v in t}
         radius = min(ecc.values())
-        assert treecode.diameter(t) == max(ecc.values())
-        # the eccentricities and diameter read off the one hang
+        # the eccentricities and diameter read off the one hang, and the
+        # two-sweep diameter of a Shape of the same tree
         _, hung_ecc, hung_diameter = treecode.hung(t).orbits()
         assert hung_ecc == ecc and hung_diameter == max(ecc.values())
+        shape = Shape(2, map(str, t), [(str(u), str(v)) for u in t for v in t[u] if u < v])
+        assert shape.diameter() == max(ecc.values())
         assert treecode.center(t) == sorted(v for v in t if ecc[v] == radius)
 
 
