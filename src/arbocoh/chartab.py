@@ -26,23 +26,32 @@ makes each row its irreducible character.  Every product is below
 10^6 |G|^2: int64 is exact up to |G| = 3,037,000, three times the default
 order bound, and a larger group raises GroupTooLarge before class work.
 
-The proof is the one judge, with no float test before it.  A rounding
+The proof is the one judge, with no float test before it.  A class not
+closed under inversion means a non-real character (a cyclic C_n, n >= 3,
+built with closure, say): NumericalDegeneracy before any try.  A rounding
 that is not finite (an eigenvector that vanishes at the identity class)
 or that fails the proof (eigenspaces the combination did not separate, or
-a group with irrational characters, such as a cyclic C_n built with
-closure) retries with a fresh combination, a fixed number of times,
-before raising NumericalDegeneracy.
+real but irrational characters, as of the dihedral group of order 10)
+retries with a fresh combination, a fixed number of times, before raising
+NumericalDegeneracy.
 
 A table keeps one class id per group element; a model keeps one
 (|G|, d, d) array of matrices in element order.  A subgroup is a boolean
 mask over the elements (perm.pointwise_stabilizer, perm.all_subgroups):
 invariant_dim counts its elements by class with one bincount, and
 IrrepModel.subspace_projector averages the matrices it selects, so
-neither looks a row up by key.  realize_irrep builds
-them: project the regular representation onto the chosen isotypic
-component, then split off a single irreducible copy as an eigenspace of a
-random averaged (hence commuting) Hermitian operator.  The projector is
-dense, |G| x |G|, so a model of degree above 1 is refused past order 120.
+neither looks a row up by key.  realize_irrep cuts a model of degree
+d > 1 out of the regular representation L with no random choice.  By
+Frobenius reciprocity a subgroup H that fixes one line of the row
+(dim V^H = 1, from its class counts) holds the irreducible once in the
+permutation representation on G/H.  So the image of the rank-d projector
+P_chi S_H, with P_chi = (d/|G|) sum_g chi(g) L(g) and S_H the average of
+the right translations by H, is one copy, and its orthonormal basis C
+gives rho(g) = C^T L(g) C.  H is the first such subgroup in all_subgroups
+order, found for all rows at once; the degree-2 row of Q_8, whose
+nontrivial subgroups all hold the central -1, has none and raises
+NumericalDegeneracy.  The projector is dense, |G| x |G|, so a model of
+degree above 1 is refused past order 120.
 """
 
 from __future__ import annotations
@@ -54,13 +63,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GroupTooLarge, NonIntegralDimension, NotASubgroup, NumericalDegeneracy
-from .perm import PermGroup, Permutation, conjugacy_classes, pointwise_stabilizer, setwise_stabilizer
+from .perm import (
+    PermGroup,
+    Permutation,
+    all_subgroups,
+    conjugacy_classes,
+    pointwise_stabilizer,
+    setwise_stabilizer,
+)
 
 _TRIES = 8  # random combinations tried before NumericalDegeneracy
 _TABLE_SEED = 12345  # of the random class-matrix combinations
-_MODEL_SEED = 7  # of the random operators that split off one irreducible
 _MODEL_TOL = 1e-10  # unitarity and trace deviation allowed in a model
-_SPLIT_TOL = 1e-8  # eigenvalues of the averaged operator this close are one
 _COEFF_MAX = 10**6  # the combination's coefficients c_i lie in [1, _COEFF_MAX)
 MODEL_MAX_ORDER = 120  # realize_irrep refuses larger groups for degrees above 1
 _TABLE_CACHE_SIZE = 128
@@ -121,18 +135,23 @@ def _least_elements(G: PermGroup, ids: np.ndarray) -> np.ndarray:
     return lex[np.unique(ids[lex], return_index=True)[1]]
 
 
-def _class_matrix(G: PermGroup, ids: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _class_inverses(G: PermGroup, ids: np.ndarray) -> tuple:
+    """The least element z_l of each class and the class of each z_l^{-1},
+    with one key lookup of the k inverses."""
+    reps = _least_elements(G, ids)
+    return reps, ids[G.indices(np.argsort(G.array[reps], axis=1))]
+
+
+def _class_matrix(G: PermGroup, ids: np.ndarray, reps, inverse_class, c: np.ndarray) -> np.ndarray:
     """M = sum_i c_i B_i, B_i[j, l] = a_ijl = #{x in C_i : x^{-1} z_l in C_j}
-    for the least elements z_l of the classes, given each element's class.
+    for the least elements z_l of the classes, given each element's class,
+    the z_l and the class of each z_l^{-1} (_class_inverses).
 
     With y = x^{-1} the count runs over the pairs (class of y^{-1}, class
-    of y z_l).  The class of y^{-1} is the inverse of the class of y, so
-    one key lookup of the k inverses z_l^{-1} gives it; the right
-    multiples y z_l come down the Cayley table a chunk of columns at a
-    time, and c contracts one bincount per representative into M[:, l]."""
-    reps = _least_elements(G, ids)
+    of y z_l).  The class of y^{-1} is the inverse of the class of y; the
+    right multiples y z_l come down the Cayley table a chunk of columns at
+    a time, and c contracts one bincount per representative into M[:, l]."""
     k = len(reps)
-    inverse_class = ids[G.indices(np.argsort(G.array[reps], axis=1))]
     row = inverse_class[ids] * k  # k times the class of y^{-1}
     M = np.empty((k, k), dtype=np.int64)
     for ell, right in enumerate(G.right_multiple_columns(reps)):
@@ -148,10 +167,13 @@ def character_table(G: PermGroup) -> CharacterTable:
         raise GroupTooLarge(f"|G| = {G.order} is past the int64 bound of the table proof")
     ids = conjugacy_classes(G)
     sizes = np.bincount(ids)
+    reps, inverse_class = _class_inverses(G, ids)
+    if np.any(inverse_class != np.arange(len(reps))):
+        raise NumericalDegeneracy("a class is not closed under inversion: the group has a non-real character")
     rng = random.Random(_TABLE_SEED)
     for _ in range(_TRIES):
         c = np.array([rng.randrange(1, _COEFF_MAX) for _ in sizes], dtype=np.int64)
-        M = _class_matrix(G, ids, c)
+        M = _class_matrix(G, ids, reps, inverse_class, c)
         V = np.linalg.eig(M.astype(float))[1]
         with np.errstate(divide="ignore", invalid="ignore"):
             W = (V / V[0]).T  # row a: central character w_a, w_a(identity) = 1
@@ -189,16 +211,18 @@ def _integral_table(G: PermGroup, ids, sizes, X, M):
     return CharacterTable(G, ids, X, tuple(d[:, 0].tolist()))
 
 
-def dim_from_counts(t: CharacterTable, row: int, counts, order: int) -> int:
-    """dim of the fixed subspace of the row's irreducible under a subgroup
-    of the given order and class counts: (1/|H|) sum_l counts_l chi(C_l).
-    Exact division: |chi| <= chi(1) <= |G|^(1/2) and
-    sum_l counts_l = |H| keep the int64 dot product below |G|^(3/2)."""
-    total = int(t.characters[row] @ counts)
-    dim, rem = divmod(total, order)
-    if rem:
-        raise NonIntegralDimension(f"character sum {total} is not a multiple of |H| = {order}")
-    return dim
+def fixed_dims(t: CharacterTable, counts, orders) -> np.ndarray:
+    """dim V^H of every row under every subgroup H at once, each H given by
+    its class counts (one row of counts per subgroup) and its order:
+    (1/|H|) sum_l counts_l chi(C_l), one int64 product divided exactly.
+    |chi| <= chi(1) <= |G|^(1/2) and sum_l counts_l = |H| keep the product
+    below |G|^(3/2).  Shape (rows, subgroups)."""
+    counts = np.asarray(counts, dtype=np.int64).reshape(-1, t.n_rows)
+    dims, rem = np.divmod(t.characters @ counts.T, orders)
+    if rem.any():
+        row, j = np.argwhere(rem)[0]
+        raise NonIntegralDimension(f"a character sum of row {row} is not a multiple of |H| = {orders[j]}")
+    return dims
 
 
 def _subgroup_mask(G: PermGroup, H) -> np.ndarray:
@@ -215,7 +239,7 @@ def invariant_dim(t: CharacterTable, row: int, H) -> int:
     over the elements of t.group, from the class counts of H."""
     H = _subgroup_mask(t.group, H)
     counts = np.bincount(t.class_ids[H], minlength=t.n_rows)
-    return dim_from_counts(t, row, counts, int(H.sum()))
+    return int(fixed_dims(t, counts, [H.sum()])[row, 0])
 
 
 @dataclass(frozen=True)
@@ -262,9 +286,20 @@ class IrrepModel:
 
 
 @functools.lru_cache(maxsize=_IRREP_CACHE_SIZE)
+def _line_subgroups(t: CharacterTable) -> list:
+    """Per row, the first subgroup in all_subgroups order that fixes one line
+    of the row, or None: every row and subgroup in one fixed_dims."""
+    subgroups = all_subgroups(t.group)
+    counts = np.array(subgroups, dtype=np.int64) @ np.eye(t.n_rows, dtype=np.int64)[t.class_ids]
+    line = fixed_dims(t, counts, counts.sum(axis=1)) == 1
+    return [subgroups[j] if line[r, j] else None for r, j in enumerate(line.argmax(axis=1))]
+
+
+@functools.lru_cache(maxsize=_IRREP_CACHE_SIZE)
 def realize_irrep(t: CharacterTable, row: int) -> IrrepModel:
-    """Explicit unitary matrices realizing one character row; GroupTooLarge,
-    before any allocation, for a degree above 1 past MODEL_MAX_ORDER."""
+    """Explicit unitary matrices realizing one character row (see the module
+    docstring); GroupTooLarge, before any allocation, for a degree above 1
+    past MODEL_MAX_ORDER."""
     G = t.group
     d = t.degrees[row]
     order = G.order
@@ -273,51 +308,21 @@ def realize_irrep(t: CharacterTable, row: int) -> IrrepModel:
     chi = t.characters[row, t.class_ids].astype(complex)  # chi[i]: chi(element i)
     if d == 1:
         return IrrepModel(t, row, chi.reshape(-1, 1, 1))
+    H = _line_subgroups(t)[row]
+    if H is None:
+        raise NumericalDegeneracy(f"no subgroup fixes exactly one line of row {row} (degree {d})")
 
     # mult[g, h] = g * h: the regular matrix of g has its 1s at (mult[g, h], h)
     mult = G.right_multiples(np.arange(order))
-    proj = np.zeros((order, order), dtype=complex)
-    proj[mult, np.arange(order)] += np.conj(chi)[:, None]
-    proj *= d / order
-
-    vals, vecs = np.linalg.eigh(proj)
-    keep = vals > 0.5
-    if int(keep.sum()) != d * d:
-        raise NumericalDegeneracy(
-            f"isotypic projector rank {int(keep.sum())} != degree^2 {d * d}"
-        )
-    basis = vecs[:, keep]  # order x d^2, orthonormal
-    # basis^H reg(g) is basis^H with column h taken from column g * h
-    sigma = [basis.conj().T[:, mult[g]] @ basis for g in range(order)]
-
-    # split off one irreducible copy: eigenspace of a random averaged
-    # Hermitian operator, which lies in the commutant of sigma
-    rng = np.random.default_rng(_MODEL_SEED)
-    for _ in range(8):
-        X = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
-        X = X + X.conj().T
-        T = np.zeros_like(X)
-        for s_g in sigma:
-            T += s_g @ X @ s_g.conj().T
-        T /= order
-        tvals, tvecs = np.linalg.eigh(T)
-        groups = _group_close(tvals)
-        if all(len(g) == d for g in groups):
-            C = tvecs[:, groups[0]]  # d^2 x d
-            model = IrrepModel(t, row, np.stack([C.conj().T @ s_g @ C for s_g in sigma]))
-            _validate_model(model, chi)
-            return model
-    raise NumericalDegeneracy("could not split a single irreducible copy")
-
-
-def _group_close(vals):
-    groups = [[0]]
-    for i in range(1, len(vals)):
-        if vals[i] - vals[groups[-1][-1]] < _SPLIT_TOL:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
+    proj = np.zeros((order, order))
+    proj[mult, np.arange(order)] = chi.real[:, None] * (d / order)
+    right = np.zeros((order, order))  # S_H: 1/|H| at (x, x * h) for h in H
+    right[np.arange(order)[:, None], mult[:, H]] = 1 / H.sum()
+    C = np.linalg.eigh(proj @ right)[1][:, -d:]  # order x d, orthonormal
+    # C^T L(g) C takes row g * h of C to column h
+    model = IrrepModel(t, row, (C[mult].transpose(0, 2, 1) @ C).astype(complex))
+    _validate_model(model, chi)
+    return model
 
 
 def _validate_model(model: IrrepModel, chi: np.ndarray):

@@ -80,10 +80,10 @@ class NotASubgroup(ArbocohError):
 # -- representation theory -------------------------------------------------
 
 class NumericalDegeneracy(ArbocohError):
-    """No rounded eigen-solve proposal passed the exact integer proof of a
-    character table in a fixed number of tries (a group with irrational
-    characters never does), or an explicit irreducible model could not be
-    split off."""
+    """A group with a non-real character, or no rounded eigen-solve proposal
+    passed the exact integer proof of a character table in a fixed number of
+    tries (irrational characters), or no subgroup fixes exactly one line of
+    a row, so no model of it is cut out."""
 
 
 class NonIntegralDimension(ArbocohError):

@@ -462,7 +462,6 @@ def _aut_generators(s: Shape) -> tuple:
     hung from its centre: one swap per consecutive pair in each run of
     equal sibling subtrees, then the centre flip; and |Aut(s)|.  Cached
     per shape, so one cold shape is hung once."""
-    index = {v: i for i, v in enumerate(s.vertices)}
     adj = s.adjacency()
     c, code, runs, flips = treecode.hang(adj)
 
@@ -471,7 +470,7 @@ def _aut_generators(s: Shape) -> tuple:
         moves = {}
         _map_subtrees(adj, code, x, px, y, py, moves)
         moves.update({b: a for a, b in moves.items()})
-        return Permutation.from_dict(len(index), {index[a]: index[b] for a, b in moves.items()})
+        return Permutation.from_dict(len(s.vertices), {s.index[a]: s.index[b] for a, b in moves.items()})
 
     gens = [swap(x, u, y, u) for u, sibs in runs for x, y in zip(sibs, sibs[1:])]
     if flips:

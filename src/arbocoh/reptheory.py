@@ -40,7 +40,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .chartab import CharacterTable, character_table, dim_from_counts
+from .chartab import CharacterTable, character_table, fixed_dims
 from .errors import (
     BadVertexChoice,
     DegenerateIrrep,
@@ -112,7 +112,7 @@ class Analysis:
         """A stabilizer of vertex ids as (class counts, order), read off
         its mask over the elements; the counts are read-only because every
         caller shares them."""
-        points = [i for i, v in enumerate(self.shape.vertices) if v in ids]
+        points = [self.shape.index[v] for v in ids]
         classes = self.table.class_ids[stabilizer(self.table.group, points)]
         counts = np.bincount(classes, minlength=self.table.n_rows)
         counts.flags.writeable = False
@@ -131,14 +131,7 @@ class Analysis:
     def _nondegenerate(self) -> np.ndarray:
         """Per row, whether no A_j fixes a nonzero vector: dim V^A_j of
         every row and head at once, one int64 product divided exactly."""
-        k = self.table.n_rows
-        counts = np.array([c for c, _ in self.heads], dtype=np.int64).reshape(-1, k)
-        orders = np.array([order for _, order in self.heads], dtype=np.int64)
-        dims, rem = np.divmod(self.table.characters @ counts.T, orders)
-        if rem.any():
-            row, j = np.argwhere(rem)[0]
-            raise NonIntegralDimension(f"a character sum of row {row} is not a multiple of |H| = {orders[j]}")
-        return ~dims.any(axis=1)
+        return ~fixed_dims(self.table, *zip(*self.heads)).any(axis=1)
 
     @functools.cached_property
     def pairs(self) -> frozenset:
@@ -187,7 +180,7 @@ class Analysis:
     def h2(self, row: int, x: str, y: str) -> int:
         """dim V^Q(x,y) - dim V^Qtilde(x,y) of a row."""
         row = self._row(row)
-        point, setwise = (dim_from_counts(self.table, row, *H) for H in self.stabilizers(x, y))
+        point, setwise = fixed_dims(self.table, *zip(*self.stabilizers(x, y)))[row].tolist()
         if point < setwise:
             raise NonIntegralDimension(
                 f"setwise invariants exceed pointwise invariants by {setwise - point}"
@@ -201,8 +194,7 @@ analysis = functools.lru_cache(maxsize=_ANALYSIS_CACHE_SIZE)(Analysis)
 def _is_automorphism_group(s: Shape, G) -> bool:
     """G, on the sorted vertex ids of s, is Aut(s): each generator maps the
     edge set onto itself, so G lies in Aut(s), and |G| = |Aut(s)|."""
-    index = {v: i for i, v in enumerate(s.vertices)}
-    edges = {frozenset((index[a], index[b])) for a, b in s.edges}
+    edges = {frozenset((s.index[a], s.index[b])) for a, b in s.edges}
     for g in G.generators:
         if {frozenset((g(a), g(b))) for a, b in edges} != edges:
             return False

@@ -83,8 +83,8 @@ class Shape:
 
     vertices are opaque string ids; edges are unordered id pairs.  Stored in
     canonical sorted order so equal shapes compare and hash equal.  The
-    adjacency and the tree facts derived from it are computed once, on
-    first use, and are not part of equality, hashing or pickling.
+    adjacency, the tree facts derived from it and the vertex index are built
+    once, on first use, and are not part of equality, hashing or pickling.
     """
 
     q: int
@@ -117,6 +117,11 @@ class Shape:
         """The three fields alone, so a shape whose structure is built
         pickles to the bytes of a fresh one."""
         return {"q": self.q, "vertices": self.vertices, "edges": self.edges}
+
+    @cached_property
+    def index(self) -> MappingProxyType:
+        """Read-only {vertex: its position in vertices}, built once."""
+        return MappingProxyType({v: i for i, v in enumerate(self.vertices)})
 
     @cached_property
     def _structure(self) -> _Structure:
@@ -376,13 +381,12 @@ def least_embeddings(s: Shape, host) -> list:
     nbrs = {w: word_neighbors(w, q) for w in host}
     host_nbrs = {w: [x for x in ns if x in inside] for w, ns in nbrs.items()}
     order, parent_of = treecode.bfs({u: [n for n in adj[u] if n in core] for u in core}, min(core))
-    col = {v: i for i, v in enumerate(s.vertices)}
-    cols = [(col[u], [col[x] for x in adj[u] if x not in core]) for u in order]
+    cols = [(s.index[u], [s.index[x] for x in adj[u] if x not in core]) for u in order]
     best = {}
 
     def keep_least(placed):
         key = frozenset(placed)
-        cand = [None] * len(col)
+        cand = [None] * len(s.vertices)
         for (c, leaf_cols), w in zip(cols, placed):
             cand[c] = w
             free = [x for x in nbrs[w] if x not in key]

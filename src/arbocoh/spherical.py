@@ -22,6 +22,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -152,6 +153,10 @@ class CylinderFunction:
     def constant(q: int, value: complex, depth: int = 0) -> "CylinderFunction":
         return CylinderFunction(q, 0, {(): value}).refine(depth)
 
+    @cached_property
+    def _coeff_dict(self) -> dict:
+        return dict(self.coeffs)
+
     def coeff_map(self) -> dict:
         return dict(self.coeffs)
 
@@ -159,7 +164,7 @@ class CylinderFunction:
         """Value on any cylinder at least as deep as the function."""
         if len(word) < self.depth:
             raise InsufficientDepth("cylinder shallower than the function depth")
-        return self.coeff_map()[word[: self.depth]]
+        return self._coeff_dict[word[: self.depth]]
 
     def refine(self, depth: int) -> "CylinderFunction":
         if depth < self.depth:

@@ -365,19 +365,17 @@ def flip_suite(cfg: Config, n_instances: int = 1000) -> dict:
 
 def brute_force_automorphisms(s: Shape):
     """All adjacency-preserving vertex bijections, by backtracking."""
-    ids = list(s.vertices)
-    index = {v: i for i, v in enumerate(ids)}
     adj = s.adjacency()
-    order, _ = treecode.bfs(adj, ids[0])
+    order, _ = treecode.bfs(adj, s.vertices[0])
     out = []
 
     def extend(i, img):
         if i == len(order):
-            out.append(Permutation(tuple(index[img[v]] for v in ids)))
+            out.append(Permutation(tuple(s.index[img[v]] for v in s.vertices)))
             return
         v = order[i]
         placed_nbrs = [nb for nb in adj[v] if nb in img]
-        for cand in ids:
+        for cand in s.vertices:
             if cand in img.values():
                 continue
             if len(adj[cand]) != len(adj[v]):
@@ -469,12 +467,11 @@ def groups_suite(cfg: Config) -> dict:
     aj_bad = []
     for s in [star_shape(2), centipede_shape(2, 3), centipede_shape(2, 4), y_shape(2)]:
         G = shape_automorphism_group(s, bound)
-        index = {v: i for i, v in enumerate(s.vertices)}
         moved = G.array != np.arange(G.degree)
         for sub in maximal_proper_complete_subtrees(s):
             comp = np.array([v not in sub for v in s.vertices])
             supported = ~(moved & ~comp).any(axis=1)
-            if not np.array_equal(pointwise_stabilizer(G, [index[v] for v in sub]), supported):
+            if not np.array_equal(pointwise_stabilizer(G, [s.index[v] for v in sub]), supported):
                 aj_bad.append("complement-supported permutations differ from stabilizer")
     checks.append(_check("pointwise_stabilizer_is_complement_supported", not aj_bad, mismatches=aj_bad))
     return _report("groups", cfg.seed, checks)
@@ -572,10 +569,9 @@ def projector_spectrum(s: Shape, models) -> list:
     h2 is the rank of the pointwise less the setwise stabilizer's projector
     at the canonical vertex pair."""
     G = models[0].table.group
-    index = {v: i for i, v in enumerate(s.vertices)}
-    pts = [index[v] for v in canonical_vertex_pair(s)]
+    pts = [s.index[v] for v in canonical_vertex_pair(s)]
     subs = maximal_proper_complete_subtrees(s)
-    subgroups = [pointwise_stabilizer(G, [index[v] for v in sub]) for sub in subs]
+    subgroups = [pointwise_stabilizer(G, [s.index[v] for v in sub]) for sub in subs]
     subgroups += [pointwise_stabilizer(G, pts), setwise_stabilizer(G, pts)]
     out = []
     for m in models:

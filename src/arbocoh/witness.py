@@ -69,8 +69,7 @@ class ReferenceConfiguration:
     y_id: str
 
     def endpoint_indices(self):
-        index = {v: i for i, v in enumerate(self.shape.vertices)}
-        return index[self.x_id], index[self.y_id]
+        return self.shape.index[self.x_id], self.shape.index[self.y_id]
 
 
 @functools.lru_cache(maxsize=_REFERENCE_CACHE_SIZE)
@@ -262,14 +261,13 @@ def _reference_permutation(ref: ReferenceConfiguration, word_map, section) -> Pe
     """Permutation of shape vertices induced by section^-1 after word_map,
     both read on the reference placement."""
     s = ref.shape
-    index = {u: i for i, u in enumerate(s.vertices)}
     refpl = ref.embedding.mapping()
     ref_inv = {w: u for u, w in refpl.items()}
     sec_inv = {w2: w1 for w1, w2 in section.items()}
     images = [0] * len(s.vertices)
     for u in s.vertices:
         w3 = sec_inv[word_map[refpl[u]]]
-        images[index[u]] = index[ref_inv[w3]]
+        images[s.index[u]] = s.index[ref_inv[w3]]
     return Permutation(tuple(images))
 
 

@@ -14,18 +14,20 @@ import pytest
 
 import arbocoh
 from arbocoh import chartab
-from arbocoh.catalog import enumerate_complete_shapes
+from arbocoh.catalog import enumerate_complete_shapes, enumerate_trees
 from arbocoh.chartab import CharacterTable, character_table, invariant_dim, realize_irrep
 from arbocoh.errors import GroupTooLarge, NonIntegralDimension, NotASubgroup, NumericalDegeneracy
 from arbocoh.perm import (
     PermGroup,
     Permutation,
+    all_subgroups,
+    automorphism_order,
     closure,
     conjugacy_classes,
     pointwise_stabilizer,
     shape_automorphism_group,
 )
-from arbocoh.shapes import centipede_shape, star_shape
+from arbocoh.shapes import Shape, centipede_shape, star_shape
 
 
 def sym3():
@@ -289,7 +291,8 @@ def _first_class_matrix(G, ids):
     """The class matrix of the first combination character_table draws."""
     rng = random.Random(chartab._TABLE_SEED)
     k = int(ids.max()) + 1
-    return chartab._class_matrix(G, ids, np.array([rng.randrange(1, chartab._COEFF_MAX) for _ in range(k)]))
+    c = np.array([rng.randrange(1, chartab._COEFF_MAX) for _ in range(k)])
+    return chartab._class_matrix(G, ids, *chartab._class_inverses(G, ids), c)
 
 
 def _equal_size_swaps():
@@ -358,7 +361,8 @@ def test_proof_needs_orthonormality_and_distinct_eigenvalues():
     rescaled[trivial] *= 2
     rescaled[standard] /= 2
     assert chartab._integral_table(G, t.class_ids, n, rescaled, M) is None
-    identity = chartab._class_matrix(G, t.class_ids, np.eye(t.n_rows, dtype=np.int64)[0])
+    inverses = chartab._class_inverses(G, t.class_ids)
+    identity = chartab._class_matrix(G, t.class_ids, *inverses, np.eye(t.n_rows, dtype=np.int64)[0])
     assert np.array_equal(identity, np.eye(t.n_rows))
     assert chartab._integral_table(G, t.class_ids, n, X, identity) is None
 
@@ -424,14 +428,82 @@ def cyclic(n):
     return closure([Permutation(tuple((i + 1) % n for i in range(n)))])
 
 
+def dihedral10():
+    """x -> x + 1 and x -> -x on Z/5: every class is closed under
+    inversion, but two characters take the irrational values (-1 +- 5^(1/2))/2."""
+    return closure([Permutation((1, 2, 3, 4, 0)), Permutation((0, 4, 3, 2, 1))])
+
+
 @pytest.mark.parametrize(
-    "group", [cyclic(3), cyclic(4), cyclic(5), frobenius21()], ids=["3", "4", "5", "frobenius21"]
+    "group,match,tries",
+    [
+        *((group, "not closed under inversion: the group has a non-real character", 0)
+          for group in (cyclic(3), cyclic(4), cyclic(5), frobenius21())),
+        (dihedral10(), "no rounded table passed the exact checks in 8 tries", 8),
+    ],
+    ids=["3", "4", "5", "frobenius21", "dihedral10"],
 )
-def test_irrational_groups_raise_numerical_degeneracy(group):
-    """C_n for n >= 3 and the order-21 Frobenius group have characters
-    that are not integers, so no table passes the integer checks."""
-    with pytest.raises(NumericalDegeneracy, match="no rounded table passed the exact checks"):
+def test_irrational_groups_raise_numerical_degeneracy(monkeypatch, group, match, tries):
+    """C_n for n >= 3 and the order-21 Frobenius group have a class not
+    closed under inversion, so a non-real character: they raise before any
+    class matrix is built.  The dihedral group of order 10 is real but not
+    rational, so each of its tries fails the integer checks."""
+    real = chartab._class_matrix
+    calls = []
+    monkeypatch.setattr(chartab, "_class_matrix", lambda *args: calls.append(1) or real(*args))
+    with pytest.raises(NumericalDegeneracy, match=match):
         character_table(group)
+    assert len(calls) == tries
+
+
+def quaternion8():
+    """Q_8 acting on itself by left multiplication, generated by i and j;
+    its elements are the unit quaternions +-1, +-i, +-j, +-k."""
+
+    def times(x, y):
+        a, b, c, d = x
+        e, f, g, h = y
+        return (a * e - b * f - c * g - d * h, a * f + b * e + c * h - d * g,
+                a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e)
+
+    units = [tuple(sign * (i == j) for j in range(4)) for sign in (1, -1) for i in range(4)]
+    return closure([Permutation(tuple(units.index(times(g, x)) for x in units)) for g in units[1:3]])
+
+
+def test_models_draw_no_random_number(monkeypatch):
+    """Every row of S_3, S_4 = Aut(star(3)), D_8 = Aut(centipede(2,4)) and
+    Aut(centipede(3,3)) is cut out by a subgroup with no random draw, and
+    its model is unitary with the row as its trace."""
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: pytest.fail("a random draw"))
+    hosts = (star_shape(3), centipede_shape(2, 4), centipede_shape(3, 3))
+    for t in map(character_table, [sym3()] + [shape_automorphism_group(s) for s in hosts]):
+        for r in range(t.n_rows):
+            model = realize_irrep.__wrapped__(t, r)
+            assert model.degree == t.degrees[r]
+            chartab._validate_model(model, t.characters[r, t.class_ids])
+
+
+def test_every_small_tree_group_has_models():
+    """Every row of Aut(T) gets a model, for the 44 distinct groups of the
+    48 trees of at most 8 vertices with |Aut(T)| <= MODEL_MAX_ORDER."""
+    groups = {}
+    for adj in enumerate_trees(8):
+        s = Shape(2, adj, [(a, b) for a in adj for b in adj[a] if a < b])
+        if automorphism_order(s) <= chartab.MODEL_MAX_ORDER:
+            groups.setdefault(shape_automorphism_group(s))
+    tables = [character_table(G) for G in groups]
+    models = [realize_irrep(t, r) for t in tables for r in range(t.n_rows)]
+    assert (len(groups), len(models)) == (44, 155)
+
+
+def test_quaternion_row_has_no_line_subgroup():
+    """Every nontrivial subgroup of Q_8 holds -1, which acts as -1 on the
+    degree-2 row: no subgroup fixes exactly one line of it."""
+    t = character_table(quaternion8())
+    assert t.degrees == (1, 1, 1, 1, 2)
+    assert [invariant_dim(t, 4, H) for H in all_subgroups(t.group)] == [2, 0, 0, 0, 0, 0]
+    with pytest.raises(NumericalDegeneracy, match=r"of row 4 \(degree 2\)"):
+        realize_irrep(t, 4)
 
 
 def test_invariant_dim_is_exact_division():

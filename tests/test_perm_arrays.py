@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from arbocoh import chartab, cli, reptheory
 from arbocoh.catalog import enumerate_complete_shapes
-from arbocoh.chartab import character_table, dim_from_counts, invariant_dim, realize_irrep
+from arbocoh.chartab import character_table, fixed_dims, invariant_dim, realize_irrep
 from arbocoh.errors import ArbocohError
 from arbocoh.perm import (
     PermGroup,
@@ -110,7 +110,8 @@ def oracle_constants(classes):
 def class_constants(G, ids):
     """a_ijl from the program: the class matrix of the i-th unit combination."""
     k = int(ids.max()) + 1
-    return np.stack([chartab._class_matrix(G, ids, e) for e in np.eye(k, dtype=np.int64)])
+    inverses = chartab._class_inverses(G, ids)
+    return np.stack([chartab._class_matrix(G, ids, *inverses, e) for e in np.eye(k, dtype=np.int64)])
 
 
 def oracle_dim(t, row, elements):
@@ -216,8 +217,9 @@ def test_array_path_matches_the_element_loops(name, seed):
         reduced += [(c_point, n_point, fixing(G, pts)), (c_set, n_set, preserving(G, pts))]
     for counts, order, elements in reduced:
         assert order == len(elements)
+        dims = fixed_dims(t, counts, [order])
         for row in range(t.n_rows):
-            assert dim_from_counts(t, row, counts, order) == oracle_dim(t, row, elements)
+            assert dims[row, 0] == oracle_dim(t, row, elements)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -278,8 +280,9 @@ def test_cayley_table_matches_the_key_index(case):
 @pytest.mark.parametrize("shape", [star_shape(2), star_shape(4), centipede_shape(3, 3)])
 def test_classes_and_constants_look_up_no_product(monkeypatch, shape):
     """Class labels and the class matrix take their products from the
-    Cayley table: one key lookup each (the generator inverses, the class
-    inverses), whatever the number of classes."""
+    Cayley table: one key lookup each for the class labels (the generator
+    inverses) and for the class inverses, read once per table, and none
+    for the class matrix, whatever the number of classes."""
     calls = Counter()
     indices = PermGroup.indices
 
@@ -291,7 +294,9 @@ def test_classes_and_constants_look_up_no_product(monkeypatch, shape):
     monkeypatch.setattr(PermGroup, "indices", counting)
     ids = conjugacy_classes(G)
     assert calls["indices"] == 1
-    chartab._class_matrix(G, ids, np.ones(ids.max() + 1, dtype=np.int64))
+    inverses = chartab._class_inverses(G, ids)
+    assert calls["indices"] == 2
+    chartab._class_matrix(G, ids, *inverses, np.ones(ids.max() + 1, dtype=np.int64))
     assert calls["indices"] == 2
 
 

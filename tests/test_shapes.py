@@ -234,8 +234,8 @@ def test_shape_structure_is_built_once_and_read_only():
 
 def test_shape_identity_unchanged_by_cached_structure():
     """==, hash, repr and pickle see q, vertices and edges only, before and
-    after the structure is built; the pickle digests were taken before it
-    was cached."""
+    after the structure and the vertex index are built; the pickle digests
+    were taken before either was cached."""
     pinned = {
         "cent": "17422eae56675bd6000d29496cc0f001326ec03380ef4feb9c55b28e06a2cda4",
         "y": "1ca266324c28443c51467e213587e47feb1f7c41d63aa14ad4d87e2626d68faf",
@@ -243,6 +243,9 @@ def test_shape_identity_unchanged_by_cached_structure():
     for name, build in (("cent", lambda: centipede_shape(2, 4)), ("y", lambda: y_shape(3))):
         used, fresh = build(), build()
         used.diameter(), used.path(used.vertices[0], used.vertices[-1])
+        assert dict(used.index) == {v: i for i, v in enumerate(used.vertices)}
+        with pytest.raises(TypeError):
+            used.index[used.vertices[0]] = 1
         assert used == fresh and hash(used) == hash(fresh) == hash((used.q, used.vertices, used.edges))
         assert repr(used) == repr(fresh) == f"Shape(q={used.q}, vertices={used.vertices!r}, edges={used.edges!r})"
         for s in (used, fresh):

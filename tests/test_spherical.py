@@ -273,6 +273,20 @@ def test_pi_z_identity_and_rotation():
     assert got[(0,)] == pytest.approx(3.0)
 
 
+def test_pi_z_reads_phi_off_one_dict(monkeypatch):
+    """pi_z_apply reads phi's values off one coefficient dict, built once
+    per function, not one dict per output cylinder."""
+    rng = np.random.default_rng(17)
+    phi = CylinderFunction(2, 4, {w: complex(rng.standard_normal()) for w in _depth_words(2, 4)})
+    rot = extend_isometry(TreeIsometry(2, {(): (), (0,): (1,), (1,): (2,), (2,): (0,)}), 5)
+    coeff_map, calls = CylinderFunction.coeff_map, []
+    monkeypatch.setattr(CylinderFunction, "coeff_map", lambda self: calls.append(1) or coeff_map(self))
+    out = pi_z_apply(rot, phi, 2, 0.5 + 0.3j)
+    assert len(calls) <= 1
+    # a rotation fixing o permutes the coefficients without twisting
+    assert out.depth == 4 and sorted(out.vector().real) == pytest.approx(sorted(phi.vector().real))
+
+
 def test_pi_z_unitary():
     rng = np.random.default_rng(11)
     z = 0.5 + 0.3j
