@@ -6,10 +6,25 @@ a_ijl of the class sums give commuting integer matrices B_i, with
 B_i[j, l] = a_ijl, whose common eigenvectors are the central characters
 w_l = n_l chi(C_l) / chi(1) (n_l the class sizes).  One combination
 M = sum_i c_i B_i, with integers c_i in [1, 10^6) from a seeded stdlib
-random.Random, is built in one pass down the Cayley table (k^2 integers
-for k classes, never the k^3 constants), and float64 numpy.linalg.eig
-splits it; each eigenvector, scaled to 1 at the identity class, gives a
-row whose degree follows from the second orthogonality relation.
+random.Random, is built as k^2 integers for k classes (never the k^3
+constants), and float64 numpy.linalg.eig splits it; each eigenvector,
+scaled to 1 at the identity class, gives a row whose degree follows from
+the second orthogonality relation.  M is built one of two ways, chosen
+from k and |G| alone:
+
+* the walk, over all k classes: the right multiples x z_l of every
+  element come down the Cayley table, k |G| products in one pass.  Every
+  group where one gather holds the k columns (k |G| <= perm._GATHER_CAP)
+  takes it, and so does a group with k^2 log2 k >= |G|, where the
+  eigen-solves of the few-class trials would cost more than the walk;
+* a few small classes: M sums c_i B_i over the smallest non-identity
+  classes 1 .. s only, with B_i[j, l] = #{y in C_i : y z_l in C_j} from
+  the sum_i |C_i| k products y z_l, composed from the element rows and
+  labelled by key.  s doubles from 1 until M has k distinct eigenvalues,
+  so that its eigenvectors are the k central characters; each B_i is
+  built once per table, and a retry only draws fresh c.  For S_7 the 21
+  transpositions alone separate the 15 rows: 315 products, where the
+  walk takes 75,600.
 
 Aut(S) of a finite tree is an iterated wreath product of symmetric groups,
 so its characters are integers.  The eigen-solve only proposes a table:
@@ -64,6 +79,7 @@ import numpy as np
 
 from .errors import GroupTooLarge, NonIntegralDimension, NotASubgroup, NumericalDegeneracy
 from .perm import (
+    _GATHER_CAP,
     PermGroup,
     Permutation,
     all_subgroups,
@@ -77,6 +93,7 @@ _TABLE_SEED = 12345  # of the random class-matrix combinations
 _MODEL_TOL = 1e-10  # unitarity and trace deviation allowed in a model
 _COEFF_MAX = 10**6  # the combination's coefficients c_i lie in [1, _COEFF_MAX)
 MODEL_MAX_ORDER = 120  # realize_irrep refuses larger groups for degrees above 1
+_LOOKUP_CAP = 2**20  # few-class products looked up at once, in rows
 _TABLE_CACHE_SIZE = 128
 _IRREP_CACHE_SIZE = 32
 
@@ -159,6 +176,54 @@ def _class_matrix(G: PermGroup, ids: np.ndarray, reps, inverse_class, c: np.ndar
     return M
 
 
+def _few_classes(k: int, order: int) -> bool:
+    """Whether a table of k classes takes its class matrix from a few small
+    classes: when one walk down the Cayley table cannot hold the k columns
+    (k |G| > _GATHER_CAP), and the eigen-solves of the doubling trials,
+    about k^3 log2 k, cost less than the walk's k |G| products."""
+    return k * order > _GATHER_CAP and k * k * k.bit_length() < order
+
+
+def _few_class_matrices(G: PermGroup, ids: np.ndarray, reps, classes) -> np.ndarray:
+    """B_i for the given classes i, shape (len(classes), k, k), with
+    B_i[j, l] = #{y in C_i : y z_l in C_j} for the least elements z_l of
+    the classes: a_ijl when every class is closed under inversion.  The
+    sum_i |C_i| k products y z_l are composed from the rows of G.array and
+    labelled with one key lookup per _LOOKUP_CAP rows, with no walk down
+    the Cayley table."""
+    k, n = len(reps), G.degree
+    slot = np.full(k, -1)
+    slot[classes] = np.arange(len(classes))
+    ys = np.flatnonzero(slot[ids] >= 0)
+    right = G.array[reps]  # row l: z_l
+    counts = np.zeros(len(classes) * k * k, dtype=np.int64)
+    step = max(1, _LOOKUP_CAP // k)
+    for start in range(0, len(ys), step):
+        y = ys[start : start + step]
+        j = ids[G.indices(G.array[y][:, right].reshape(-1, n))].reshape(len(y), k)  # class of y z_l
+        counts += np.bincount(((slot[ids[y], None] * k + j) * k + np.arange(k)).ravel(), minlength=len(counts))
+    return counts.reshape(len(classes), k, k)
+
+
+def _few_class_split(G: PermGroup, ids, reps, c: np.ndarray, B: np.ndarray) -> tuple:
+    """(M, eigenvectors of M, B) for M = sum_i c_i B_i over the smallest
+    non-identity classes i = 1 .. s.  B holds the B_i built so far, s
+    starts at len(B) (one at least) and doubles until M has k distinct
+    eigenvalues, rounded to integers, or s = k - 1; the B_i built on the
+    way are appended to the B returned."""
+    k = len(reps)
+    s = max(1, len(B))
+    while True:
+        if len(B) < s:
+            B = np.concatenate([B, _few_class_matrices(G, ids, reps, np.arange(len(B) + 1, s + 1))])
+        M = np.tensordot(c[1 : s + 1], B[:s], axes=1)
+        mu, V = np.linalg.eig(M.astype(float))
+        # distinct integers differ by 1 at least (np.unique would import numpy.ma)
+        if s == k - 1 or (np.diff(np.sort(mu.real)) > 0.5).all():
+            return M, V, B
+        s = min(2 * s, k - 1)
+
+
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def character_table(G: PermGroup) -> CharacterTable:
     """Full character table of G; see the module docstring.  Rows are
@@ -170,11 +235,16 @@ def character_table(G: PermGroup) -> CharacterTable:
     reps, inverse_class = _class_inverses(G, ids)
     if np.any(inverse_class != np.arange(len(reps))):
         raise NumericalDegeneracy("a class is not closed under inversion: the group has a non-real character")
+    few = _few_classes(len(reps), G.order)
+    B = np.zeros((0, len(reps), len(reps)), dtype=np.int64)  # few-class B_1, B_2, ..., built once
     rng = random.Random(_TABLE_SEED)
     for _ in range(_TRIES):
         c = np.array([rng.randrange(1, _COEFF_MAX) for _ in sizes], dtype=np.int64)
-        M = _class_matrix(G, ids, reps, inverse_class, c)
-        V = np.linalg.eig(M.astype(float))[1]
+        if few:
+            M, V, B = _few_class_split(G, ids, reps, c, B)
+        else:
+            M = _class_matrix(G, ids, reps, inverse_class, c)
+            V = np.linalg.eig(M.astype(float))[1]
         with np.errstate(divide="ignore", invalid="ignore"):
             W = (V / V[0]).T  # row a: central character w_a, w_a(identity) = 1
             deg = np.rint(np.sqrt(G.order / (np.abs(W) ** 2 / sizes).sum(axis=1)))

@@ -51,6 +51,7 @@ from .shapes import Shape
 DEFAULT_ORDER_BOUND = 10**6
 SUBGROUP_SEARCH_MAX_ORDER = 120  # all_subgroups refuses larger groups
 _AUT_CACHE_SIZE = 128
+_SUBGROUP_CACHE_SIZE = 16
 _RADIX_MAX_DEGREE = 15  # 15^15 < 2^63 < 16^16
 _GATHER_CAP = 2**14  # right multiples gathered at once, in entries
 
@@ -364,9 +365,16 @@ def setwise_stabilizer(G: PermGroup, points) -> np.ndarray:
 
 def all_subgroups(G: PermGroup) -> list:
     """Every subgroup as a read-only mask over the elements, the list
-    sorted by (order, sorted rows), by cyclic extension (Neubüser, Numer.
-    Math. 2, 1960; Holt, Eick and O'Brien, Handbook of Computational Group
-    Theory, 2005): each cyclic subgroup is listed once, and each known
+    sorted by (order, sorted rows).  The lattice is enumerated once per
+    group and cached; each call returns a fresh list of the same masks."""
+    return list(_subgroup_lattice(G))
+
+
+@functools.lru_cache(maxsize=_SUBGROUP_CACHE_SIZE)
+def _subgroup_lattice(G: PermGroup) -> tuple:
+    """The subgroup masks of all_subgroups, by cyclic extension (Neubüser,
+    Numer. Math. 2, 1960; Holt, Eick and O'Brien, Handbook of Computational
+    Group Theory, 2005): each cyclic subgroup is listed once, and each known
     subgroup H, from the trivial group up, is joined with one cyclic
     subgroup per double coset HgH outside H, since
     <H, g> = <H, h g h'> = <H, <g>>.  The search runs on masks over the
@@ -418,7 +426,7 @@ def all_subgroups(G: PermGroup) -> list:
         grown = (K for H in frontier for K in joins(H))
         frontier = [known.setdefault(K.tobytes(), K) for K in grown if K.tobytes() not in known]
     subgroups = sorted(known.values(), key=lambda K: (K.sum(), np.flatnonzero(K).tolist()))
-    return [_frozen(K[rank]) for K in subgroups]
+    return tuple(_frozen(K[rank]) for K in subgroups)
 
 
 # -- tree automorphism groups -------------------------------------------------

@@ -380,10 +380,13 @@ class TreeIsometry:
         w = r.word
         if not w:
             return RayPrefix(())
-        # every prefix must lie in the domain; only the last two images count
-        for t in range(len(w) - 1):
-            if w[:t] not in self.mapping:
-                raise OutOfDomain(f"{list(w[:t])} not in isometry domain")
+        # every prefix must lie in the domain; only the last two images count.
+        # The domain is connected, so () and w[:-2] in it put every prefix
+        # in it; on a miss the loop names the first prefix missing
+        if () not in self.mapping or w[:-2] not in self.mapping:
+            for t in range(len(w) - 1):
+                if w[:t] not in self.mapping:
+                    raise OutOfDomain(f"{list(w[:t])} not in isometry domain")
         prev, img = self.apply_word(w[:-1]), self.apply_word(w)
         if prev != img[:-1]:
             raise InsufficientDepth(

@@ -280,6 +280,14 @@ def _flip_shape(kind, q):
     return _FLIP_SHAPES[kind](q)
 
 
+@functools.lru_cache(maxsize=4096)
+def _window_embedding(kind, q, core):
+    """The one embedding of _flip_shape(kind, q) with the given core, built
+    once per window entry: the draws repeat entries near the root."""
+    (e,) = least_embeddings(_flip_shape(kind, q), core)
+    return e
+
+
 def _window_core(kind, q, a, i):
     """The core (internal words; both ends of an edge) of the i-th entry of
     enumerate_embeddings(_flip_shape(kind, q), Vertex(a), 2): of q+2 stars
@@ -326,7 +334,7 @@ def random_flip_instance(rng, q, depth):
     for _ in range(20):
         anchor = random_word(rng, q, int(rng.integers(0, 4)))
         i = int(rng.integers(0, (q + 2, (q + 1) ** 2, q + 1)[kind]))  # the window's size
-        (e,) = least_embeddings(_flip_shape(kind, q), _window_core(kind, q, anchor, i))
+        e = _window_embedding(kind, q, _window_core(kind, q, anchor, i))
         if not hits(e, rays[0], rays[1], rays[2]):
             return rays, e
     return rays, None

@@ -525,3 +525,84 @@ def test_import_leaves_mpmath_out():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_spectrum_leaves_numpy_ma_out():
+    """spectrum of star(6), whose table comes from the few-class path,
+    imports no numpy.ma: np.unique with default arguments would, at a
+    cost of 12-19 ms on its first call (numpy 2.4)."""
+    src = os.path.dirname(os.path.dirname(arbocoh.__file__))
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from arbocoh.cli import main\n"
+        "from arbocoh.shapes import star_shape\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['spectrum', json.dumps(star_shape(6).to_json())]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "ARBOCOH_CONFIG"}
+    env["PYTHONPATH"] = src
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+def test_few_class_path_runs_only_past_one_walk():
+    """The few-class path runs when one walk cannot hold the k columns and
+    k^2 log2 k stays below |G|: S_7 (star(6)) takes it; S_5 (one walk of
+    840 entries) and q2d7#46 (k = 230, |G| = 32,768) keep the walk."""
+    assert chartab._few_classes(15, 5040)
+    assert not chartab._few_classes(7, 120)
+    assert not chartab._few_classes(230, 32768)
+    assert chartab._few_classes(175, 691200) and chartab._few_classes(35, 28800)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [star_shape(4), centipede_shape(3, 3), centipede_shape(2, 4)]
+    + [s for s in enumerate_complete_shapes(2, 5) if len(s.vertices) > 2],
+)
+def test_groups_one_walk_covers_build_no_few_class_matrix(monkeypatch, shape):
+    """Where k |G| <= _GATHER_CAP the table comes from the walk alone."""
+    G = shape_automorphism_group(shape)
+    assert int(conjugacy_classes(G).max() + 1) * G.order <= chartab._GATHER_CAP
+
+    def refused(*args):
+        raise AssertionError("a few-class matrix was built")
+
+    monkeypatch.setattr(chartab, "_few_class_matrices", refused)
+    got = character_table.__wrapped__(G)
+    assert np.array_equal(got.characters, character_table(G).characters)
+
+
+@pytest.mark.parametrize("shape", [star_shape(6), centipede_shape(5, 3)], ids=["star6", "centipede(5,3)"])
+def test_few_class_path_looks_up_its_classes_only(monkeypatch, shape):
+    """The few-class path looks up sum_{i in S} |C_i| k rows for a prefix
+    S = 1 .. s of the smallest non-identity classes, never k |G|, and
+    walks no Cayley table: for S_7 the 21 transpositions alone separate
+    the 15 rows, 315 rows where the walk takes 75,600 products."""
+    G = shape_automorphism_group(shape)
+    want = character_table(G)
+    sizes = np.bincount(want.class_ids)
+    k = len(sizes)
+    rows = []
+    indices = PermGroup.indices
+
+    def counting(self, r):
+        rows.append(len(np.asarray(r).reshape(-1, self.degree)))
+        return indices(self, r)
+
+    def no_walk(*args):
+        raise AssertionError("the class matrix walked the Cayley table")
+
+    monkeypatch.setattr(PermGroup, "indices", counting)
+    monkeypatch.setattr(chartab, "_class_matrix", no_walk)
+    got = character_table.__wrapped__(G)
+    assert np.array_equal(got.characters, want.characters) and got.degrees == want.degrees
+    # the generator inverses (classes), the class inverses, then the products
+    assert rows[:2] == [len(G.generators), k]
+    looked_up = sum(rows[2:])
+    assert looked_up in {k * int(sizes[1 : s + 1].sum()) for s in range(1, k)}
+    assert looked_up < k * G.order // 50
+    if shape == star_shape(6):
+        assert rows[2:] == [21 * 15]

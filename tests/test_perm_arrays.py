@@ -277,6 +277,18 @@ def test_cayley_table_matches_the_key_index(case):
     assert np.array_equal(G.right_multiples(np.arange(n)), G.indices(G.array[:, G.array]).reshape(n, n))
 
 
+@pytest.mark.parametrize("shape", [star_shape(6), centipede_shape(5, 3)], ids=["star6", "centipede(5,3)"])
+def test_few_class_matrices_match_the_walk(shape):
+    """B_i from the |C_i| k products of each class alone, composed from the
+    element rows and looked up by key, equal the walk's class constants,
+    for every class."""
+    G = shape_automorphism_group(shape)
+    ids = conjugacy_classes(G)
+    reps = chartab._class_inverses(G, ids)[0]
+    got = chartab._few_class_matrices(G, ids, reps, np.arange(len(reps)))
+    assert np.array_equal(got, class_constants(G, ids))
+
+
 @pytest.mark.parametrize("shape", [star_shape(2), star_shape(4), centipede_shape(3, 3)])
 def test_classes_and_constants_look_up_no_product(monkeypatch, shape):
     """Class labels and the class matrix take their products from the

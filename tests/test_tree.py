@@ -361,6 +361,27 @@ def test_apply_ray_matches_every_prefix_image():
                     assert _outcome(lambda: h.apply_ray(r)) == _outcome(lambda: _ray_by_prefixes(h, r))
 
 
+def test_apply_ray_names_the_first_prefix_missing():
+    """A miss of the root or of w[:-2] names the first prefix outside the
+    domain, as a check of every prefix did; a hit checks no other prefix."""
+    ball = TreeIsometry(2, {w: w for w in [(), (0,), (1,), (2,), (0, 1), (0, 1, 1)]})
+    no_root = TreeIsometry(2, {(0,): (0,), (0, 0): (0, 0), (0, 1): (0, 1)})
+    cases = [
+        (ball, (0, 1, 1), "ok"),
+        (ball, (0, 1, 1, 0), "[0, 1, 1, 0] not in isometry domain"),
+        (ball, (0, 0, 1), "[0, 0] not in isometry domain"),
+        (ball, (1, 0, 1, 0), "[1, 0] not in isometry domain"),
+        (ball, (0, 1, 1, 0, 0, 1), "[0, 1, 1, 0] not in isometry domain"),
+        (no_root, (0, 0), "[] not in isometry domain"),
+        (no_root, (0,), "[] not in isometry domain"),
+    ]
+    for f, w, want in cases:
+        r = RayPrefix(w)
+        got = _outcome(lambda: f.apply_ray(r))
+        assert got == _outcome(lambda: _ray_by_prefixes(f, r))
+        assert got[0] == "ok" if want == "ok" else got == ("OutOfDomain", want)
+
+
 def test_apply_ray_image_branch_contains_all_extensions():
     """The image cylinder word is a prefix of the image of every deeper
     vertex below the ray prefix: the returned cylinder is the exact image

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from arbocoh import chartab, reptheory, shapes, verify, witness
+from arbocoh import chartab, perm, reptheory, shapes, verify, witness
 from arbocoh.chartab import character_table, realize_irrep
 from arbocoh.config import MAX_SUBTREE_Q, Config
 from arbocoh.errors import InvalidInput, NumericalDegeneracy, TooManyRays
@@ -194,12 +194,34 @@ def test_reps_suite_builds_invariants_once(monkeypatch):
 
 CACHES = [
     verify._flip_shape,
+    verify._window_embedding,
+    perm._subgroup_lattice,
     witness._section_items,
     witness._ranked_reference,
     witness._geodesic_words,
     witness._check_vector,
     reptheory.analysis,
 ]
+
+
+def test_flip_suite_builds_each_window_entry_once():
+    """At seed 1 the thousand instances draw 507 subtrees from 230 window
+    entries: each entry's embedding is built once."""
+    verify._window_embedding.cache_clear()
+    assert verify.flip_suite(Config(seed=1))["passed"]
+    info = verify._window_embedding.cache_info()
+    assert (info.hits + info.misses, info.misses) == (507, 230)
+
+
+def test_reps_suite_enumerates_each_subgroup_lattice_once():
+    """The models' line subgroups and the projector-rank loop read one
+    lattice per host: three enumerations for the three hosts."""
+    perm._subgroup_lattice.cache_clear()
+    chartab._line_subgroups.cache_clear()
+    chartab.realize_irrep.cache_clear()
+    assert verify.reps_suite(Config(seed=1))["passed"]
+    info = perm._subgroup_lattice.cache_info()
+    assert (info.misses, info.hits) == (3, 3)
 
 
 @pytest.mark.parametrize("cache", CACHES, ids=lambda c: c.__name__)
