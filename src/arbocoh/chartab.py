@@ -82,6 +82,7 @@ from .perm import (
     _GATHER_CAP,
     PermGroup,
     Permutation,
+    _least_ranks,
     all_subgroups,
     conjugacy_classes,
     pointwise_stabilizer,
@@ -147,9 +148,10 @@ class CharacterTable:
 
 
 def _least_elements(G: PermGroup, ids: np.ndarray) -> np.ndarray:
-    """Element index of the least element (by image tuple) of each class."""
-    lex = G._row_index()[1]
-    return lex[np.unique(ids[lex], return_index=True)[1]]
+    """Element index of the least element (by image tuple) of each class,
+    from the least lexicographic ranks that also number the classes in
+    perm.conjugacy_classes."""
+    return G._row_index()[1][_least_ranks(G, ids)]
 
 
 def _class_inverses(G: PermGroup, ids: np.ndarray) -> tuple:

@@ -15,8 +15,11 @@ The heavy operations are numpy gathers:
   once, looks the products up among the sorted keys seen so far and
   merges the new ones in, keeping the first discovery of each new row;
 * conjugacy_classes conjugates every element by each generator through
-  the Cayley table and propagates the least label along those index maps
-  until each class carries one label;
+  the Cayley table and propagates the least element index along those
+  index maps, one gather per map and round, until each class carries it
+  as one label, then numbers the classes with a scatter, a bincount and
+  one minimum over the lexicographic ranks, with no sort of the |G|
+  labels;
 * a subgroup is a read-only boolean mask over the elements, in element
   order: pointwise_stabilizer, setwise_stabilizer and all_subgroups
   return masks, and the character theory counts and sums what a mask
@@ -308,36 +311,58 @@ def closure(gens, degree: int | None = None, bound: int = DEFAULT_ORDER_BOUND) -
 
 
 def _class_labels(G: PermGroup) -> np.ndarray:
-    """One label per element, shared exactly by the elements of a
-    conjugacy class: the least label is propagated along conjugation by
-    each generator (both ways: gathered along the map, scattered back
-    through it) with pointer jumping until it is stable.  Conjugation by
-    g_j is x -> (g_j x) g_j^-1: row j of the Cayley table, then the right
-    multiples of g_j^-1, so the only key lookup is of the inverses."""
+    """One label per element: the least element index of its conjugacy
+    class, propagated along conjugation by each generator with pointer
+    jumping until it is stable.  Conjugation by g_j is x -> (g_j x) g_j^-1:
+    row j of the Cayley table, then the right multiples of g_j^-1.  Each
+    map takes one gather per round: the loop stops only when no gather
+    lowers a label, and a gather along a permutation then reaches its
+    whole cycle.  An involution (g_j g_j = 1, read off its row; every
+    generator of Aut(S) is one) is its own inverse, element cayley[j, 0],
+    so only the inverses of the other generators are looked up by key."""
     m = len(G.generators)
     gens = np.array([g.mapping for g in G.generators], dtype=np.intp).reshape(m, G.degree)
-    inverses = G.indices(np.argsort(gens, axis=1))
+    involution = (np.take_along_axis(gens, gens, axis=1) == np.arange(G.degree)).all(axis=1)
+    inverses = G.cayley[:m, 0].copy()  # g_j * identity
+    if not involution.all():
+        inverses[~involution] = G.indices(np.argsort(gens[~involution], axis=1))
     maps = [right[G.cayley[j]] for j, right in enumerate(G.right_multiple_columns(inverses))]
     label = np.arange(G.order)
     while True:
         new = label
         for c in maps:
             new = np.minimum(new, new[c])
-            new[c] = np.minimum(new[c], new)
         new = new[new]
         if np.array_equal(new, label):
             return label
         label = new
 
 
+def _least_ranks(G: PermGroup, ids: np.ndarray) -> np.ndarray:
+    """The lexicographic rank (position among the sorted image tuples) of
+    the least element of each class, given each element's class id, the
+    ids 0 .. k - 1 all in use: one minimum scattered over the ranks."""
+    lex = G._row_index()[1]  # element indices in sorted (lexicographic) order
+    least = np.full(int(ids.max()) + 1, G.order, dtype=np.intp)
+    np.minimum.at(least, ids[lex], np.arange(G.order))
+    return least
+
+
 def conjugacy_classes(G: PermGroup) -> np.ndarray:
     """The class id of each element, read-only: classes are numbered by
-    (size, least element), comparing elements by their image tuples."""
-    _, cls, sizes = np.unique(_class_labels(G), return_inverse=True, return_counts=True)
-    lex = G._row_index()[1]  # element indices in sorted (lexicographic) order
-    _, least = np.unique(cls[lex], return_index=True)  # lex rank of each class's least element
-    rank = np.empty(len(sizes), dtype=np.intp)
-    rank[np.lexsort((least, sizes))] = np.arange(len(sizes))
+    (size, least element), comparing elements by their image tuples.  A
+    class label is the class's least element index, so the elements that
+    label themselves are one per class: a scatter numbers the classes in
+    their order, a bincount gives the sizes and _least_ranks the least
+    elements, and only the k classes are sorted."""
+    label = _class_labels(G)
+    roots = np.flatnonzero(label == np.arange(G.order))
+    slot = np.empty(G.order, dtype=np.intp)
+    slot[roots] = np.arange(len(roots))
+    cls = slot[label]
+    least = _least_ranks(G, cls)
+    rank = np.empty(len(roots), dtype=np.intp)
+    rank[np.lexsort((least, np.bincount(cls)))] = np.arange(len(roots))
     ids = rank[cls]
     ids.flags.writeable = False
     return ids

@@ -22,9 +22,11 @@ from .errors import InvalidInput, NumericalDegeneracy, TooManyRays, UnknownSuite
 from .flip import check_flip_witness, find_flip
 from .perm import (
     DEFAULT_ORDER_BOUND,
+    PermGroup,
     Permutation,
     all_subgroups,
     closure,
+    conjugacy_classes,
     pointwise_stabilizer,
     setwise_stabilizer,
     shape_automorphism_group,
@@ -426,6 +428,17 @@ def brute_force_maximal_subtrees(s: Shape) -> list:
     return sorted(maximal, key=lambda fs: tuple(sorted(fs)))
 
 
+def brute_force_conjugates(G: PermGroup) -> np.ndarray:
+    """c[h, x] = element index of h x h^-1 for every pair of elements,
+    (h x h^-1)(i) = h(x(h^-1(i))) composed by gathers on the rows of
+    G.array and labelled by key: the oracle for conjugacy_classes."""
+    n = G.order
+    rows = G.array.astype(np.intp)
+    every = np.arange(n)
+    x_after = rows[every[None, :, None], np.argsort(rows, axis=1)[:, None, :]]  # [h, x, i]: x(h^-1(i))
+    return G.indices(rows[every[:, None, None], x_after].reshape(-1, G.degree)).reshape(n, n)
+
+
 def groups_suite(cfg: Config) -> dict:
     checks = []
     small = [
@@ -482,6 +495,17 @@ def groups_suite(cfg: Config) -> dict:
             if not np.array_equal(pointwise_stabilizer(G, [s.index[v] for v in sub]), supported):
                 aj_bad.append("complement-supported permutations differ from stabilizer")
     checks.append(_check("pointwise_stabilizer_is_complement_supported", not aj_bad, mismatches=aj_bad))
+
+    # x and y share a class exactly when y is some h x h^-1
+    bad = []
+    for s in small:
+        G = shape_automorphism_group(s, bound)
+        ids = conjugacy_classes(G)
+        conjugate = np.zeros((G.order, G.order), dtype=bool)
+        conjugate[np.arange(G.order), brute_force_conjugates(G)] = True
+        if not np.array_equal(conjugate, ids[:, None] == ids):
+            bad.append(f"{len(s.vertices)}-vertex shape")
+    checks.append(_check("conjugacy_classes_match_brute_force", not bad, mismatches=bad))
     return _report("groups", cfg.seed, checks)
 
 

@@ -70,6 +70,14 @@ def _order_two_not_closed(f):  # {1, g} for an element g of order above 2
     return mutant
 
 
+def _last_two_classes_merged(f):  # the two classes last in (size, least element) order as one
+    def mutant(G):
+        ids = f(G)
+        return np.minimum(ids, max(int(ids.max()) - 1, 0))
+
+    return mutant
+
+
 # (suite, the verify name patched, the defect planted in it, the check that must fail)
 MUTANTS = [
     ("reps", "count_hitting", _hits_vary, "hit_counts_constant"),
@@ -81,6 +89,7 @@ MUTANTS = [
     ("spherical", "intertwiner_matrix", _depth_4_weight_off, "intertwiner_identity"),
     ("groups", "all_subgroups", _group_loses_an_element, "lagrange"),
     ("groups", "all_subgroups", _order_two_not_closed, "lagrange"),
+    ("groups", "conjugacy_classes", _last_two_classes_merged, "conjugacy_classes_match_brute_force"),
 ]
 
 
@@ -91,6 +100,7 @@ CHECKS = {
         "maximal_subtrees_match_brute_force",
         "lagrange",
         "pointwise_stabilizer_is_complement_supported",
+        "conjugacy_classes_match_brute_force",
     ],
     "reps": [
         "character_tables_orthogonal",

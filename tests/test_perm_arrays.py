@@ -222,11 +222,27 @@ def test_array_path_matches_the_element_loops(name, seed):
             assert dims[row, 0] == oracle_dim(t, row, elements)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_cyclic_groups_match_the_element_loops(n):
-    """C_n has classes that are not closed under inversion, unlike the
-    tree automorphism groups above, so x^-1 z and x z differ here."""
-    G = closure([Permutation(tuple((i + 1) % n for i in range(n)))])
+def cycle(n):
+    return Permutation(tuple((i + 1) % n for i in range(n)))
+
+
+SMALL_CLOSURES = {
+    "3": [cycle(3)],
+    "4": [cycle(4)],
+    "5": [cycle(5)],
+    "S4": [Permutation((1, 0, 2, 3)), cycle(4)],  # (0 1), (0 1 2 3)
+    "A4": [Permutation((1, 0, 3, 2)), Permutation((1, 2, 0, 3))],  # (0 1)(2 3), (0 1 2)
+}
+
+
+@pytest.mark.parametrize("name", list(SMALL_CLOSURES))
+def test_cyclic_groups_match_the_element_loops(name):
+    """C_n, and S_4 and A_4 from an involution beside an element of order
+    4 or 3.  C_n and A_4 have classes that are not closed under inversion,
+    unlike the tree automorphism groups above, so x^-1 z and x z differ
+    here; taking every generator g for an involution would conjugate x to
+    g x g, which sends the identity to g^2 and merges two classes."""
+    G = closure(SMALL_CLOSURES[name])
     assert G.elements == oracle_closure(G.generators, G.degree)
     ids = conjugacy_classes(G)
     classes = as_classes(G, ids)
@@ -292,9 +308,10 @@ def test_few_class_matrices_match_the_walk(shape):
 @pytest.mark.parametrize("shape", [star_shape(2), star_shape(4), centipede_shape(3, 3)])
 def test_classes_and_constants_look_up_no_product(monkeypatch, shape):
     """Class labels and the class matrix take their products from the
-    Cayley table: one key lookup each for the class labels (the generator
-    inverses) and for the class inverses, read once per table, and none
-    for the class matrix, whatever the number of classes."""
+    Cayley table: no key lookup for the class labels (every generator of
+    a tree group is an involution, its own inverse), one for the class
+    inverses, read once per table, and none for the class matrix,
+    whatever the number of classes."""
     calls = Counter()
     indices = PermGroup.indices
 
@@ -305,11 +322,11 @@ def test_classes_and_constants_look_up_no_product(monkeypatch, shape):
     G = shape_automorphism_group(shape)
     monkeypatch.setattr(PermGroup, "indices", counting)
     ids = conjugacy_classes(G)
-    assert calls["indices"] == 1
+    assert calls["indices"] == 0
     inverses = chartab._class_inverses(G, ids)
-    assert calls["indices"] == 2
+    assert calls["indices"] == 1
     chartab._class_matrix(G, ids, *inverses, np.ones(ids.max() + 1, dtype=np.int64))
-    assert calls["indices"] == 2
+    assert calls["indices"] == 1
 
 
 def test_enumerate_nondegenerate_builds_each_stabilizer_once(monkeypatch):
